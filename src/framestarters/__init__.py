@@ -30,10 +30,8 @@ from .starters import (
     negate_starter,
     quadratic_sum_check,
     type_census,
-    verify_frame,
     verify_orthogonal,
     verify_skew,
-    verify_strong,
 )
 from .theory import (
     NonexistenceCertificate,
@@ -60,7 +58,6 @@ from .search import (
     canonical_first_branch,
     naive_enumerate,
     search,
-    search_strong,
 )
 
 __version__ = "0.1.0"

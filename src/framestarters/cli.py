@@ -99,19 +99,18 @@ def cmd_search(args) -> int:
         return EXIT_INPUT
 
     if args.out and outcome.starters:
-        serialize.dump_starter(outcome.starters[0], args.out)
+        try:
+            serialize.dump_starter(outcome.starters[0], args.out)
+        except OSError as exc:
+            print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_INPUT
     obj = serialize.outcome_to_obj(outcome)
     text = [f"type {t} property={cfg.property} mode={cfg.mode}: "
             f"{outcome.result}",
             f"  nodes visited: {outcome.nodes_visited}",
             f"  wall time: {outcome.wall_time:.3f}s"]
-    for s in outcome.starters:
-        pair_text = ", ".join(
-            f"{{{serialize._element_to_obj(s.group, p.first)}, "
-            f"{serialize._element_to_obj(s.group, p.second)}}}"
-            for p in s.pairs
-        )
-        text.append(f"  starter: {pair_text}")
+    text.extend(f"  starter: {serialize.format_pairs(s)}"
+                for s in outcome.starters)
     if outcome.result == "exhausted_none":
         cert = exhaustion_certificate(t, cfg.property, outcome.nodes_visited)
         obj["certificate"] = serialize.certificate_to_obj(cert)

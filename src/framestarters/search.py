@@ -1,20 +1,33 @@
 """Pruned exhaustive backtracking for cyclic frame starters.
 
-The engine works on dense integers 0..g-1 with bitmask occupancy sets for
-members, +-differences and +-sums.  The search tree is canonical: the root
-always places the pair realizing the difference class {1, -1} (every frame
-starter contains exactly one), and below the root each node branches on
-the most constrained requirement - either an uncovered element that must
-be paired or an unused difference class that must be realized - trying its
-placements in ascending order.  The target is a deterministic function of
-the state, so every starter is generated exactly once and exhaustive
-counts are exact.  A requirement with no remaining placement prunes the
-node immediately; this fail-first ordering is what makes witnesses in
-groups of order ~50 reachable in seconds.
+One `Engine` holds what a search over Z_g \\ H at one property level needs,
+built once from (g, h, level): the candidate table of feasible pairs, the
+static partner and placement masks, `full` (the elements of G \\ H) and
+`mask_g` (the elements of Z_g), all as bitmasks over the dense integers
+0..g-1.  A search state is three occupancy masks: members, +-differences
+and +-sums.  Two engine steps act on states, and nothing else expands
+one:
 
-Every candidate that survives to a full pairing is re-verified through the
-independent verifier before it is reported; the acceleration structures
-are never trusted.
+- `place` adds one pair and rejects it when it is infeasible or collides
+  with the state;
+- `branch` returns the feasible placements of the most constrained open
+  requirement (an uncovered element that must be paired, or an unused
+  difference class that must be realized) in ascending order.  A
+  requirement with no placement left empties the list and prunes the
+  node; this fail-first order is what makes witnesses in groups of order
+  ~50 reachable in seconds.
+
+The search tree is canonical.  The root places the pair realizing the
+difference class {1, -1} (every frame starter contains exactly one), and
+below the root `Engine.run` calls `branch` once per node.  The branch is a
+deterministic function of the state, so every starter is generated
+exactly once and exhaustive counts are exact.  `canonical_first_branch`
+walks the same tree one step at a time.
+
+The engine returns raw pairings.  `search` builds each starter it reports
+and checks it once with the independent verifier, in the calling process;
+the acceleration structures are never trusted.  With several workers each
+process runs the engine on its own stride of root pairs.
 
 Symmetry reduction exploits negation x -> -x, which maps starters to
 starters of the same kind.  Writing the root pair {x, x+1}, negation sends
@@ -28,7 +41,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable
 
 from .errors import FrameStarterError, InvalidTypeError
@@ -64,6 +78,8 @@ class SearchConfig:
             raise InvalidTypeError("node budget must be >= 1 when given")
         if self.worker_count < 1:
             raise InvalidTypeError("worker count must be >= 1")
+        if self.progress_interval < 0:
+            raise InvalidTypeError("progress interval must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,63 +92,203 @@ class SearchOutcome:
 
 
 class _Stop(Exception):
-    """Internal: first verified starter found in a stop-early mode."""
+    """Internal: first starter found in a stop-early mode."""
 
 
 class _Budget(Exception):
     """Internal: node budget exhausted."""
 
 
-def _candidate_table(g: int, r: int, level: str):
-    """cand[x][y] = (pair_mask, diff_mask, sum_mask) or None when infeasible.
+class Engine:
+    """Search state for one (g, h, level), built once and shared by every node.
 
-    None encodes every per-pair rejection: a member or difference or sum in
-    H, a self-negative difference (it could cover only one element of the
-    difference partition), and for skew a self-negative sum.
+    cand[x][y] is (pair_mask, diff_mask, sum_mask, (min, max)) for a
+    feasible pair {x, y}, else None.  None encodes every per-pair
+    rejection: a member or difference or sum in H, a self-negative
+    difference (it could cover only one element of the difference
+    partition), and for skew a self-negative sum.  partners[x] masks the
+    feasible partners of x; classes lists each difference class d with the
+    mask of base points x whose pair {x, x+d} is feasible.
     """
-    strongish = level in ("strong", "skew")
-    skew = level == "skew"
-    cand: list[list[tuple[int, int, int] | None]] = [[None] * g for _ in range(g)]
-    for x in range(1, g):
-        if x % r == 0:
-            continue
-        row = cand[x]
-        for y in range(1, g):
-            if y == x or y % r == 0:
+
+    __slots__ = ("g", "mask_g", "full", "strongish", "cand", "partners",
+                 "classes")
+
+    def __init__(self, g: int, h: int, level: str):
+        r = g // h
+        strongish = level in ("strong", "skew")
+        skew = level == "skew"
+        cand: list[list[tuple | None]] = [[None] * g for _ in range(g)]
+        for x in range(1, g):
+            if x % r == 0:
                 continue
-            d = (y - x) % g
-            if d % r == 0:
-                continue
-            nd = g - d
-            if d == nd:
-                continue
-            sum_mask = 0
-            if strongish:
-                s = (x + y) % g
-                if s % r == 0:
+            row = cand[x]
+            for y in range(1, g):
+                if y == x or y % r == 0:
                     continue
-                sum_mask = 1 << s
-                if skew:
-                    ns = (g - s) % g
-                    if s == ns:
+                d = (y - x) % g
+                if d % r == 0:
+                    continue
+                nd = g - d
+                if d == nd:
+                    continue
+                sum_mask = 0
+                if strongish:
+                    s = (x + y) % g
+                    if s % r == 0:
                         continue
-                    sum_mask |= 1 << ns
-            row[y] = ((1 << x) | (1 << y), (1 << d) | (1 << nd), sum_mask)
-    return cand
+                    sum_mask = 1 << s
+                    if skew:
+                        ns = (g - s) % g
+                        if s == ns:
+                            continue
+                        sum_mask |= 1 << ns
+                row[y] = ((1 << x) | (1 << y), (1 << d) | (1 << nd), sum_mask,
+                          (x, y) if x < y else (y, x))
+        self.g = g
+        self.mask_g = (1 << g) - 1
+        self.full = sum(1 << v for v in range(1, g) if v % r)
+        self.strongish = strongish
+        self.cand = cand
+        self.partners = [sum(1 << y for y in range(g) if row[y] is not None)
+                         for row in cand]
+        self.classes = [
+            (d, sum(1 << x for x in range(g) if cand[x][(x + d) % g] is not None))
+            for d in range(1, (g - 1) // 2 + 1) if d % r
+        ]
 
+    def roots(self, symmetry: bool) -> list[tuple]:
+        """Placements of the difference-class {1, -1} pair, the fixed root item.
 
-def _root_branches(g: int, r: int, level: str, symmetry: bool,
-                   cand=None) -> list[tuple[int, int]]:
-    """Placements of the difference-class {1, -1} pair, the fixed root item.
+        Negation maps the pair {x, x+1} to {g-1-x, g-x}, so with symmetry on
+        only base points x <= (g-1)/2 are kept: one representative per orbit.
+        """
+        top = (self.g - 1) // 2 if symmetry else self.g - 2
+        return [entry for x in range(1, top + 1)
+                if (entry := self.cand[x][x + 1]) is not None]
 
-    Negation maps the pair {x, x+1} to {g-1-x, g-x}, so with symmetry on
-    only base points x <= (g-1)/2 are kept: one representative per orbit.
-    """
-    if cand is None:
-        cand = _candidate_table(g, r, level)
-    top = (g - 1) // 2 if symmetry else g - 2
-    return [(x, x + 1) for x in range(1, top + 1)
-            if cand[x][x + 1] is not None]
+    def place(self, state: tuple[int, int, int],
+              pair: tuple[int, int]) -> tuple[int, int, int]:
+        """The state with the pair added; InvalidTypeError when the pair is
+        infeasible or shares a member, difference or sum with the state."""
+        x, y = pair
+        g = self.g
+        entry = self.cand[x][y] if 0 <= x < g and 0 <= y < g else None
+        if entry is None:
+            raise InvalidTypeError(f"placed pair ({x}, {y}) is infeasible")
+        used, used_diff, used_sum = state
+        pm, dm, sm, _ = entry
+        if used & pm or used_diff & dm or used_sum & sm:
+            raise InvalidTypeError(
+                f"placed pair ({x}, {y}) collides with an earlier pair")
+        return used | pm, used_diff | dm, used_sum | sm
+
+    def branch(self, used: int, used_diff: int, used_sum: int) -> list[tuple]:
+        """Feasible placements (as candidate-table entries) of the most
+        constrained open requirement, ascending; empty when the state is
+        complete or provably dead.
+
+        Element requirements carry an exact mask of feasible partners;
+        class requirements an upper bound, so each placement is checked
+        for collisions before it is returned.  The scan stops early at a
+        single-option requirement; any zero-option requirement it skipped
+        then surfaces one level deeper, which costs little in practice.
+        """
+        g = self.g
+        mask_g = self.mask_g
+        free = self.full & ~used
+        notdiff = ~used_diff & mask_g
+        notsum = ~used_sum & mask_g
+        partners = self.partners
+        strongish = self.strongish
+        best_n = g + 1
+        key = opts = 0
+        by_class = False
+        scan = free
+        while scan:
+            xb = scan & -scan
+            scan ^= xb
+            x = xb.bit_length() - 1
+            m = free & partners[x] & (((notdiff << x) | (notdiff >> (g - x)))
+                                      & mask_g)
+            if strongish:
+                m &= ((notsum >> x) | (notsum << (g - x))) & mask_g
+            n = m.bit_count()
+            if n == 0:
+                return []
+            if n < best_n:
+                best_n, key, opts = n, x, m
+                if n == 1:
+                    break
+        if best_n > 1:
+            for d, placements in self.classes:
+                if not (notdiff >> d) & 1:
+                    continue
+                pl = free & (((free >> d) | (free << (g - d))) & mask_g) \
+                    & placements
+                n = pl.bit_count()
+                if n == 0:
+                    return []
+                if n < best_n:
+                    best_n, key, opts, by_class = n, d, pl, True
+                    if n == 1:
+                        break
+        cand = self.cand
+        out = []
+        while opts:
+            ob = opts & -opts
+            opts ^= ob
+            v = ob.bit_length() - 1
+            entry = cand[v][(v + key) % g] if by_class else cand[key][v]
+            pm, dm, sm, _ = entry
+            if not (used & pm or used_diff & dm or used_sum & sm):
+                out.append(entry)
+        return out
+
+    def run(self, cfg: SearchConfig, roots: list[tuple],
+            progress: Callable[[int, int, float], None] | None = None):
+        """Explore the subtrees under the given root entries.
+
+        Returns (status, raw_pairings, nodes) with status one of
+        "exhausted", "found" (stop-early modes only) or "budget".
+        """
+        branch = self.branch
+        full = self.full
+        budget = cfg.node_budget
+        interval = cfg.progress_interval if progress is not None else 0
+        stop_early = cfg.mode != "exhaustive_count"
+        nodes = 0
+        solutions: list[tuple[tuple[int, int], ...]] = []
+        stack: list[tuple[int, int]] = []
+        started = time.perf_counter()
+
+        def extend(options, used: int, used_diff: int, used_sum: int):
+            nonlocal nodes
+            for pm, dm, sm, pair in options:
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    raise _Budget
+                if interval and nodes % interval == 0:
+                    progress(nodes, len(stack), time.perf_counter() - started)
+                stack.append(pair)
+                u, ud, us = used | pm, used_diff | dm, used_sum | sm
+                if u == full:
+                    solutions.append(tuple(stack))
+                    if stop_early:
+                        raise _Stop
+                else:
+                    extend(branch(u, ud, us), u, ud, us)
+                stack.pop()
+
+        status = "exhausted"
+        try:
+            extend(roots, 0, 0, 0)
+        except _Stop:
+            status = "found"
+        except _Budget:
+            status = "budget"
+            nodes -= 1  # the placement that tripped the budget never happened
+        return status, solutions, nodes
 
 
 def _verified_starter(g: int, h: int, level: str,
@@ -149,178 +305,6 @@ def _verified_starter(g: int, h: int, level: str,
     return starter
 
 
-def _static_masks(g: int, r: int, cand):
-    """Per-element partner masks and per-class placement masks."""
-    static_ok = [0] * g
-    for x in range(g):
-        row = cand[x]
-        mask = 0
-        for y in range(g):
-            if row[y] is not None:
-                mask |= 1 << y
-        static_ok[x] = mask
-    classes = [d for d in range(1, (g - 1) // 2 + 1) if d % r]
-    class_static = {}
-    for d in classes:
-        mask = 0
-        for x in range(g):
-            if cand[x][(x + d) % g] is not None:
-                mask |= 1 << x
-        class_static[d] = mask
-    return static_ok, classes, class_static
-
-
-def _choose_options(g: int, mask_g: int, free: int, notdiff: int, notsum: int,
-                    strongish: bool, static_ok, classes, class_static):
-    """Most constrained requirement at this state, as ("element"|"class", key,
-    options bitmask), or None when some requirement has no options left.
-
-    Element requirements carry an exact mask of feasible partners; class
-    requirements carry an upper bound (per-placement sum collisions are
-    re-checked when branching).  The scan stops early at a single-option
-    requirement; any zero-option requirement it skipped then surfaces one
-    level deeper, which costs little in practice.
-    """
-    best_n = g + 1
-    best = None
-    scan = free
-    while scan:
-        xb = scan & -scan
-        scan ^= xb
-        x = xb.bit_length() - 1
-        m = free & static_ok[x] & (((notdiff << x) | (notdiff >> (g - x)))
-                                   & mask_g)
-        if strongish:
-            m &= ((notsum >> x) | (notsum << (g - x))) & mask_g
-        n = m.bit_count()
-        if n == 0:
-            return None
-        if n < best_n:
-            best_n, best = n, ("element", x, m)
-            if n == 1:
-                return best
-    if best_n > 1:
-        for d in classes:
-            if not (notdiff >> d) & 1:
-                continue
-            pl = free & (((free >> d) | (free << (g - d))) & mask_g) \
-                & class_static[d]
-            n = pl.bit_count()
-            if n == 0:
-                return None
-            if n < best_n:
-                best_n, best = n, ("class", d, pl)
-                if n == 1:
-                    break
-    return best
-
-
-def _option_pairs(g: int, kind: str, key: int, opts: int):
-    """Expand a requirement's option mask into candidate pairs, ascending."""
-    out = []
-    while opts:
-        ob = opts & -opts
-        opts ^= ob
-        v = ob.bit_length() - 1
-        if kind == "element":
-            out.append((key, v) if key < v else (v, key))
-        else:
-            a, b = v, (v + key) % g
-            out.append((a, b) if a < b else (b, a))
-    return out
-
-
-def _run_slice(g: int, h: int, level: str, mode: str, budget: int | None,
-               roots: list[tuple[int, int]],
-               progress: Callable[[int, int, float], None] | None = None,
-               progress_interval: int = 0):
-    """Explore the subtrees under the given root pairs.
-
-    Returns (status, raw_solutions, nodes) with status one of "exhausted",
-    "found" (stop-early modes only) or "budget".
-    """
-    r = g // h
-    strongish = level in ("strong", "skew")
-    cand = _candidate_table(g, r, level)
-    static_ok, classes, class_static = _static_masks(g, r, cand)
-    mask_g = (1 << g) - 1
-    full = 0
-    for v in range(1, g):
-        if v % r:
-            full |= 1 << v
-
-    nodes = 0
-    solutions: list[tuple[tuple[int, int], ...]] = []
-    stack: list[tuple[int, int]] = []
-    stop_early = mode != "exhaustive_count"
-    started = time.perf_counter()
-
-    def note_node():
-        nonlocal nodes
-        nodes += 1
-        if budget is not None and nodes > budget:
-            raise _Budget
-        if progress_interval and progress is not None \
-                and nodes % progress_interval == 0:
-            progress(nodes, len(stack), time.perf_counter() - started)
-
-    def extend(used: int, used_diff: int, used_sum: int):
-        if used == full:
-            _verified_starter(g, h, level, stack)
-            solutions.append(tuple(stack))
-            if stop_early:
-                raise _Stop
-            return
-        free = full & ~used
-        best = _choose_options(g, mask_g, free, ~used_diff & mask_g,
-                               ~used_sum & mask_g, strongish,
-                               static_ok, classes, class_static)
-        if best is None:
-            return
-        kind, key, opts = best
-        while opts:
-            ob = opts & -opts
-            opts ^= ob
-            v = ob.bit_length() - 1
-            if kind == "element":
-                a, b = (key, v) if key < v else (v, key)
-            else:
-                a, b = v, (v + key) % g
-            pm, dm, sm = cand[a][b]
-            if used & pm or used_diff & dm or used_sum & sm:
-                continue  # class placements are an upper bound
-            note_node()
-            stack.append((a, b) if a < b else (b, a))
-            extend(used | pm, used_diff | dm, used_sum | sm)
-            stack.pop()
-
-    status = "exhausted"
-    try:
-        for x, y in roots:
-            entry = cand[x][y]
-            if entry is None:
-                continue
-            pm, dm, sm = entry
-            note_node()
-            stack.append((x, y))
-            extend(pm, dm, sm)
-            stack.pop()
-    except _Stop:
-        status = "found"
-    except _Budget:
-        status = "budget"
-        nodes -= 1  # the placement that tripped the budget never happened
-    return status, solutions, nodes
-
-
-def _slice_worker(payload: dict) -> dict:
-    status, solutions, nodes = _run_slice(
-        payload["g"], payload["h"], payload["level"], payload["mode"],
-        payload["budget"], payload["roots"],
-    )
-    return {"status": status, "solutions": solutions, "nodes": nodes}
-
-
 def default_worker_count() -> int:
     value = os.environ.get(WORKERS_ENV_VAR, "").strip()
     if value.isdigit() and int(value) >= 1:
@@ -333,12 +317,13 @@ def search(cfg: SearchConfig,
            ) -> SearchOutcome:
     """Run the backtracking search described by the config.
 
-    find_first and prove_nonexistence stop at the first verified starter;
+    find_first and prove_nonexistence stop at the first starter;
     exhaustive_count traverses the whole canonical tree.  exhausted_none is
     reported only after a complete traversal, never after a budget cut.
     With several workers the root placements are split statically across
     processes (node budget applies per worker, progress reporting is
     single-worker only) and results merge in canonical starter order.
+    Each reported starter is built and verified once, here.
     """
     t = cfg.target_type
     if not t.cyclic:
@@ -353,44 +338,26 @@ def search(cfg: SearchConfig,
             f"explicit node budget"
         )
 
-    g, h, r = t.g, t.h, t.u
     started = time.perf_counter()
-    roots = _root_branches(g, r, cfg.property, cfg.symmetry_reduction)
-
+    engine = Engine(t.g, t.h, cfg.property)
+    roots = engine.roots(cfg.symmetry_reduction)
     if cfg.worker_count == 1:
-        status, solutions, nodes = _run_slice(
-            g, h, cfg.property, cfg.mode, cfg.node_budget, roots,
-            progress, cfg.progress_interval,
-        )
-        statuses = [status]
+        results = [engine.run(cfg, roots, progress)]
     else:
-        slices = [roots[i::cfg.worker_count] for i in range(cfg.worker_count)]
-        payloads = [
-            {"g": g, "h": h, "level": cfg.property, "mode": cfg.mode,
-             "budget": cfg.node_budget, "roots": sl}
-            for sl in slices if sl
-        ]
-        solutions = []
-        statuses = []
-        nodes = 0
-        with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            for result in pool.map(_slice_worker, payloads):
-                statuses.append(result["status"])
-                solutions.extend(result["solutions"])
-                nodes += result["nodes"]
-
-    starters = tuple(sorted(
-        (_verified_starter(g, h, cfg.property, sol) for sol in solutions),
-        key=lambda s: s.pairs,
-    ))
-    if starters:
-        if cfg.mode != "exhaustive_count":
-            starters = starters[:1]
-            result = "found"
-        elif "budget" in statuses:
-            result = "budget_exceeded"
-        else:
-            result = "found"
+        w = cfg.worker_count
+        slices = [sl for i in range(w) if (sl := roots[i::w])]
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            results = list(pool.map(engine.run, repeat(cfg), slices))
+    statuses = [status for status, _, _ in results]
+    solutions = sorted((sol for _, sols, _ in results for sol in sols),
+                       key=sorted)  # the pair order of FrameStarter
+    if cfg.mode != "exhaustive_count":
+        solutions = solutions[:1]
+    starters = tuple(_verified_starter(t.g, t.h, cfg.property, sol)
+                     for sol in solutions)
+    if starters and (cfg.mode != "exhaustive_count"
+                     or "budget" not in statuses):
+        result = "found"
     elif "budget" in statuses:
         result = "budget_exceeded"
     else:
@@ -398,17 +365,10 @@ def search(cfg: SearchConfig,
     return SearchOutcome(
         result=result,
         starters=starters,
-        nodes_visited=nodes,
+        nodes_visited=sum(nodes for _, _, nodes in results),
         wall_time=time.perf_counter() - started,
         config=cfg,
     )
-
-
-def search_strong(cfg: SearchConfig,
-                  progress: Callable[[int, int, float], None] | None = None,
-                  ) -> SearchOutcome:
-    """Convenience wrapper forcing the strong property level."""
-    return search(replace(cfg, property="strong"), progress)
 
 
 def canonical_first_branch(cfg: SearchConfig,
@@ -418,49 +378,21 @@ def canonical_first_branch(cfg: SearchConfig,
 
     With nothing placed this is the root policy: the placements of the
     difference-class {1, -1} pair, negation-reduced when symmetry is on.
-    Afterwards it returns the placements of the most constrained open
-    requirement, exactly as the engine would branch; an empty list means
-    the state is complete or provably dead.
+    Afterwards the pairs are placed one by one (InvalidTypeError for an
+    infeasible or colliding pair) and the result is the engine's branch at
+    that state; an empty list means the state is complete or provably dead.
     """
     t = cfg.target_type
-    g, r = t.g, t.u
-    cand = _candidate_table(g, r, cfg.property)
+    engine = Engine(t.g, t.h, cfg.property)
     placed = list(placed)
     if not placed:
-        return _root_branches(g, r, cfg.property, cfg.symmetry_reduction, cand)
-
-    full = 0
-    for v in range(1, g):
-        if v % r:
-            full |= 1 << v
-    used = used_diff = used_sum = 0
-    for x, y in placed:
-        entry = cand[x][y]
-        if entry is None:
-            raise InvalidTypeError(f"placed pair ({x}, {y}) is infeasible")
-        pm, dm, sm = entry
-        used |= pm
-        used_diff |= dm
-        used_sum |= sm
-    free = full & ~used
-    if not free:
-        return []
-    mask_g = (1 << g) - 1
-    static_ok, classes, class_static = _static_masks(g, r, cand)
-    best = _choose_options(g, mask_g, free, ~used_diff & mask_g,
-                           ~used_sum & mask_g,
-                           cfg.property in ("strong", "skew"),
-                           static_ok, classes, class_static)
-    if best is None:
-        return []
-    kind, key, opts = best
-    out = []
-    for a, b in _option_pairs(g, kind, key, opts):
-        pm, dm, sm = cand[a][b]
-        if used & pm or used_diff & dm or used_sum & sm:
-            continue
-        out.append((a, b))
-    return out
+        options = engine.roots(cfg.symmetry_reduction)
+    else:
+        state = (0, 0, 0)
+        for pair in placed:
+            state = engine.place(state, pair)
+        options = engine.branch(*state)
+    return [pair for *_, pair in options]
 
 
 # ---------------------------------------------------------------------------

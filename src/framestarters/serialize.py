@@ -24,8 +24,13 @@ from .theory import NonexistenceCertificate
 from .search import SearchConfig, SearchOutcome
 
 
+def _is_int(obj: Any) -> bool:
+    """JSON integers only: true/false parse as Python bools, which are ints."""
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
 def _expect(obj: Any, kind: type, location: str) -> Any:
-    if not isinstance(obj, kind):
+    if not (_is_int(obj) if kind is int else isinstance(obj, kind)):
         raise SchemaError(f"expected {kind.__name__}, got {type(obj).__name__}",
                           location)
     return obj
@@ -38,7 +43,7 @@ def group_to_obj(group: GroupSpec) -> dict:
 def group_from_obj(obj: Any, location: str = "$.group") -> GroupSpec:
     _expect(obj, dict, location)
     factors = _expect(obj.get("factors"), list, f"{location}.factors")
-    if not factors or not all(isinstance(m, int) for m in factors):
+    if not factors or not all(_is_int(m) for m in factors):
         raise SchemaError("factors must be a non-empty list of integers",
                           f"{location}.factors")
     try:
@@ -78,17 +83,23 @@ def _element_to_obj(group: GroupSpec, x: Element):
 
 
 def _element_from_obj(group: GroupSpec, obj: Any, location: str) -> Element:
-    if isinstance(obj, int):
+    if _is_int(obj):
         if not group.is_cyclic:
             raise SchemaError("bare integer element in a non-cyclic group",
                               location)
         return group.element(obj)
-    if isinstance(obj, list) and all(isinstance(c, int) for c in obj):
+    if isinstance(obj, list) and all(_is_int(c) for c in obj):
         try:
             return group.element(obj)
         except FrameStarterError as exc:
             raise SchemaError(str(exc), location) from exc
     raise SchemaError("element must be an integer or list of integers", location)
+
+
+def format_pairs(s: FrameStarter) -> str:
+    """The pairs as "{x, y}, ...", elements written as in the JSON schema."""
+    return ", ".join(f"{{{_element_to_obj(s.group, p.first)}, "
+                     f"{_element_to_obj(s.group, p.second)}}}" for p in s.pairs)
 
 
 def starter_to_obj(s: FrameStarter) -> dict:
@@ -123,7 +134,7 @@ def load_starter(path: str | Path) -> FrameStarter:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"invalid JSON: {exc}", str(path)) from exc
     return starter_from_obj(obj)
 

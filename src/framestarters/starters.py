@@ -129,7 +129,12 @@ class VerificationReport:
                 "skew": self.is_skew}[level]
 
 
-def _verify(s: FrameStarter, verbose: bool) -> VerificationReport:
+def verify_skew(s: FrameStarter, verbose: bool = False) -> VerificationReport:
+    """The one verifier: which of frame, strong and skew the starter satisfies.
+
+    `report.holds(level)` answers for one level.  `witness` is the first
+    violation found; with verbose, `witnesses` lists every one.
+    """
     group, sub = s.group, s.subgroup
     frame_bad: list[str] = []
     strong_bad: list[str] = []
@@ -183,21 +188,6 @@ def _verify(s: FrameStarter, verbose: bool) -> VerificationReport:
         witness=all_witnesses[0] if all_witnesses else None,
         witnesses=all_witnesses if verbose else (),
     )
-
-
-def verify_frame(s: FrameStarter, verbose: bool = False) -> VerificationReport:
-    """Check the partition properties (members and +- differences)."""
-    return _verify(s, verbose)
-
-
-def verify_strong(s: FrameStarter, verbose: bool = False) -> VerificationReport:
-    """Check frame plus distinct pair sums outside the subgroup."""
-    return _verify(s, verbose)
-
-
-def verify_skew(s: FrameStarter, verbose: bool = False) -> VerificationReport:
-    """Full report: frame, strong, and the +- sum partition."""
-    return _verify(s, verbose)
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidTypeError
 from .search import SearchConfig, SearchOutcome, search
-from .serialize import starter_to_obj
+from .serialize import format_pairs, starter_to_obj
 from .theory import NonexistenceCertificate, StarterType, certify
 
 #: Hard ceiling on --max-g; cells beyond desk scale need dedicated runs.
@@ -37,7 +37,6 @@ class TableRow:
     existence: str        # "yes" | "no" | "?"
     authority: str        # "theorem" | "search" | "none"
     detail: str
-    nodes: int = 0
     certificate: NonexistenceCertificate | None = None
     outcome: SearchOutcome | None = None
 
@@ -69,23 +68,18 @@ def build_row(t: StarterType, *, deep: bool, budget: int, workers: int) -> Table
         worker_count=workers,
     ))
     if outcome.result == "found":
-        witness = outcome.starters[0]
-        pair_text = ", ".join(
-            f"{{{p.first.coords[0]}, {p.second.coords[0]}}}"
-            for p in witness.pairs
-        )
         return TableRow(t, "yes", "search",
                         f"witness found after {outcome.nodes_visited} nodes: "
-                        f"{pair_text}",
-                        nodes=outcome.nodes_visited, outcome=outcome)
+                        f"{format_pairs(outcome.starters[0])}",
+                        outcome=outcome)
     if outcome.result == "exhausted_none":
         return TableRow(t, "no", "search",
                         f"exhaustive search: no skew frame starter "
                         f"({outcome.nodes_visited} nodes)",
-                        nodes=outcome.nodes_visited, outcome=outcome)
+                        outcome=outcome)
     return TableRow(t, "?", "none",
                     f"budget exceeded after {outcome.nodes_visited} nodes",
-                    nodes=outcome.nodes_visited, outcome=outcome)
+                    outcome=outcome)
 
 
 def build_table(max_g: int, *, deep: bool = False,

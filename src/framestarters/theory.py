@@ -18,7 +18,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .groups import Element, GroupSpec, SubgroupSpec, complement, cyclic_subgroup
-from .starters import Adder, FrameStarter, Pair, type_census, verify_strong
+from .starters import Adder, FrameStarter, Pair, type_census, verify_skew
 
 #: Property levels ordered weakest to strongest.  A certificate at level L
 #: rules out every starter satisfying L, hence also everything above L in
@@ -267,7 +267,7 @@ def strong_to_adder(s: FrameStarter) -> Adder:
     group = s.group
     if group.order % 2 == 0:
         raise UnsupportedOperationError("adder correspondence needs odd order")
-    report = verify_strong(s)
+    report = verify_skew(s)
     if not report.is_strong:
         raise StructureError(f"not a strong frame starter: {report.witness}")
     entries = []

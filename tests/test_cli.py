@@ -34,6 +34,9 @@ def test_verify_exit_codes(corpus_file, tmp_path, capsys):
     malformed.write_text('{"group": {"factors": []}, "pairs": []}')
     assert main(["verify", str(malformed)]) == 2
     assert main(["verify", str(tmp_path / "missing.json")]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"group": {"factors": [7]}, "note": "\xe9"}')
+    assert main(["verify", str(latin1)]) == 2
 
 
 def test_verify_json_output(corpus_file, capsys):
@@ -82,6 +85,10 @@ def test_search_command(tmp_path, capsys):
     assert str(obj["nodes_visited"]) in obj["certificate"]["statement"]
 
     assert main(["search", "--type", "6^9", "--budget", "1000"]) == 3
+    capsys.readouterr()
+    missing = tmp_path / "no-such-dir" / "witness.json"
+    assert main(["search", "--type", "2^5", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
     assert main(["search", "--type", "2^61"]) == 2  # budget required, g > 60
     assert main(["search", "--type", "nope"]) == 2
 

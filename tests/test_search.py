@@ -10,7 +10,6 @@ from framestarters import (
     canonical_first_branch,
     naive_enumerate,
     search,
-    search_strong,
     verify_skew,
 )
 
@@ -29,6 +28,8 @@ def test_config_validation():
     with pytest.raises(InvalidTypeError):
         SearchConfig(StarterType(1, 7), worker_count=0)
     with pytest.raises(InvalidTypeError):
+        SearchConfig(StarterType(1, 7), progress_interval=-1)
+    with pytest.raises(InvalidTypeError):
         search(SearchConfig(StarterType(3, 4)))  # odd g - h
     with pytest.raises(FrameStarterError):
         search(cfg(1, 61))  # g > 60 needs an explicit budget
@@ -43,7 +44,7 @@ def test_spec_search_examples():
 
 
 def test_search_strong_examples():
-    out = search_strong(cfg(5, 5, mode="prove_nonexistence"))
+    out = search(cfg(5, 5, level="strong", mode="prove_nonexistence"))
     assert out.result == "exhausted_none"
     assert out.config.property == "strong"
     assert search(cfg(2, 5, level="strong")).result == "found"
@@ -108,6 +109,20 @@ def test_parallel_equivalence():
     assert seq.starters == par.starters
     assert seq.result == par.result == "found"
 
+    for h, u in ((1, 9), (2, 8), (3, 5)):
+        for level in ("frame", "strong", "skew"):
+            kw = dict(level=level, mode="exhaustive_count",
+                      symmetry_reduction=False)
+            seq = search(cfg(h, u, **kw, worker_count=1))
+            par = search(cfg(h, u, **kw, worker_count=2))
+            assert seq.starters == par.starters, (h, u, level)
+            assert seq.result == par.result, (h, u, level)
+
+    seq = search(cfg(4, 7, mode="prove_nonexistence", worker_count=1))
+    par = search(cfg(4, 7, mode="prove_nonexistence", worker_count=2))
+    assert seq.result == par.result == "exhausted_none"
+    assert seq.nodes_visited == par.nodes_visited == 157834
+
 
 def test_parallel_find_first():
     out = search(cfg(5, 7, worker_count=2))
@@ -145,6 +160,10 @@ def test_canonical_first_branch_walkthrough():
     assert canonical_first_branch(c, [(2, 3), (1, 5), (4, 6)]) == []
     with pytest.raises(InvalidTypeError):
         canonical_first_branch(c, [(1, 6)])  # pair sum lies in the subgroup
+    with pytest.raises(InvalidTypeError):
+        canonical_first_branch(c, [(2, 3), (2, 3)])  # the same pair twice
+    with pytest.raises(InvalidTypeError):
+        canonical_first_branch(c, [(2, 3), (4, 5)])  # difference class 1 twice
 
 
 def test_wall_time_and_config_echo():

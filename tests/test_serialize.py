@@ -39,6 +39,10 @@ def test_file_roundtrip(tmp_path, corpus_by_id):
     (lambda o: o["pairs"].append([1]), "pairs"),
     (lambda o: o["pairs"][0].__setitem__(0, [1, 2]), "pairs[0]"),
     (lambda o: o.update(pairs="nope"), "pairs"),
+    # JSON true/false are Python bools, which are ints
+    (lambda o: o["pairs"][0].__setitem__(1, True), "pairs[0][1]"),
+    (lambda o: o.update(group={"factors": [True, 10]}), "factors"),
+    (lambda o: o.update(subgroup={"order": True}), "subgroup.order"),
 ])
 def test_schema_errors_carry_location(corpus_by_id, mutate, fragment):
     obj = serialize.starter_to_obj(corpus_by_id["example-1"].starter)
@@ -53,6 +57,9 @@ def test_load_starter_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         serialize.load_starter(path)
+    path.write_bytes(b'{"group": {"factors": [7]}, "note": "\xe9"}')
+    with pytest.raises(SchemaError):
+        serialize.load_starter(path)  # not UTF-8
 
 
 def test_outcome_serialization():

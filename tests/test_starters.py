@@ -15,10 +15,8 @@ from framestarters import (
     quadratic_sum_check,
     trivial_subgroup,
     type_census,
-    verify_frame,
     verify_orthogonal,
     verify_skew,
-    verify_strong,
 )
 from framestarters.theory import patterned_starter
 
@@ -49,25 +47,25 @@ def test_construction_guards():
 
 
 def test_verify_frame_examples(corpus_by_id):
-    assert verify_frame(corpus_by_id["example-1"].starter).is_frame
+    assert verify_skew(corpus_by_id["example-1"].starter).is_frame
 
     bad = make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)])
-    report = verify_frame(bad)
+    report = verify_skew(bad)
     assert not report.is_frame
     assert "difference" in report.witness
 
-    assert verify_frame(patterned_starter(Z7, Z7_TRIV)).is_frame
+    assert verify_skew(patterned_starter(Z7, Z7_TRIV)).is_frame
 
 
 def test_verify_strong_examples(corpus_by_id):
-    assert verify_strong(corpus_by_id["example-3"].starter).is_strong
+    assert verify_skew(corpus_by_id["example-3"].starter).is_strong
 
     patterned = patterned_starter(Z7, Z7_TRIV)
-    report = verify_strong(patterned)
+    report = verify_skew(patterned)
     assert report.is_frame and not report.is_strong
     assert "sum" in report.witness and "subgroup" in report.witness
 
-    assert verify_strong(corpus_by_id["example-2"].starter).is_strong
+    assert verify_skew(corpus_by_id["example-2"].starter).is_strong
 
 
 def test_verify_skew_examples(corpus_by_id):
@@ -106,7 +104,7 @@ def test_partition_property(corpus_entries):
 
 def test_verbose_collects_all_witnesses():
     bad = make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)])
-    report = verify_frame(bad, verbose=True)
+    report = verify_skew(bad, verbose=True)
     assert len(report.witnesses) >= 2
     assert report.witness == report.witnesses[0]
 
