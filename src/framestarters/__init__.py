@@ -38,6 +38,7 @@ from .theory import (
     StarterType,
     adder_is_skew,
     adder_to_strong,
+    census_certificate,
     census_identities,
     certify,
     exhaustion_certificate,
@@ -46,8 +47,6 @@ from .theory import (
     starter_type_of,
     strong_to_adder,
     sum_of_squares_closed_form,
-    mod3_census_certificate,
-    mod4_census_certificate,
     prior_theorem_certificate,
     prior_theorem_certificate_group,
     quadratic_congruence_certificate,

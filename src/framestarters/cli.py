@@ -13,9 +13,9 @@ import sys
 
 from . import corpus as corpus_mod
 from . import serialize, table as table_mod
-from .errors import FrameStarterError, SchemaError
+from .errors import FrameStarterError
 from .search import SearchConfig, default_worker_count, search
-from .starters import verify_skew
+from .starters import LEVELS, verify_skew
 from .theory import StarterType, certify, exhaustion_certificate
 
 EXIT_OK = 0
@@ -29,16 +29,12 @@ def _emit(obj, as_json: bool, text: str):
 
 
 def cmd_verify(args) -> int:
-    try:
-        starter = serialize.load_starter(args.file)
-    except (OSError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    starter = serialize.load_starter(args.file)
     report = verify_skew(starter, verbose=args.verbose)
     holds = report.holds(args.property)
     h, u = starter.declared_type
     text = [f"type {h}^{u} in a group of order {starter.group.order}"]
-    for level in ("frame", "strong", "skew"):
+    for level in LEVELS:
         text.append(f"  {level}: {'yes' if report.holds(level) else 'no'}")
     if report.witness and not holds:
         text.append(f"  witness: {report.witness}")
@@ -49,15 +45,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        t = StarterType.parse(args.type)
-        if not t.admissible:
-            raise FrameStarterError(
-                f"type {t} has odd g - h; no starter of any kind exists"
-            )
-    except FrameStarterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    t = StarterType.parse(args.type)
+    if not t.admissible:
+        raise FrameStarterError(
+            f"type {t} has odd g - h; no starter of any kind exists"
+        )
     cert = certify(t)
     if cert is None:
         _emit({"type": str(t), "decided": False}, args.json,
@@ -70,20 +62,16 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search(args) -> int:
-    try:
-        t = StarterType.parse(args.type)
-        cfg = SearchConfig(
-            t,
-            property=args.property,
-            mode=args.mode,
-            node_budget=args.budget,
-            worker_count=args.workers,
-            symmetry_reduction=not args.no_symmetry,
-            progress_interval=args.progress,
-        )
-    except FrameStarterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    t = StarterType.parse(args.type)
+    cfg = SearchConfig(
+        t,
+        property=args.property,
+        mode=args.mode,
+        node_budget=args.budget,
+        worker_count=args.workers,
+        symmetry_reduction=not args.no_symmetry,
+        progress_interval=args.progress,
+    )
 
     progress = None
     if args.progress:
@@ -92,18 +80,9 @@ def cmd_search(args) -> int:
                               "elapsed_s": round(elapsed, 3)}),
                   file=sys.stderr, flush=True)
 
-    try:
-        outcome = search(cfg, progress)
-    except FrameStarterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    outcome = search(cfg, progress)
     if args.out and outcome.starters:
-        try:
-            serialize.dump_starter(outcome.starters[0], args.out)
-        except OSError as exc:
-            print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
-            return EXIT_INPUT
+        serialize.dump_starter(outcome.starters[0], args.out)
     obj = serialize.outcome_to_obj(outcome)
     text = [f"type {t} property={cfg.property} mode={cfg.mode}: "
             f"{outcome.result}",
@@ -122,12 +101,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        rows = table_mod.build_table(args.max_g, deep=args.deep,
-                                     budget=args.budget, workers=args.workers)
-    except FrameStarterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    rows = table_mod.build_table(args.max_g, deep=args.deep,
+                                 budget=args.budget, workers=args.workers)
     if args.json:
         print(json.dumps(table_mod.rows_to_obj(rows), indent=1))
     elif args.format == "csv":
@@ -142,8 +117,7 @@ def cmd_corpus(args) -> int:
     if args.only:
         entries = tuple(e for e in entries if e.entry_id == args.only)
         if not entries:
-            print(f"error: no corpus entry named {args.only!r}", file=sys.stderr)
-            return EXIT_INPUT
+            raise FrameStarterError(f"no corpus entry named {args.only!r}")
 
     if args.action == "list":
         rows = [{"id": e.entry_id, "type": str(e.claimed_type),
@@ -191,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a starter JSON file")
     p.add_argument("file")
-    p.add_argument("--property", choices=("frame", "strong", "skew"),
-                   default="skew")
+    p.add_argument("--property", choices=LEVELS, default="skew")
     p.add_argument("--verbose", action="store_true",
                    help="report every witness, not just the first")
     p.add_argument("--json", action="store_true")
@@ -205,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="backtracking search for a starter type")
     p.add_argument("--type", required=True, metavar="H^U")
-    p.add_argument("--property", choices=("frame", "strong", "skew"),
-                   default="skew")
+    p.add_argument("--property", choices=LEVELS, default="skew")
     p.add_argument("--mode", choices=("find_first", "exhaustive_count",
                                       "prove_nonexistence"),
                    default="find_first")
@@ -243,8 +215,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; bad input of any kind exits 2 with its location."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except FrameStarterError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -2,8 +2,7 @@
 
 Elements are always stored canonically reduced (coordinate i in [0, m_i)),
 so equality and hashing are plain tuple operations.  Cyclic elements also
-admit a dense integer index 0..g-1 (the residue itself) that downstream
-search code uses for bitset occupancy tables.
+admit a dense integer index 0..g-1 (the residue itself).
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from .errors import (
     UnsupportedOperationError,
 )
 
-#: Orders above this would break the dense index tables used by the search
-#: engine; everything this package targets is orders of magnitude smaller.
+#: A sanity cap on group orders; everything this package targets is orders
+#: of magnitude smaller.
 MAX_ORDER = 2**31
 
 

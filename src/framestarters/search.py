@@ -1,12 +1,13 @@
 """Pruned exhaustive backtracking for cyclic frame starters.
 
 One `Engine` holds what a search over Z_g \\ H at one property level needs,
-built once from (g, h, level): the candidate table of feasible pairs, the
-static partner and placement masks, `full` (the elements of G \\ H) and
-`mask_g` (the elements of Z_g), all as bitmasks over the dense integers
-0..g-1.  A search state is three occupancy masks: members, +-differences
-and +-sums.  Two engine steps act on states, and nothing else expands
-one:
+built once from the starter type and the level, which it rejects unless
+the type is cyclic and admissible: the candidate table of feasible pairs,
+the static partner and placement masks, `full` (the elements of G \\ H)
+and `mask_g` (the elements of Z_g), all as bitmasks over the dense
+integers 0..g-1.  A search state is three occupancy masks: members,
++-differences and +-sums.  Two engine steps act on states, and nothing
+else expands one:
 
 - `place` adds one pair and rejects it when it is infeasible or collides
   with the state;
@@ -47,7 +48,7 @@ from typing import Callable, Iterable
 
 from .errors import FrameStarterError, InvalidTypeError
 from .groups import GroupSpec, cyclic_subgroup
-from .starters import FrameStarter, make_starter, verify_skew
+from .starters import LEVELS, FrameStarter, make_starter, verify_skew
 from .theory import StarterType
 
 MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
@@ -70,7 +71,7 @@ class SearchConfig:
     progress_interval: int = 0
 
     def __post_init__(self):
-        if self.property not in ("frame", "strong", "skew"):
+        if self.property not in LEVELS:
             raise InvalidTypeError(f"unknown property {self.property!r}")
         if self.mode not in MODES:
             raise InvalidTypeError(f"unknown search mode {self.mode!r}")
@@ -100,7 +101,9 @@ class _Budget(Exception):
 
 
 class Engine:
-    """Search state for one (g, h, level), built once and shared by every node.
+    """Search state for one type and level, built once and shared by every node.
+
+    A non-cyclic or inadmissible type raises InvalidTypeError.
 
     cand[x][y] is (pair_mask, diff_mask, sum_mask, (min, max)) for a
     feasible pair {x, y}, else None.  None encodes every per-pair
@@ -114,8 +117,14 @@ class Engine:
     __slots__ = ("g", "mask_g", "full", "strongish", "cand", "partners",
                  "classes")
 
-    def __init__(self, g: int, h: int, level: str):
-        r = g // h
+    def __init__(self, t: StarterType, level: str):
+        if not t.cyclic:
+            raise InvalidTypeError("the engine only searches cyclic groups")
+        if not t.admissible:
+            raise InvalidTypeError(
+                f"type {t} has odd g - h = {t.g - t.h}; no pairing exists"
+            )
+        g, r = t.g, t.u
         strongish = level in ("strong", "skew")
         skew = level == "skew"
         cand: list[list[tuple | None]] = [[None] * g for _ in range(g)]
@@ -320,33 +329,28 @@ def search(cfg: SearchConfig,
     find_first and prove_nonexistence stop at the first starter;
     exhaustive_count traverses the whole canonical tree.  exhausted_none is
     reported only after a complete traversal, never after a budget cut.
-    With several workers the root placements are split statically across
-    processes (node budget applies per worker, progress reporting is
-    single-worker only) and results merge in canonical starter order.
+    With several workers the root placements are split statically into at
+    most that many slices, one process each (node budget applies per
+    process, progress reporting only when one slice runs in-process), and
+    results merge in canonical starter order.
     Each reported starter is built and verified once, here.
     """
     t = cfg.target_type
-    if not t.cyclic:
-        raise InvalidTypeError("the optimized engine only searches cyclic groups")
-    if not t.admissible:
-        raise InvalidTypeError(
-            f"type {t} has odd g - h = {t.g - t.h}; no pairing exists"
-        )
+    started = time.perf_counter()
     if cfg.node_budget is None and t.g > BUDGET_FREE_MAX_ORDER:
         raise FrameStarterError(
             f"searches with g = {t.g} > {BUDGET_FREE_MAX_ORDER} require an "
             f"explicit node budget"
         )
+    engine = Engine(t, cfg.property)
 
-    started = time.perf_counter()
-    engine = Engine(t.g, t.h, cfg.property)
     roots = engine.roots(cfg.symmetry_reduction)
-    if cfg.worker_count == 1:
+    w = cfg.worker_count
+    slices = [roots[i::w] for i in range(min(w, len(roots)))]
+    if len(slices) <= 1:
         results = [engine.run(cfg, roots, progress)]
     else:
-        w = cfg.worker_count
-        slices = [sl for i in range(w) if (sl := roots[i::w])]
-        with ProcessPoolExecutor(max_workers=w) as pool:
+        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             results = list(pool.map(engine.run, repeat(cfg), slices))
     statuses = [status for status, _, _ in results]
     solutions = sorted((sol for _, sols, _ in results for sol in sols),
@@ -381,9 +385,9 @@ def canonical_first_branch(cfg: SearchConfig,
     Afterwards the pairs are placed one by one (InvalidTypeError for an
     infeasible or colliding pair) and the result is the engine's branch at
     that state; an empty list means the state is complete or provably dead.
+    Types that `search` rejects raise InvalidTypeError here too.
     """
-    t = cfg.target_type
-    engine = Engine(t.g, t.h, cfg.property)
+    engine = Engine(cfg.target_type, cfg.property)
     placed = list(placed)
     if not placed:
         options = engine.roots(cfg.symmetry_reduction)
@@ -423,7 +427,7 @@ def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
     if not t.admissible:
         raise InvalidTypeError(f"type {t} admits no pairing")
     g, r = t.g, t.u
-    idx = {"frame": 0, "strong": 1, "skew": 2}[level]
+    idx = LEVELS.index(level)
     elements = [v for v in range(1, g) if v % r]
     hits: list[tuple[tuple[int, int], ...]] = []
     pairs: list[tuple[int, int]] = []

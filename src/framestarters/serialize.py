@@ -69,9 +69,9 @@ def subgroup_from_obj(group: GroupSpec, obj: Any,
             raise SchemaError(str(exc), f"{location}.order") from exc
     if "generators" in obj:
         gens_obj = _expect(obj["generators"], list, f"{location}.generators")
+        gens = [_element_from_obj(group, g, f"{location}.generators[{i}]")
+                for i, g in enumerate(gens_obj)]
         try:
-            gens = [_element_from_obj(group, g, f"{location}.generators[{i}]")
-                    for i, g in enumerate(gens_obj)]
             return generated_subgroup(group, gens)
         except FrameStarterError as exc:
             raise SchemaError(str(exc), f"{location}.generators") from exc
@@ -83,17 +83,16 @@ def _element_to_obj(group: GroupSpec, x: Element):
 
 
 def _element_from_obj(group: GroupSpec, obj: Any, location: str) -> Element:
-    if _is_int(obj):
-        if not group.is_cyclic:
-            raise SchemaError("bare integer element in a non-cyclic group",
-                              location)
-        return group.element(obj)
-    if isinstance(obj, list) and all(_is_int(c) for c in obj):
-        try:
-            return group.element(obj)
-        except FrameStarterError as exc:
-            raise SchemaError(str(exc), location) from exc
-    raise SchemaError("element must be an integer or list of integers", location)
+    """The element written as obj; residues are checked, never reduced."""
+    coords = [obj] if _is_int(obj) and group.is_cyclic else obj
+    if not (isinstance(coords, list) and len(coords) == len(group.factors)
+            and all(_is_int(c) and 0 <= c < m
+                    for c, m in zip(coords, group.factors))):
+        want = (f"an integer in [0, {group.order})" if group.is_cyclic else
+                f"a list of {len(group.factors)} integers, each in [0, m) "
+                f"for its factor m of {list(group.factors)}")
+        raise SchemaError(f"element must be {want}, got {obj!r}", location)
+    return group.element(coords)
 
 
 def format_pairs(s: FrameStarter) -> str:
@@ -131,17 +130,24 @@ def starter_from_obj(obj: Any, location: str = "$") -> FrameStarter:
 
 
 def load_starter(path: str | Path) -> FrameStarter:
+    """Read a starter file; a file or JSON error names the path."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        raise FrameStarterError(f"{path}: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}", str(path)) from exc
     return starter_from_obj(obj)
 
 
 def dump_starter(s: FrameStarter, path: str | Path):
-    Path(path).write_text(json.dumps(starter_to_obj(s), indent=1) + "\n",
-                          encoding="utf-8")
+    """Write a starter file; a file error names the path."""
+    try:
+        Path(path).write_text(json.dumps(starter_to_obj(s), indent=1) + "\n",
+                              encoding="utf-8")
+    except OSError as exc:
+        raise FrameStarterError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def report_to_obj(report: VerificationReport) -> dict:
@@ -162,7 +168,6 @@ def certificate_to_obj(cert: NonexistenceCertificate) -> dict:
         "level": cert.level,
         "theorem": cert.theorem,
         "statement": cert.statement,
-        "conclusive": cert.conclusive,
     }
 
 

@@ -114,6 +114,11 @@ def negate_starter(s: FrameStarter) -> FrameStarter:
     )
 
 
+#: Property levels ordered weakest to strongest: skew implies strong
+#: implies frame.
+LEVELS = ("frame", "strong", "skew")
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
     """Outcome of verification; skew implies strong implies frame by design."""
@@ -125,8 +130,7 @@ class VerificationReport:
     witnesses: tuple[str, ...] = ()
 
     def holds(self, level: str) -> bool:
-        return {"frame": self.is_frame, "strong": self.is_strong,
-                "skew": self.is_skew}[level]
+        return (self.is_frame, self.is_strong, self.is_skew)[LEVELS.index(level)]
 
 
 def verify_skew(s: FrameStarter, verbose: bool = False) -> VerificationReport:

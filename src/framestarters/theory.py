@@ -18,13 +18,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .groups import Element, GroupSpec, SubgroupSpec, complement, cyclic_subgroup
-from .starters import Adder, FrameStarter, Pair, type_census, verify_skew
-
-#: Property levels ordered weakest to strongest.  A certificate at level L
-#: rules out every starter satisfying L, hence also everything above L in
-#: this chain ("no frame starter" is the strongest possible claim).
-LEVELS = ("frame", "strong", "skew")
-LEVEL_RANK = {name: i for i, name in enumerate(LEVELS)}
+from .starters import LEVELS, Adder, FrameStarter, Pair, type_census, verify_skew
 
 _TYPE_RE = re.compile(r"^(\d+)\^(\d+)$")
 
@@ -84,11 +78,15 @@ class NonexistenceCertificate:
     level: str
     theorem: str
     statement: str
-    conclusive: bool = True
 
     def rules_out(self, level: str) -> bool:
-        """Whether this certificate forbids starters verified at `level`."""
-        return self.conclusive and LEVEL_RANK[level] >= LEVEL_RANK[self.level]
+        """Whether this certificate forbids starters verified at `level`.
+
+        A certificate at level L rules out every starter satisfying L, hence
+        also everything above L in LEVELS ("no frame starter" is the
+        strongest possible claim).
+        """
+        return LEVELS.index(level) >= LEVELS.index(self.level)
 
 
 def quadratic_congruence_certificate(t: StarterType) -> NonexistenceCertificate | None:
@@ -111,46 +109,31 @@ def quadratic_congruence_certificate(t: StarterType) -> NonexistenceCertificate 
     return NonexistenceCertificate(t, "skew", theorem, statement)
 
 
-def mod3_census_certificate(t: StarterType) -> NonexistenceCertificate | None:
-    """Skew nonexistence for types h^(3k) when h*k is not 0 mod 3.
+def census_certificate(t: StarterType, m: int) -> NonexistenceCertificate | None:
+    """Skew nonexistence for types h^(mk) when h*k is not 0 mod m, m = 3 or 4.
 
     Counting pair types in the image of a hypothetical starter under
-    x -> x mod 3 forces 3 | h(k-3)/2, impossible when h*k is not 0 mod 3.
+    x -> x mod m pins the census: mod 3 it forces 3 | h(k-3)/2, mod 4 it
+    forces 16 | g; both are impossible when h*k is not 0 mod m.
     """
-    if not t.cyclic or t.u % 3 != 0:
+    theorem = {3: "T21", 4: "T24"}.get(m)
+    if theorem is None:
+        raise UnsupportedOperationError(f"no census theorem modulo {m}")
+    if not t.cyclic or t.u % m != 0:
         return None
-    k = t.u // 3
-    if (t.h * k) % 3 == 0:
+    k = t.u // m
+    if (t.h * k) % m == 0:
         return None
     statement = (
-        f"type {t} has u = 3*{k}; h*k = {t.h}*{k} = {t.h * k} "
-        f"== {(t.h * k) % 3} (mod 3), not 0, so no cyclic skew frame starter "
+        f"type {t} has u = {m}*{k}; h*k = {t.h}*{k} = {t.h * k} "
+        f"== {(t.h * k) % m} (mod {m}), not 0, so no cyclic skew frame starter "
         f"of type {t} exists"
     )
-    return NonexistenceCertificate(t, "skew", "T21", statement)
-
-
-def mod4_census_certificate(t: StarterType) -> NonexistenceCertificate | None:
-    """Skew nonexistence for types h^(4k) when h*k is not 0 mod 4.
-
-    The mod-4 pair-type census of a hypothetical starter forces g to be
-    divisible by 16, i.e. h*k == 0 mod 4.
-    """
-    if not t.cyclic or t.u % 4 != 0:
-        return None
-    k = t.u // 4
-    if (t.h * k) % 4 == 0:
-        return None
-    statement = (
-        f"type {t} has u = 4*{k}; h*k = {t.h}*{k} = {t.h * k} "
-        f"== {(t.h * k) % 4} (mod 4), not 0, so no cyclic skew frame starter "
-        f"of type {t} exists"
-    )
-    if t.h == 2:
+    if m == 4 and t.h == 2:
         # The h=2 specialization is sometimes quoted with the ambient group
         # written as Z_{4k}; a type 2^(4k) starter lives in Z_{8k}.
         statement += f" (type {t} lives in Z_{t.g}, not Z_{t.g // 2})"
-    return NonexistenceCertificate(t, "skew", "T24", statement)
+    return NonexistenceCertificate(t, "skew", theorem, statement)
 
 
 def _quotient_is_z4(group: GroupSpec, sub: SubgroupSpec) -> bool:
@@ -165,6 +148,7 @@ def _quotient_is_z4(group: GroupSpec, sub: SubgroupSpec) -> bool:
 
 
 def _prior_certificates(t: StarterType, quotient_z4: bool):
+    """T9-T12 for the type; quotient_z4 says whether G/H is cyclic of order 4."""
     h, u = t.h, t.u
     if h % 4 == 2 and u % 4 in (2, 3):
         yield NonexistenceCertificate(
@@ -178,7 +162,7 @@ def _prior_certificates(t: StarterType, quotient_z4: bool):
             f"g = 5h with h = {h} odd, so no strong frame starter of type {t} "
             f"exists in any abelian group",
         )
-    if quotient_z4:
+    if h % 2 == 0 and quotient_z4:
         yield NonexistenceCertificate(
             t, "strong", "T11",
             f"h = {h} is even and G/H is cyclic of order 4, so no strong "
@@ -199,8 +183,7 @@ def prior_theorem_certificate(t: StarterType) -> NonexistenceCertificate | None:
     cyclic of order u; other presentations go through the group-based
     variant below, which inspects the quotient.
     """
-    quotient_z4 = t.cyclic and t.u == 4 and t.h % 2 == 0
-    return next(_prior_certificates(t, quotient_z4), None)
+    return next(_prior_certificates(t, t.cyclic and t.u == 4), None)
 
 
 def prior_theorem_certificate_group(group: GroupSpec, sub: SubgroupSpec,
@@ -219,12 +202,8 @@ def certify(t: StarterType) -> NonexistenceCertificate | None:
     Frame-level results are checked first, then strong, then skew, so the
     first hit is the strongest conclusion available.
     """
-    for predicate in (prior_theorem_certificate, quadratic_congruence_certificate,
-                      mod3_census_certificate, mod4_census_certificate):
-        cert = predicate(t)
-        if cert is not None:
-            return cert
-    return None
+    return (prior_theorem_certificate(t) or quadratic_congruence_certificate(t)
+            or census_certificate(t, 3) or census_certificate(t, 4))
 
 
 def exhaustion_certificate(t: StarterType, level: str, nodes: int,
@@ -340,8 +319,7 @@ def census_identities(s: FrameStarter, m: int, *, skew: bool,
     Returns name -> (lhs, rhs), written fraction-free.  Member and
     difference identities hold for any frame starter; sum identities need
     the skew property.  When H lies in the kernel (m | u) the right-hand
-    sides collapse to the textbook constants used by the mod-3 and mod-4
-    nonexistence predicates.
+    sides collapse to the textbook constants behind `census_certificate`.
     """
     census = type_census(s, m)
     n = residue_class_sizes(s.group, s.subgroup, m)
@@ -354,37 +332,22 @@ def census_identities(s: FrameStarter, m: int, *, skew: bool,
                 lhs += census.count(i, j)
         out[f"members_{i}"] = (lhs, n[i])
 
-    # Pairs whose difference falls in the +-c residue class cover exactly
-    # the classes c and -c of G \ H among the starter's differences.
-    for c in range(m):
-        nc = (-c) % m
-        if nc < c:
-            continue
-        kinds = {
-            (i, j)
-            for i in range(m)
-            for j in range(i, m)
-            if (j - i) % m in (c, nc)
-        }
-        lhs = sum(census.count(i, j) for i, j in kinds)
-        rhs = n[c] if c == nc else n[c] + n[nc]
-        out[f"diff_class_{c}"] = (2 * lhs, rhs)
-
+    # Pairs whose difference (for skew starters also: whose sum) falls in
+    # the +-c residue class cover exactly the classes c and -c of G \ H.
+    ops = [("diff", lambda i, j: j - i)]
     if skew:
+        ops.append(("sum", lambda i, j: i + j))
+    for name, op in ops:
         for c in range(m):
             nc = (-c) % m
             if nc < c:
                 continue
-            kinds = {
-                (i, j)
-                for i in range(m)
-                for j in range(i, m)
-                if (i + j) % m in (c, nc)
-            }
-            lhs = sum(census.count(i, j) for i, j in kinds)
+            lhs = sum(census.count(i, j) for i in range(m) for j in range(i, m)
+                      if op(i, j) % m in (c, nc))
             rhs = n[c] if c == nc else n[c] + n[nc]
-            out[f"sum_class_{c}"] = (2 * lhs, rhs)
+            out[f"{name}_class_{c}"] = (2 * lhs, rhs)
 
+    if skew:
         pair_total = (s.group.order - s.subgroup.order) // 2
         if m == 3:
             # Combining members_0, diff_class_0 and sum_class_0 pins the

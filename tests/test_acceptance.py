@@ -15,11 +15,10 @@ from framestarters import (
     StarterType,
     adder_is_skew,
     adder_to_strong,
+    census_certificate,
     census_identities,
     certify,
     half_set,
-    mod3_census_certificate,
-    mod4_census_certificate,
     naive_enumerate,
     quadratic_congruence_certificate,
     quadratic_sum_check,
@@ -282,7 +281,7 @@ def test_acceptance_9_no_contradiction(corpus_entries, found_starters):
             str(t), level, cert.theorem, cert.statement,
         )
     # spot-check the predicates against the starters they must not forbid
-    assert mod3_census_certificate(starter_type_of(
-        next(e.starter for e in corpus_entries if e.entry_id == "example-26"))) is None
-    assert mod4_census_certificate(StarterType(4, 5)) is None
+    assert census_certificate(starter_type_of(
+        next(e.starter for e in corpus_entries if e.entry_id == "example-26")), 3) is None
+    assert census_certificate(StarterType(4, 5), 4) is None
     _passed(9, "no certificate contradicts a verified starter")

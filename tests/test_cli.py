@@ -38,6 +38,15 @@ def test_verify_exit_codes(corpus_file, tmp_path, capsys):
     latin1.write_bytes(b'{"group": {"factors": [7]}, "note": "\xe9"}')
     assert main(["verify", str(latin1)]) == 2
 
+    # the README 2^5 example with 3 written as 13, a residue outside Z_10
+    out_of_range = tmp_path / "out-of-range.json"
+    out_of_range.write_text('{"group": {"factors": [10]}, "subgroup": '
+                            '{"order": 2}, "pairs": [[13, 4], [7, 9], '
+                            '[8, 1], [2, 6]]}')
+    capsys.readouterr()
+    assert main(["verify", str(out_of_range)]) == 2
+    assert capsys.readouterr().err.startswith("error: $.pairs[0][0]: ")
+
 
 def test_verify_json_output(corpus_file, capsys):
     assert main(["verify", corpus_file("example-1"), "--json"]) == 0

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import pytest
 
@@ -13,12 +14,14 @@ from framestarters import (
     verify_skew,
 )
 
+search_mod = importlib.import_module("framestarters.search")
+
 
 def cfg(h, u, level="skew", mode="find_first", **kw):
     return SearchConfig(StarterType(h, u), property=level, mode=mode, **kw)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(InvalidTypeError):
         SearchConfig(StarterType(1, 7), property="weird")
     with pytest.raises(InvalidTypeError):
@@ -31,8 +34,18 @@ def test_config_validation():
         SearchConfig(StarterType(1, 7), progress_interval=-1)
     with pytest.raises(InvalidTypeError):
         search(SearchConfig(StarterType(3, 4)))  # odd g - h
+    with pytest.raises(InvalidTypeError):
+        canonical_first_branch(SearchConfig(StarterType(3, 4)))
     with pytest.raises(FrameStarterError):
         search(cfg(1, 61))  # g > 60 needs an explicit budget
+
+    # The budget rule comes before the engine's O(g^2) candidate table.
+    def no_engine(*args):
+        raise AssertionError("engine built before the budget check")
+
+    monkeypatch.setattr(search_mod, "Engine", no_engine)
+    with pytest.raises(FrameStarterError):
+        search(cfg(1, 100001))
 
 
 def test_spec_search_examples():
@@ -124,6 +137,35 @@ def test_parallel_equivalence():
     assert seq.nodes_visited == par.nodes_visited == 157834
 
 
+def test_pool_sized_by_root_slices(monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InProcessPool)
+    assert search(cfg(2, 5, worker_count=32)).result == "found"  # 2 roots
+    assert sizes == [2]
+    out = search(cfg(4, 2, mode="prove_nonexistence", worker_count=4))
+    assert out.result == "exhausted_none"  # no roots: no pool at all
+    assert sizes == [2]
+    kw = dict(mode="exhaustive_count", symmetry_reduction=False)
+    seq = search(cfg(1, 11, **kw))  # 8 roots
+    par = search(cfg(1, 11, **kw, worker_count=3))
+    assert sizes == [2, 3]
+    assert par.starters == seq.starters and len(par.starters) == 4
+
+
 def test_parallel_find_first():
     out = search(cfg(5, 7, worker_count=2))
     assert out.result == "found"
@@ -182,6 +224,8 @@ def test_noncyclic_types_rejected():
         search(SearchConfig(StarterType(4, 4, cyclic=False)))
     with pytest.raises(InvalidTypeError):
         naive_enumerate(StarterType(4, 4, cyclic=False), "skew")
+    with pytest.raises(InvalidTypeError):
+        canonical_first_branch(SearchConfig(StarterType(4, 4, cyclic=False)))
 
 
 def test_worker_count_env_default(monkeypatch):

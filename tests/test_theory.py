@@ -8,6 +8,7 @@ from framestarters import (
     UnsupportedOperationError,
     adder_is_skew,
     adder_to_strong,
+    census_certificate,
     census_identities,
     certify,
     cyclic_subgroup,
@@ -18,8 +19,6 @@ from framestarters import (
     starter_type_of,
     strong_to_adder,
     sum_of_squares_closed_form,
-    mod3_census_certificate,
-    mod4_census_certificate,
     prior_theorem_certificate,
     prior_theorem_certificate_group,
     quadratic_congruence_certificate,
@@ -61,20 +60,20 @@ def test_quadratic_congruence_examples():
 
 
 def test_mod3_census_examples():
-    cert = mod3_census_certificate(StarterType(2, 21))
+    cert = census_certificate(StarterType(2, 21), 3)
     assert cert is not None and cert.theorem == "T21" and cert.level == "skew"
-    assert mod3_census_certificate(StarterType(4, 12)) is not None
-    assert mod3_census_certificate(StarterType(3, 9)) is None  # h*k divisible by 3
-    assert mod3_census_certificate(StarterType(2, 8)) is None  # u not a multiple of 3
+    assert census_certificate(StarterType(4, 12), 3) is not None
+    assert census_certificate(StarterType(3, 9), 3) is None  # h*k divisible by 3
+    assert census_certificate(StarterType(2, 8), 3) is None  # u not a multiple of 3
 
 
 def test_mod4_census_examples():
-    cert = mod4_census_certificate(StarterType(2, 12))
+    cert = census_certificate(StarterType(2, 12), 4)
     assert cert is not None and cert.theorem == "T24" and cert.level == "skew"
     assert "Z_24" in cert.statement and "Z_12" in cert.statement
-    assert mod4_census_certificate(StarterType(2, 28)) is not None
-    assert mod4_census_certificate(StarterType(4, 8)) is None  # h*k divisible by 4
-    assert mod4_census_certificate(StarterType(2, 9)) is None  # u not a multiple of 4
+    assert census_certificate(StarterType(2, 28), 4) is not None
+    assert census_certificate(StarterType(4, 8), 4) is None  # h*k divisible by 4
+    assert census_certificate(StarterType(2, 9), 4) is None  # u not a multiple of 4
 
 
 def test_prior_theorem_examples():
@@ -111,6 +110,11 @@ def test_prior_theorems_on_product_groups():
     assert sub2.order == 2
     cert = prior_theorem_certificate_group(z2z10, sub2)
     assert cert is not None and cert.theorem == "T9"
+
+    # Z_12 over its order-3 subgroup: G/H is Z_4 but h is odd, so T11
+    # does not apply (and no other order rule does)
+    z12 = GroupSpec((12,))
+    assert prior_theorem_certificate_group(z12, cyclic_subgroup(z12, 3)) is None
 
 
 def test_certify_examples():
