@@ -14,7 +14,7 @@ import sys
 from . import corpus as corpus_mod
 from . import serialize, table as table_mod
 from .errors import FrameStarterError
-from .search import SearchConfig, default_worker_count, search
+from .search import SearchConfig, search
 from .starters import LEVELS, verify_skew
 from .theory import StarterType, certify, exhaustion_certificate
 
@@ -113,11 +113,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    entries = corpus_mod.load_entries()
-    if args.only:
-        entries = tuple(e for e in entries if e.entry_id == args.only)
-        if not entries:
-            raise FrameStarterError(f"no corpus entry named {args.only!r}")
+    entries = ((corpus_mod.load_entry(args.only),) if args.only
+               else corpus_mod.load_entries())
 
     if args.action == "list":
         rows = [{"id": e.entry_id, "type": str(e.claimed_type),
@@ -184,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="find_first")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget (required for g > 60)")
-    p.add_argument("--workers", type=int, default=default_worker_count())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable the negation symmetry reduction")
     p.add_argument("--out", metavar="FILE",
@@ -200,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also search the hours-scale cells")
     p.add_argument("--budget", type=int, default=table_mod.DEFAULT_CELL_BUDGET,
                    help="per-cell node budget")
-    p.add_argument("--workers", type=int, default=default_worker_count())
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)

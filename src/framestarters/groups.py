@@ -1,12 +1,12 @@
 """Arithmetic for finite abelian groups given as products of cyclic factors.
 
 Elements are always stored canonically reduced (coordinate i in [0, m_i)),
-so equality and hashing are plain tuple operations.  Cyclic elements also
-admit a dense integer index 0..g-1 (the residue itself).
+so equality and hashing are plain tuple operations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -116,26 +116,9 @@ class GroupSpec:
             tuple((x * ((m + 1) // 2)) % m for x, m in zip(a.coords, self.factors))
         )
 
-    def index(self, a: Element) -> int:
-        """Dense mixed-radix index in 0..order-1 (the residue itself if cyclic)."""
-        self._check(a)
-        i = 0
-        for c, m in zip(a.coords, self.factors):
-            i = i * m + c
-        return i
-
-    def from_index(self, i: int) -> Element:
-        if not 0 <= i < self.order:
-            raise StructureError(f"index {i} out of range 0..{self.order - 1}")
-        coords = []
-        for m in reversed(self.factors):
-            i, c = divmod(i, m)
-            coords.append(c)
-        return Element(tuple(reversed(coords)))
-
     def elements(self) -> Iterator[Element]:
-        for i in range(self.order):
-            yield self.from_index(i)
+        """Every element, coordinates in lexicographic order."""
+        return map(Element, itertools.product(*map(range, self.factors)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -206,5 +189,5 @@ def reduce_mod(spec: GroupSpec, a: Element, m: int) -> int:
 
 
 def complement(spec: GroupSpec, sub: SubgroupSpec) -> list[Element]:
-    """G minus H, ordered by dense index (deterministic everywhere downstream)."""
+    """G minus H, in the order of `elements` (deterministic everywhere downstream)."""
     return [a for a in spec.elements() if a not in sub.elements]

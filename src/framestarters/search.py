@@ -25,10 +25,12 @@ deterministic function of the state, so every starter is generated
 exactly once and exhaustive counts are exact.  `canonical_first_branch`
 walks the same tree one step at a time.
 
-The engine returns raw pairings.  `search` builds each starter it reports
-and checks it once with the independent verifier, in the calling process;
-the acceleration structures are never trusted.  With several workers each
-process runs the engine on its own stride of root pairs.
+The engine returns raw pairings in tree order.  `search` builds each
+starter it reports and checks it once with the independent verifier, in
+the calling process; the acceleration structures are never trusted.  With
+several workers each process runs the engine on its own stride of root
+pairs, and the results merge back into tree order, so every worker count
+reports what the serial run reports.
 
 Symmetry reduction exploits negation x -> -x, which maps starters to
 starters of the same kind.  Writing the root pair {x, x+1}, negation sends
@@ -39,15 +41,15 @@ exact counts are taken with the reduction switched off.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .errors import FrameStarterError, InvalidTypeError
-from .groups import GroupSpec, cyclic_subgroup
+from .groups import GroupSpec, SubgroupSpec
 from .starters import LEVELS, FrameStarter, make_starter, verify_skew
 from .theory import StarterType
 
@@ -56,8 +58,6 @@ MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
 #: Above this order an explicit node budget is mandatory; open cells get
 #: expensive quickly and the tool must not silently run forever.
 BUDGET_FREE_MAX_ORDER = 60
-
-WORKERS_ENV_VAR = "FRAMESTARTERS_WORKERS"
 
 
 @dataclass(frozen=True, slots=True)
@@ -300,10 +300,8 @@ class Engine:
         return status, solutions, nodes
 
 
-def _verified_starter(g: int, h: int, level: str,
+def _verified_starter(group: GroupSpec, sub: SubgroupSpec, level: str,
                       raw_pairs: Iterable[tuple[int, int]]) -> FrameStarter:
-    group = GroupSpec((g,))
-    sub = cyclic_subgroup(group, h)
     starter = make_starter(group, sub, raw_pairs)
     report = verify_skew(starter)
     if not report.holds(level):
@@ -312,13 +310,6 @@ def _verified_starter(g: int, h: int, level: str,
             f"{report.witness}"
         )
     return starter
-
-
-def default_worker_count() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if value.isdigit() and int(value) >= 1:
-        return int(value)
-    return 1
 
 
 def search(cfg: SearchConfig,
@@ -332,7 +323,8 @@ def search(cfg: SearchConfig,
     With several workers the root placements are split statically into at
     most that many slices, one process each (node budget applies per
     process, progress reporting only when one slice runs in-process), and
-    results merge in canonical starter order.
+    results merge back into tree order by root pair, so find modes report
+    the serial witness and exhaustive lists equal the serial list.
     Each reported starter is built and verified once, here.
     """
     t = cfg.target_type
@@ -353,11 +345,15 @@ def search(cfg: SearchConfig,
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             results = list(pool.map(engine.run, repeat(cfg), slices))
     statuses = [status for status, _, _ in results]
+    # Each slice is in tree order and its roots ascend, so a stable sort on
+    # the root pair interleaves the strided slices back into the serial order.
     solutions = sorted((sol for _, sols, _ in results for sol in sols),
-                       key=sorted)  # the pair order of FrameStarter
+                       key=itemgetter(0))
     if cfg.mode != "exhaustive_count":
         solutions = solutions[:1]
-    starters = tuple(_verified_starter(t.g, t.h, cfg.property, sol)
+    group = t.group()
+    sub = t.subgroup(group)
+    starters = tuple(_verified_starter(group, sub, cfg.property, sol)
                      for sol in solutions)
     if starters and (cfg.mode != "exhaustive_count"
                      or "budget" not in statuses):
@@ -445,4 +441,6 @@ def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
             pairs.pop()
 
     rec(elements)
-    return [_verified_starter(g, t.h, level, sol) for sol in hits]
+    group = t.group()
+    sub = t.subgroup(group)
+    return [_verified_starter(group, sub, level, sol) for sol in hits]

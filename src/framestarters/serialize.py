@@ -113,8 +113,15 @@ def starter_to_obj(s: FrameStarter) -> dict:
 def starter_from_obj(obj: Any, location: str = "$") -> FrameStarter:
     _expect(obj, dict, location)
     group = group_from_obj(obj.get("group"), f"{location}.group")
-    sub = subgroup_from_obj(group, obj.get("subgroup"), f"{location}.subgroup")
     pairs_obj = _expect(obj.get("pairs"), list, f"{location}.pairs")
+    # u >= 2 means h <= g/2, so (g-h)/2 >= g/4 pairs.  Checked before the
+    # subgroup is materialized, which costs memory in h.
+    if 4 * len(pairs_obj) < group.order:
+        raise SchemaError(
+            f"a starter in a group of order {group.order} has at least "
+            f"{-(-group.order // 4)} pairs, got {len(pairs_obj)}",
+            f"{location}.pairs")
+    sub = subgroup_from_obj(group, obj.get("subgroup"), f"{location}.subgroup")
     raw = []
     for i, entry in enumerate(pairs_obj):
         loc = f"{location}.pairs[{i}]"

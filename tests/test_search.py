@@ -121,6 +121,13 @@ def test_parallel_equivalence():
     par = search(cfg(2, 5, **base, worker_count=3))
     assert seq.starters == par.starters
     assert seq.result == par.result == "found"
+    assert len({id(s.subgroup) for s in par.starters}) == 1  # one (Z_g, H)
+
+    # find_first reports the serial witness, not the first of the slices
+    seq = search(cfg(1, 15, level="strong", worker_count=1))
+    for w in (2, 3):
+        par = search(cfg(1, 15, level="strong", worker_count=w))
+        assert par.starters == seq.starters, w
 
     for h, u in ((1, 9), (2, 8), (3, 5)):
         for level in ("frame", "strong", "skew"):
@@ -170,6 +177,7 @@ def test_parallel_find_first():
     out = search(cfg(5, 7, worker_count=2))
     assert out.result == "found"
     assert verify_skew(out.starters[0]).is_skew
+    assert out.starters == search(cfg(5, 7, worker_count=1)).starters
 
 
 def test_budget_exceeded():
@@ -226,14 +234,3 @@ def test_noncyclic_types_rejected():
         naive_enumerate(StarterType(4, 4, cyclic=False), "skew")
     with pytest.raises(InvalidTypeError):
         canonical_first_branch(SearchConfig(StarterType(4, 4, cyclic=False)))
-
-
-def test_worker_count_env_default(monkeypatch):
-    from framestarters.search import WORKERS_ENV_VAR, default_worker_count
-
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-    assert default_worker_count() == 1
-    monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-    assert default_worker_count() == 3
-    monkeypatch.setenv(WORKERS_ENV_VAR, "zero?")
-    assert default_worker_count() == 1

@@ -56,7 +56,7 @@ def test_schema_errors_carry_location(corpus_by_id, mutate, fragment):
     assert fragment in str(err.value)
 
 
-def test_load_starter_rejects_bad_json(tmp_path):
+def test_load_starter_rejects_bad_json(tmp_path, monkeypatch):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(SchemaError):
@@ -67,6 +67,19 @@ def test_load_starter_rejects_bad_json(tmp_path):
     path.write_text("[" * 100000 + "]" * 100000)
     with pytest.raises(SchemaError):
         serialize.load_starter(path)  # nested deeper than the parser recurses
+
+    # too few pairs for the group: rejected before any subgroup is built
+    def no_subgroup(*args):
+        raise AssertionError("subgroup built before the pair count was checked")
+
+    monkeypatch.setattr(serialize, "cyclic_subgroup", no_subgroup)
+    monkeypatch.setattr(serialize, "generated_subgroup", no_subgroup)
+    for sub in ('{"order": 5000000}', '{"generators": [1]}'):
+        path.write_text('{"group": {"factors": [20000000]}, '
+                        f'"subgroup": {sub}, "pairs": []}}')
+        with pytest.raises(SchemaError) as err:
+            serialize.load_starter(path)
+        assert err.value.location == "$.pairs"
 
 
 def test_outcome_serialization():
