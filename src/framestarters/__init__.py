@@ -25,7 +25,6 @@ from .starters import (
     Pair,
     TypeCensus,
     VerificationReport,
-    half_set,
     make_starter,
     negate_starter,
     quadratic_sum_check,
@@ -42,9 +41,9 @@ from .theory import (
     census_identities,
     certify,
     exhaustion_certificate,
+    half_set,
     patterned_starter,
     residue_class_sizes,
-    starter_type_of,
     strong_to_adder,
     sum_of_squares_closed_form,
     prior_theorem_certificate,

@@ -14,7 +14,7 @@ import sys
 from . import corpus as corpus_mod
 from . import serialize, table as table_mod
 from .errors import FrameStarterError
-from .search import SearchConfig, search
+from .search import MODES, SearchConfig, search
 from .starters import LEVELS, verify_skew
 from .theory import StarterType, certify, exhaustion_certificate
 
@@ -32,8 +32,8 @@ def cmd_verify(args) -> int:
     starter = serialize.load_starter(args.file)
     report = verify_skew(starter, verbose=args.verbose)
     holds = report.holds(args.property)
-    h, u = starter.declared_type
-    text = [f"type {h}^{u} in a group of order {starter.group.order}"]
+    text = [f"type {starter.h}^{starter.u} in a group of order "
+            f"{starter.group.order}"]
     for level in LEVELS:
         text.append(f"  {level}: {'yes' if report.holds(level) else 'no'}")
     if report.witness and not holds:
@@ -117,7 +117,7 @@ def cmd_corpus(args) -> int:
                else corpus_mod.load_entries())
 
     if args.action == "list":
-        rows = [{"id": e.entry_id, "type": str(e.claimed_type),
+        rows = [{"id": e.entry_id, "type": e.claimed_type,
                  "property": e.claimed_property, "repaired": e.repaired}
                 for e in entries]
         text = "\n".join(
@@ -143,7 +143,7 @@ def cmd_corpus(args) -> int:
             f"{'pass' if ok else 'FAIL'}{note}"
             + ("" if ok else f" ({report.witness})")
         )
-        rows.append({"id": e.entry_id, "type": str(e.claimed_type),
+        rows.append({"id": e.entry_id, "type": e.claimed_type,
                      "property": e.claimed_property, "pass": ok,
                      "repaired": e.repaired,
                      "witness": None if ok else report.witness})
@@ -176,9 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="backtracking search for a starter type")
     p.add_argument("--type", required=True, metavar="H^U")
     p.add_argument("--property", choices=LEVELS, default="skew")
-    p.add_argument("--mode", choices=("find_first", "exhaustive_count",
-                                      "prove_nonexistence"),
-                   default="find_first")
+    p.add_argument("--mode", choices=MODES, default="find_first")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget (required for g > 60)")
     p.add_argument("--workers", type=int, default=1)

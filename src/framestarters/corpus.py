@@ -15,14 +15,13 @@ from importlib import resources
 from .errors import FrameStarterError
 from .serialize import starter_from_obj
 from .starters import FrameStarter
-from .theory import StarterType
 
 
 @dataclass(frozen=True, slots=True)
 class CorpusEntry:
     entry_id: str
     starter: FrameStarter
-    claimed_type: StarterType
+    claimed_type: str
     claimed_property: str
     repaired: bool
     note: str
@@ -45,12 +44,10 @@ def load_entries() -> tuple[CorpusEntry, ...]:
         if not path.name.endswith(".json"):
             continue
         obj = json.loads(path.read_text(encoding="utf-8"))
-        h, u = obj["type"].split("^")
         entries.append(CorpusEntry(
             entry_id=obj["id"],
             starter=starter_from_obj(obj),
-            claimed_type=StarterType(int(h), int(u),
-                                     cyclic=len(obj["group"]["factors"]) == 1),
+            claimed_type=obj["type"],
             claimed_property=obj.get("property", "skew"),
             repaired=bool(obj.get("repaired", False)),
             note=obj.get("note", ""),

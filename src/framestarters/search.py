@@ -2,12 +2,12 @@
 
 One `Engine` holds what a search over Z_g \\ H at one property level needs,
 built once from the starter type and the level, which it rejects unless
-the type is cyclic and admissible: the candidate table of feasible pairs,
-the static partner and placement masks, `full` (the elements of G \\ H)
-and `mask_g` (the elements of Z_g), all as bitmasks over the dense
-integers 0..g-1.  A search state is three occupancy masks: members,
-+-differences and +-sums.  Two engine steps act on states, and nothing
-else expands one:
+the type is admissible with g <= MAX_SEARCH_ORDER: the candidate table of
+feasible pairs, the static partner and placement masks, `full` (the
+elements of G \\ H) and `mask_g` (the elements of Z_g), all as bitmasks
+over the dense integers 0..g-1.  A search state is three occupancy masks:
+members, +-differences and +-sums.  Two engine steps act on states, and
+nothing else expands one:
 
 - `place` adds one pair and rejects it when it is infeasible or collides
   with the state;
@@ -59,6 +59,10 @@ MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
 #: expensive quickly and the tool must not silently run forever.
 BUDGET_FREE_MAX_ORDER = 60
 
+#: Hard ceiling on g for any search (and so for the table): the engine's
+#: candidate table is O(g^2) before the first node, whatever the budget.
+MAX_SEARCH_ORDER = 200
+
 
 @dataclass(frozen=True, slots=True)
 class SearchConfig:
@@ -103,7 +107,8 @@ class _Budget(Exception):
 class Engine:
     """Search state for one type and level, built once and shared by every node.
 
-    A non-cyclic or inadmissible type raises InvalidTypeError.
+    An inadmissible type, or one with g > MAX_SEARCH_ORDER, raises
+    InvalidTypeError.
 
     cand[x][y] is (pair_mask, diff_mask, sum_mask, (min, max)) for a
     feasible pair {x, y}, else None.  None encodes every per-pair
@@ -118,11 +123,14 @@ class Engine:
                  "classes")
 
     def __init__(self, t: StarterType, level: str):
-        if not t.cyclic:
-            raise InvalidTypeError("the engine only searches cyclic groups")
         if not t.admissible:
             raise InvalidTypeError(
                 f"type {t} has odd g - h = {t.g - t.h}; no pairing exists"
+            )
+        if t.g > MAX_SEARCH_ORDER:
+            raise InvalidTypeError(
+                f"type {t} has g = {t.g}; searches are capped at "
+                f"g <= {MAX_SEARCH_ORDER}"
             )
         g, r = t.g, t.u
         strongish = level in ("strong", "skew")
@@ -258,8 +266,8 @@ class Engine:
             progress: Callable[[int, int, float], None] | None = None):
         """Explore the subtrees under the given root entries.
 
-        Returns (status, raw_pairings, nodes) with status one of
-        "exhausted", "found" (stop-early modes only) or "budget".
+        Returns (raw_pairings, nodes, cut); cut says the node budget
+        stopped the traversal.
         """
         branch = self.branch
         full = self.full
@@ -289,15 +297,15 @@ class Engine:
                     extend(branch(u, ud, us), u, ud, us)
                 stack.pop()
 
-        status = "exhausted"
+        cut = False
         try:
             extend(roots, 0, 0, 0)
         except _Stop:
-            status = "found"
+            pass
         except _Budget:
-            status = "budget"
+            cut = True
             nodes -= 1  # the placement that tripped the budget never happened
-        return status, solutions, nodes
+        return solutions, nodes, cut
 
 
 def _verified_starter(group: GroupSpec, sub: SubgroupSpec, level: str,
@@ -344,10 +352,10 @@ def search(cfg: SearchConfig,
     else:
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
             results = list(pool.map(engine.run, repeat(cfg), slices))
-    statuses = [status for status, _, _ in results]
+    cut = any(c for _, _, c in results)
     # Each slice is in tree order and its roots ascend, so a stable sort on
     # the root pair interleaves the strided slices back into the serial order.
-    solutions = sorted((sol for _, sols, _ in results for sol in sols),
+    solutions = sorted((sol for sols, _, _ in results for sol in sols),
                        key=itemgetter(0))
     if cfg.mode != "exhaustive_count":
         solutions = solutions[:1]
@@ -355,17 +363,16 @@ def search(cfg: SearchConfig,
     sub = t.subgroup(group)
     starters = tuple(_verified_starter(group, sub, cfg.property, sol)
                      for sol in solutions)
-    if starters and (cfg.mode != "exhaustive_count"
-                     or "budget" not in statuses):
+    if starters and (cfg.mode != "exhaustive_count" or not cut):
         result = "found"
-    elif "budget" in statuses:
+    elif cut:
         result = "budget_exceeded"
     else:
         result = "exhausted_none"
     return SearchOutcome(
         result=result,
         starters=starters,
-        nodes_visited=sum(nodes for _, _, nodes in results),
+        nodes_visited=sum(nodes for _, nodes, _ in results),
         wall_time=time.perf_counter() - started,
         config=cfg,
     )
@@ -418,8 +425,6 @@ def _pairing_properties(g: int, r: int,
 
 def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
     """All starters of the type at the given level, by unpruned enumeration."""
-    if not t.cyclic:
-        raise InvalidTypeError("the oracle enumerates cyclic groups only")
     if not t.admissible:
         raise InvalidTypeError(f"type {t} admits no pairing")
     g, r = t.g, t.u

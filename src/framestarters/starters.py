@@ -77,10 +77,6 @@ class FrameStarter:
     def u(self) -> int:
         return self.group.order // self.subgroup.order
 
-    @property
-    def declared_type(self) -> tuple[int, int]:
-        return (self.h, self.u)
-
     def members(self) -> Iterator[Element]:
         for p in self.pairs:
             yield p.first
@@ -314,14 +310,3 @@ def quadratic_sum_check(s: FrameStarter) -> int:
     if g % 2 == 0:
         raise UnsupportedOperationError("quadratic sum check needs odd group order")
     return sum((p.first.coords[0] + p.second.coords[0]) ** 2 for p in s.pairs) % g
-
-
-def half_set(spec: GroupSpec, sub: SubgroupSpec) -> set[int]:
-    """{j : 1 <= j <= (g-1)/2, j not a multiple of r}; one value per +- orbit of G \\ H."""
-    if not spec.is_cyclic:
-        raise UnsupportedOperationError("half set needs a cyclic group")
-    g = spec.order
-    if g % 2 == 0:
-        raise UnsupportedOperationError("half set needs odd group order")
-    r = g // sub.order
-    return {j for j in range(1, (g - 1) // 2 + 1) if j % r != 0}

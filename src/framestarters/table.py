@@ -14,12 +14,9 @@ import io
 from dataclasses import dataclass
 
 from .errors import InvalidTypeError
-from .search import SearchConfig, SearchOutcome, search
+from .search import MAX_SEARCH_ORDER, SearchConfig, SearchOutcome, search
 from .serialize import format_pairs, starter_to_obj
 from .theory import NonexistenceCertificate, StarterType, certify
-
-#: Hard ceiling on --max-g; cells beyond desk scale need dedicated runs.
-TABLE_MAX_G = 200
 
 #: Default per-cell search budget in nodes.  The g <= 57 table decides 89
 #: cells at this budget; each open cell spends it in a few seconds.
@@ -76,8 +73,8 @@ def build_row(t: StarterType, *, deep: bool, budget: int, workers: int) -> Table
 def build_table(max_g: int, *, deep: bool = False,
                 budget: int = DEFAULT_CELL_BUDGET,
                 workers: int = 1) -> list[TableRow]:
-    if max_g > TABLE_MAX_G:
-        raise InvalidTypeError(f"--max-g is capped at {TABLE_MAX_G}")
+    if max_g > MAX_SEARCH_ORDER:
+        raise InvalidTypeError(f"--max-g is capped at {MAX_SEARCH_ORDER}")
     return [build_row(t, deep=deep, budget=budget, workers=workers)
             for t in admissible_types(max_g)]
 

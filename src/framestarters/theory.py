@@ -25,11 +25,10 @@ _TYPE_RE = re.compile(r"^(\d+)\^(\d+)$")
 
 @dataclass(frozen=True, slots=True)
 class StarterType:
-    """Type h^u: subgroup order h, index u = g/h, group order g = h*u."""
+    """Type h^u: the order-h subgroup H of Z_g, index u = g/h, g = h*u."""
 
     h: int
     u: int
-    cyclic: bool = True
 
     def __post_init__(self):
         if self.h < 1:
@@ -57,17 +56,10 @@ class StarterType:
         return f"{self.h}^{self.u}"
 
     def group(self) -> GroupSpec:
-        if not self.cyclic:
-            raise InvalidTypeError("only cyclic types map to a canonical group")
         return GroupSpec((self.g,))
 
     def subgroup(self, spec: GroupSpec | None = None) -> SubgroupSpec:
         return cyclic_subgroup(spec or self.group(), self.h)
-
-
-def starter_type_of(s: FrameStarter) -> StarterType:
-    h, u = s.declared_type
-    return StarterType(h, u, cyclic=s.group.is_cyclic)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,8 +83,6 @@ class NonexistenceCertificate:
 
 def quadratic_congruence_certificate(t: StarterType) -> NonexistenceCertificate | None:
     """Skew nonexistence for odd g when (2gh-1)(g-h) is not 0 mod 6h."""
-    if not t.cyclic:
-        return None
     g, h = t.g, t.h
     if g % 2 == 0:
         return None
@@ -119,7 +109,7 @@ def census_certificate(t: StarterType, m: int) -> NonexistenceCertificate | None
     theorem = {3: "T21", 4: "T24"}.get(m)
     if theorem is None:
         raise UnsupportedOperationError(f"no census theorem modulo {m}")
-    if not t.cyclic or t.u % m != 0:
+    if t.u % m != 0:
         return None
     k = t.u // m
     if (t.h * k) % m == 0:
@@ -179,11 +169,9 @@ def _prior_certificates(t: StarterType, quotient_z4: bool):
 def prior_theorem_certificate(t: StarterType) -> NonexistenceCertificate | None:
     """First applicable of the order-based nonexistence results T9-T12.
 
-    The order-4-quotient rule only fires for cyclic types, where G/H is
-    cyclic of order u; other presentations go through the group-based
-    variant below, which inspects the quotient.
+    G/H is Z_u, so the order-4-quotient rule fires exactly when u = 4.
     """
-    return next(_prior_certificates(t, t.cyclic and t.u == 4), None)
+    return next(_prior_certificates(t, t.u == 4), None)
 
 
 def prior_theorem_certificate_group(group: GroupSpec, sub: SubgroupSpec,
@@ -191,8 +179,7 @@ def prior_theorem_certificate_group(group: GroupSpec, sub: SubgroupSpec,
     """T9-T12 for an arbitrary finite abelian group presentation."""
     if group.order % sub.order != 0:
         raise InvalidTypeError("subgroup order must divide the group order")
-    t = StarterType(sub.order, group.order // sub.order,
-                    cyclic=group.is_cyclic)
+    t = StarterType(sub.order, group.order // sub.order)
     return next(_prior_certificates(t, _quotient_is_z4(group, sub)), None)
 
 
@@ -298,31 +285,37 @@ def sum_of_squares_closed_form(g: int, h: int) -> int:
     return numerator // (6 * h)
 
 
-def residue_class_sizes(group: GroupSpec, sub: SubgroupSpec, m: int) -> list[int]:
-    """n_i = number of elements of G \\ H congruent to i mod m."""
-    if not group.is_cyclic:
-        raise UnsupportedOperationError("residue classes need a cyclic group")
-    if m < 2 or group.order % m != 0:
+def half_set(t: StarterType) -> set[int]:
+    """{j : 1 <= j <= (g-1)/2, j % u != 0}; one value per +- orbit of Z_g \\ H."""
+    if t.g % 2 == 0:
+        raise UnsupportedOperationError("half set needs odd group order")
+    return {j for j in range(1, (t.g - 1) // 2 + 1) if j % t.u}
+
+
+def residue_class_sizes(t: StarterType, m: int) -> list[int]:
+    """n_i = number of elements of Z_g \\ H congruent to i mod m."""
+    if m < 2 or t.g % m != 0:
         raise InvalidHomomorphismError(
-            f"x -> x mod {m} is not a homomorphism on order {group.order}"
+            f"x -> x mod {m} is not a homomorphism on order {t.g}"
         )
-    sizes = [group.order // m] * m
-    for x in sub.elements:
-        sizes[x.coords[0] % m] -= 1
+    sizes = [t.g // m] * m
+    for k in range(t.h):  # H = {k*u : k < h}
+        sizes[k * t.u % m] -= 1
     return sizes
 
 
-def census_identities(s: FrameStarter, m: int, *, skew: bool,
-                      ) -> dict[str, tuple[int, int]]:
-    """Linear identities every (skew) frame starter's mod-m census satisfies.
+def census_identities(s: FrameStarter, m: int) -> dict[str, tuple[int, int]]:
+    """Linear identities a cyclic frame starter's mod-m census satisfies.
 
     Returns name -> (lhs, rhs), written fraction-free.  Member and
-    difference identities hold for any frame starter; sum identities need
-    the skew property.  When H lies in the kernel (m | u) the right-hand
-    sides collapse to the textbook constants behind `census_certificate`.
+    difference identities hold for any frame starter; sum identities are
+    included when the starter is skew.  When H lies in the kernel (m | u)
+    the right-hand sides collapse to the textbook constants behind
+    `census_certificate`.
     """
+    skew = verify_skew(s).is_skew
     census = type_census(s, m)
-    n = residue_class_sizes(s.group, s.subgroup, m)
+    n = residue_class_sizes(StarterType(s.h, s.u), m)
     out: dict[str, tuple[int, int]] = {}
 
     for i in range(m):

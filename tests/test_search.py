@@ -29,6 +29,8 @@ def test_config_validation(monkeypatch):
     with pytest.raises(InvalidTypeError):
         SearchConfig(StarterType(1, 7), node_budget=0)
     with pytest.raises(InvalidTypeError):
+        search(cfg(1, 201, node_budget=1))  # above the g ceiling, budget or not
+    with pytest.raises(InvalidTypeError):
         SearchConfig(StarterType(1, 7), worker_count=0)
     with pytest.raises(InvalidTypeError):
         SearchConfig(StarterType(1, 7), progress_interval=-1)
@@ -70,7 +72,7 @@ def test_found_starters_are_verified():
         assert out.result == "found"
         report = verify_skew(out.starters[0])
         assert report.is_skew
-        assert out.starters[0].declared_type == (h, u)
+        assert (out.starters[0].h, out.starters[0].u) == (h, u)
 
 
 def test_oracle_equivalence_small_sample():
@@ -225,12 +227,3 @@ def test_wall_time_and_config_echo():
 def test_naive_enumerate_guards():
     with pytest.raises(InvalidTypeError):
         naive_enumerate(StarterType(3, 4), "skew")
-
-
-def test_noncyclic_types_rejected():
-    with pytest.raises(InvalidTypeError):
-        search(SearchConfig(StarterType(4, 4, cyclic=False)))
-    with pytest.raises(InvalidTypeError):
-        naive_enumerate(StarterType(4, 4, cyclic=False), "skew")
-    with pytest.raises(InvalidTypeError):
-        canonical_first_branch(SearchConfig(StarterType(4, 4, cyclic=False)))

@@ -5,6 +5,7 @@ from framestarters import (
     GroupSpec,
     NotComparableError,
     Pair,
+    StarterType,
     StructureError,
     UnsupportedOperationError,
     complement,
@@ -194,13 +195,11 @@ def test_quadratic_sum_check(corpus_by_id):
 
 
 def test_half_set():
-    z15 = GroupSpec((15,))
-    assert half_set(z15, cyclic_subgroup(z15, 3)) == {1, 2, 3, 4, 6, 7}
-    assert half_set(Z7, Z7_TRIV) == {1, 2, 3}
-    z21 = GroupSpec((21,))
-    assert len(half_set(z21, cyclic_subgroup(z21, 3))) == (21 - 3) // 2
+    assert half_set(StarterType(3, 5)) == {1, 2, 3, 4, 6, 7}
+    assert half_set(StarterType(1, 7)) == {1, 2, 3}
+    assert len(half_set(StarterType(3, 7))) == (21 - 3) // 2
     with pytest.raises(UnsupportedOperationError):
-        half_set(GroupSpec((10,)), cyclic_subgroup(GroupSpec((10,)), 2))
+        half_set(StarterType(2, 5))
 
 
 def test_half_set_squares_vanish_for_skew_corpus(corpus_entries):
@@ -209,7 +208,7 @@ def test_half_set_squares_vanish_for_skew_corpus(corpus_entries):
         if not s.group.is_cyclic or s.group.order % 2 == 0:
             continue
         g = s.group.order
-        total = sum(j * j for j in half_set(s.group, s.subgroup))
+        total = sum(j * j for j in half_set(StarterType(s.h, s.u)))
         assert total % g == 0, entry.entry_id
 
 

