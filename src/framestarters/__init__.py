@@ -53,7 +53,6 @@ from .theory import (
 from .search import (
     SearchConfig,
     SearchOutcome,
-    canonical_first_branch,
     naive_enumerate,
     search,
 )

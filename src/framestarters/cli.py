@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="existence table for small skew types")
     p.add_argument("--max-g", type=int, default=57)
     p.add_argument("--deep", action="store_true",
-                   help="also search the hours-scale cells")
+                   help="also search the deep cells, within --budget")
     p.add_argument("--budget", type=int, default=table_mod.DEFAULT_CELL_BUDGET,
                    help="per-cell node budget")
     p.add_argument("--workers", type=int, default=1)

@@ -1,29 +1,27 @@
 """Pruned exhaustive backtracking for cyclic frame starters.
 
+`search(SearchConfig)` is the one way into the engine.  A config checks
+every search rule when it is built (admissible type, g <= MAX_SEARCH_ORDER,
+a budget when g > BUDGET_FREE_MAX_ORDER), so every config can run.
+
 One `Engine` holds what a search over Z_g \\ H at one property level needs,
-built once from the starter type and the level, which it rejects unless
-the type is admissible with g <= MAX_SEARCH_ORDER: the candidate table of
+built once from the starter type and the level: the candidate table of
 feasible pairs, the static partner and placement masks, `full` (the
 elements of G \\ H) and `mask_g` (the elements of Z_g), all as bitmasks
 over the dense integers 0..g-1.  A search state is three occupancy masks:
-members, +-differences and +-sums.  Two engine steps act on states, and
-nothing else expands one:
-
-- `place` adds one pair and rejects it when it is infeasible or collides
-  with the state;
-- `branch` returns the feasible placements of the most constrained open
-  requirement (an uncovered element that must be paired, or an unused
-  difference class that must be realized) in ascending order.  A
-  requirement with no placement left empties the list and prunes the
-  node; this fail-first order is what makes witnesses in groups of order
-  ~50 reachable in seconds.
+members, +-differences and +-sums.  One engine step expands a state:
+`branch` returns the feasible placements of the most constrained open
+requirement (an uncovered element that must be paired, or an unused
+difference class that must be realized) in ascending order.  A
+requirement with no placement left empties the list and prunes the node;
+this fail-first order is what makes witnesses in groups of order ~50
+reachable in seconds.
 
 The search tree is canonical.  The root places the pair realizing the
 difference class {1, -1} (every frame starter contains exactly one), and
 below the root `Engine.run` calls `branch` once per node.  The branch is a
 deterministic function of the state, so every starter is generated
-exactly once and exhaustive counts are exact.  `canonical_first_branch`
-walks the same tree one step at a time.
+exactly once and exhaustive counts are exact.
 
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports and checks it once with the independent verifier, in
@@ -36,7 +34,7 @@ Symmetry reduction exploits negation x -> -x, which maps starters to
 starters of the same kind.  Writing the root pair {x, x+1}, negation sends
 the base point x to g-1-x, so exploring only x <= (g-1)/2 keeps one
 representative of every orbit.  This prunes for existence questions;
-exact counts are taken with the reduction switched off.
+an exhaustive count always runs with the reduction switched off.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterable
 
-from .errors import FrameStarterError, InvalidTypeError
+from .errors import InvalidTypeError
 from .groups import GroupSpec, SubgroupSpec
 from .starters import LEVELS, FrameStarter, make_starter, verify_skew
 from .theory import StarterType
@@ -85,6 +83,20 @@ class SearchConfig:
             raise InvalidTypeError("worker count must be >= 1")
         if self.progress_interval < 0:
             raise InvalidTypeError("progress interval must be >= 0")
+        t = self.target_type
+        if self.node_budget is None and t.g > BUDGET_FREE_MAX_ORDER:
+            raise InvalidTypeError(f"searches with g = {t.g} > "
+                                   f"{BUDGET_FREE_MAX_ORDER} require an "
+                                   "explicit node budget")
+        if not t.admissible:
+            raise InvalidTypeError(
+                f"type {t} has odd g - h = {t.g - t.h}; no pairing exists")
+        if t.g > MAX_SEARCH_ORDER:
+            raise InvalidTypeError(f"type {t} has g = {t.g}; searches are "
+                                   f"capped at g <= {MAX_SEARCH_ORDER}")
+        if self.mode == "exhaustive_count":
+            # A count needs the whole tree.
+            object.__setattr__(self, "symmetry_reduction", False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,19 +108,15 @@ class SearchOutcome:
     config: SearchConfig
 
 
-class _Stop(Exception):
-    """Internal: first starter found in a stop-early mode."""
-
-
-class _Budget(Exception):
-    """Internal: node budget exhausted."""
+class _Halt(Exception):
+    """Internal: the first starter in a stop-early mode, or the node budget."""
 
 
 class Engine:
     """Search state for one type and level, built once and shared by every node.
 
-    An inadmissible type, or one with g > MAX_SEARCH_ORDER, raises
-    InvalidTypeError.
+    `search` builds it from a validated config, so the type is admissible
+    with g <= MAX_SEARCH_ORDER.
 
     cand[x][y] is (pair_mask, diff_mask, sum_mask, (min, max)) for a
     feasible pair {x, y}, else None.  None encodes every per-pair
@@ -123,15 +131,6 @@ class Engine:
                  "classes")
 
     def __init__(self, t: StarterType, level: str):
-        if not t.admissible:
-            raise InvalidTypeError(
-                f"type {t} has odd g - h = {t.g - t.h}; no pairing exists"
-            )
-        if t.g > MAX_SEARCH_ORDER:
-            raise InvalidTypeError(
-                f"type {t} has g = {t.g}; searches are capped at "
-                f"g <= {MAX_SEARCH_ORDER}"
-            )
         g, r = t.g, t.u
         strongish = level in ("strong", "skew")
         skew = level == "skew"
@@ -183,22 +182,6 @@ class Engine:
         top = (self.g - 1) // 2 if symmetry else self.g - 2
         return [entry for x in range(1, top + 1)
                 if (entry := self.cand[x][x + 1]) is not None]
-
-    def place(self, state: tuple[int, int, int],
-              pair: tuple[int, int]) -> tuple[int, int, int]:
-        """The state with the pair added; InvalidTypeError when the pair is
-        infeasible or shares a member, difference or sum with the state."""
-        x, y = pair
-        g = self.g
-        entry = self.cand[x][y] if 0 <= x < g and 0 <= y < g else None
-        if entry is None:
-            raise InvalidTypeError(f"placed pair ({x}, {y}) is infeasible")
-        used, used_diff, used_sum = state
-        pm, dm, sm, _ = entry
-        if used & pm or used_diff & dm or used_sum & sm:
-            raise InvalidTypeError(
-                f"placed pair ({x}, {y}) collides with an earlier pair")
-        return used | pm, used_diff | dm, used_sum | sm
 
     def branch(self, used: int, used_diff: int, used_sum: int) -> list[tuple]:
         """Feasible placements (as candidate-table entries) of the most
@@ -284,7 +267,7 @@ class Engine:
             for pm, dm, sm, pair in options:
                 nodes += 1
                 if budget is not None and nodes > budget:
-                    raise _Budget
+                    raise _Halt
                 if interval and nodes % interval == 0:
                     progress(nodes, len(stack), time.perf_counter() - started)
                 stack.append(pair)
@@ -292,20 +275,18 @@ class Engine:
                 if u == full:
                     solutions.append(tuple(stack))
                     if stop_early:
-                        raise _Stop
+                        raise _Halt
                 else:
                     extend(branch(u, ud, us), u, ud, us)
                 stack.pop()
 
-        cut = False
         try:
             extend(roots, 0, 0, 0)
-        except _Stop:
+        except _Halt:
             pass
-        except _Budget:
-            cut = True
-            nodes -= 1  # the placement that tripped the budget never happened
-        return solutions, nodes, cut
+        cut = budget is not None and nodes > budget
+        # a cut drops the placement that tripped the budget: it never happened
+        return solutions, nodes - cut, cut
 
 
 def _verified_starter(group: GroupSpec, sub: SubgroupSpec, level: str,
@@ -337,13 +318,7 @@ def search(cfg: SearchConfig,
     """
     t = cfg.target_type
     started = time.perf_counter()
-    if cfg.node_budget is None and t.g > BUDGET_FREE_MAX_ORDER:
-        raise FrameStarterError(
-            f"searches with g = {t.g} > {BUDGET_FREE_MAX_ORDER} require an "
-            f"explicit node budget"
-        )
     engine = Engine(t, cfg.property)
-
     roots = engine.roots(cfg.symmetry_reduction)
     w = cfg.worker_count
     slices = [roots[i::w] for i in range(min(w, len(roots)))]
@@ -369,37 +344,9 @@ def search(cfg: SearchConfig,
         result = "budget_exceeded"
     else:
         result = "exhausted_none"
-    return SearchOutcome(
-        result=result,
-        starters=starters,
-        nodes_visited=sum(nodes for _, nodes, _ in results),
-        wall_time=time.perf_counter() - started,
-        config=cfg,
-    )
-
-
-def canonical_first_branch(cfg: SearchConfig,
-                           placed: Iterable[tuple[int, int]] = (),
-                           ) -> list[tuple[int, int]]:
-    """Candidate pairs for the next branch of the canonical tree.
-
-    With nothing placed this is the root policy: the placements of the
-    difference-class {1, -1} pair, negation-reduced when symmetry is on.
-    Afterwards the pairs are placed one by one (InvalidTypeError for an
-    infeasible or colliding pair) and the result is the engine's branch at
-    that state; an empty list means the state is complete or provably dead.
-    Types that `search` rejects raise InvalidTypeError here too.
-    """
-    engine = Engine(cfg.target_type, cfg.property)
-    placed = list(placed)
-    if not placed:
-        options = engine.roots(cfg.symmetry_reduction)
-    else:
-        state = (0, 0, 0)
-        for pair in placed:
-            state = engine.place(state, pair)
-        options = engine.branch(*state)
-    return [pair for *_, pair in options]
+    return SearchOutcome(result=result, starters=starters,
+                         nodes_visited=sum(nodes for _, nodes, _ in results),
+                         wall_time=time.perf_counter() - started, config=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def load_starter(path: str | Path) -> FrameStarter:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FrameStarterError(f"{path}: {exc.strerror or exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}", str(path)) from exc
     return starter_from_obj(obj)
 

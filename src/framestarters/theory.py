@@ -50,7 +50,12 @@ class StarterType:
         m = _TYPE_RE.match(text.strip())
         if not m:
             raise InvalidTypeError(f"cannot parse starter type {text!r}; want h^u")
-        return cls(int(m.group(1)), int(m.group(2)))
+        try:
+            h, u = int(m.group(1)), int(m.group(2))
+        except ValueError:  # more digits than int() converts
+            raise InvalidTypeError("starter type has an integer too long "
+                                   "to read; want h^u") from None
+        return cls(h, u)
 
     def __str__(self) -> str:
         return f"{self.h}^{self.u}"

@@ -33,8 +33,8 @@ from framestarters.table import build_table
 
 # Existence of small cyclic skew frame starters with g <= 57, transcribed
 # from the published summary table: existence plus how each "no" was
-# settled (theorem vs exhaustive search).  The hours-scale search cells
-# are marked deep and stay out of the default suite.
+# settled (theorem vs exhaustive search).  The search cells that need
+# millions of nodes are marked deep and stay out of the default suite.
 TABLE_EXPECTED = {
     "2^5": ("yes", None), "2^8": ("no", "search"), "2^9": ("no", "search"),
     "2^12": ("no", "theorem"), "2^13": ("yes", None), "2^16": ("deep", None),

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -47,6 +48,11 @@ def test_verify_exit_codes(corpus_file, tmp_path, capsys):
     assert main(["verify", str(out_of_range)]) == 2
     assert capsys.readouterr().err.startswith("error: $.pairs[0][0]: ")
 
+    huge = tmp_path / "huge-int.json"
+    huge.write_text('{"group": {"factors": [%s]}, "pairs": []}'
+                    % ("1" * (sys.get_int_max_str_digits() + 1)))
+    assert main(["verify", str(huge)]) == 2
+
 
 def test_verify_json_output(corpus_file, capsys):
     assert main(["verify", corpus_file("example-1"), "--json"]) == 0
@@ -66,6 +72,10 @@ def test_certify_exit_codes(capsys):
 
     assert main(["certify", "--type", "banana"]) == 2
     assert main(["certify", "--type", "3^4"]) == 2  # odd g - h
+    capsys.readouterr()
+    digits = "1" * (sys.get_int_max_str_digits() + 1)  # past int()'s limit
+    assert main(["certify", "--type", f"1^{digits}"]) == 2
+    assert digits not in capsys.readouterr().err
 
 
 def test_certify_json(capsys):
@@ -100,6 +110,18 @@ def test_search_command(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {missing}: ")
     assert main(["search", "--type", "2^61"]) == 2  # budget required, g > 60
     assert main(["search", "--type", "nope"]) == 2
+    digits = "1" * (sys.get_int_max_str_digits() + 1)  # past int()'s limit
+    assert main(["search", "--type", f"{digits}^3"]) == 2
+    capsys.readouterr()
+
+    # a count needs the whole tree: 75 starters (38 negation orbits), and
+    # the echoed config says the reduction was off
+    code = main(["search", "--type", "3^5", "--property", "frame",
+                 "--mode", "exhaustive_count", "--json"])
+    assert code == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert len(obj["starters"]) == 75
+    assert obj["config"]["symmetry_reduction"] is False
 
 
 def test_search_progress_stream(capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 
 import pytest
@@ -8,11 +7,11 @@ from framestarters import (
     InvalidTypeError,
     SearchConfig,
     StarterType,
-    canonical_first_branch,
     naive_enumerate,
     search,
     verify_skew,
 )
+from framestarters.serialize import format_pairs
 
 search_mod = importlib.import_module("framestarters.search")
 
@@ -36,10 +35,18 @@ def test_config_validation(monkeypatch):
         SearchConfig(StarterType(1, 7), progress_interval=-1)
     with pytest.raises(InvalidTypeError):
         search(SearchConfig(StarterType(3, 4)))  # odd g - h
-    with pytest.raises(InvalidTypeError):
-        canonical_first_branch(SearchConfig(StarterType(3, 4)))
     with pytest.raises(FrameStarterError):
         search(cfg(1, 61))  # g > 60 needs an explicit budget
+    # every search rule is checked when the config is built
+    with pytest.raises(InvalidTypeError):
+        SearchConfig(StarterType(3, 4))
+    with pytest.raises(InvalidTypeError):
+        SearchConfig(StarterType(1, 61))
+    with pytest.raises(InvalidTypeError):
+        SearchConfig(StarterType(1, 201), node_budget=1)
+    # a count needs the whole tree, so it never runs symmetry-reduced
+    assert not SearchConfig(StarterType(1, 7), mode="exhaustive_count") \
+        .symmetry_reduction
 
     # The budget rule comes before the engine's O(g^2) candidate table.
     def no_engine(*args):
@@ -99,9 +106,9 @@ def test_symmetry_reduction_preserves_existence():
 
 
 def test_symmetry_explores_orbit_representatives():
-    roots_on = canonical_first_branch(cfg(1, 9))
-    roots_off = canonical_first_branch(dataclasses.replace(
-        cfg(1, 9), symmetry_reduction=False))
+    engine = search_mod.Engine(StarterType(1, 9), "skew")
+    roots_on = [pair for *_, pair in engine.roots(True)]
+    roots_off = [pair for *_, pair in engine.roots(False)]
     g = 9
     assert set(roots_on) <= set(roots_off)
     # every off-root's negation orbit has a representative among the on-roots
@@ -204,18 +211,24 @@ def test_structurally_empty_type_exhausts_immediately():
 
 
 def test_canonical_first_branch_walkthrough():
-    c = cfg(1, 7)
-    assert canonical_first_branch(c) == [(1, 2), (2, 3)]
-    assert canonical_first_branch(c, [(2, 3)]) == [(1, 5)]
-    assert canonical_first_branch(c, [(2, 3), (1, 5)]) == [(4, 6)]
-    assert canonical_first_branch(c, [(1, 2)]) == []  # provably dead state
-    assert canonical_first_branch(c, [(2, 3), (1, 5), (4, 6)]) == []
-    with pytest.raises(InvalidTypeError):
-        canonical_first_branch(c, [(1, 6)])  # pair sum lies in the subgroup
-    with pytest.raises(InvalidTypeError):
-        canonical_first_branch(c, [(2, 3), (2, 3)])  # the same pair twice
-    with pytest.raises(InvalidTypeError):
-        canonical_first_branch(c, [(2, 3), (4, 5)])  # difference class 1 twice
+    engine = search_mod.Engine(StarterType(1, 7), "skew")
+
+    def branch(*placed):
+        state = [0, 0, 0]
+        for x, y in placed:
+            for i, mask in enumerate(engine.cand[x][y][:3]):
+                state[i] |= mask
+        return [pair for *_, pair in engine.branch(*state)]
+
+    assert [pair for *_, pair in engine.roots(True)] == [(1, 2), (2, 3)]
+    assert branch((2, 3)) == [(1, 5)]
+    assert branch((2, 3), (1, 5)) == [(4, 6)]
+    assert branch((1, 2)) == []  # provably dead state
+    assert branch((2, 3), (1, 5), (4, 6)) == []  # complete
+    assert engine.cand[1][6] is None  # the pair's sum lies in the subgroup
+    out = search(cfg(1, 7))
+    assert out.nodes_visited == 4
+    assert format_pairs(out.starters[0]) == "{1, 5}, {2, 3}, {4, 6}"
 
 
 def test_wall_time_and_config_echo():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -67,6 +68,9 @@ def test_load_starter_rejects_bad_json(tmp_path, monkeypatch):
     path.write_text("[" * 100000 + "]" * 100000)
     with pytest.raises(SchemaError):
         serialize.load_starter(path)  # nested deeper than the parser recurses
+    path.write_text("[%s]" % ("1" * (sys.get_int_max_str_digits() + 1)))
+    with pytest.raises(SchemaError):
+        serialize.load_starter(path)  # more digits than int() converts
 
     # too few pairs for the group: rejected before any subgroup is built
     def no_subgroup(*args):

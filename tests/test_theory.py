@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from framestarters import (
@@ -34,6 +36,8 @@ def test_starter_type_parsing():
     assert not StarterType(3, 4).admissible  # g - h = 9 odd
     with pytest.raises(InvalidTypeError):
         StarterType.parse("3*13")
+    with pytest.raises(InvalidTypeError):  # more digits than int() converts
+        StarterType.parse("1^" + "1" * (sys.get_int_max_str_digits() + 1))
     with pytest.raises(InvalidTypeError):
         StarterType(0, 5)
     with pytest.raises(InvalidTypeError):
