@@ -16,7 +16,7 @@ from . import serialize, table as table_mod
 from .errors import FrameStarterError
 from .search import MODES, SearchConfig, search
 from .starters import LEVELS, verify_skew
-from .theory import StarterType, certify, exhaustion_certificate
+from .theory import StarterType, certify, exhaustion_certificate, starter_kind
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -56,7 +56,7 @@ def cmd_certify(args) -> int:
               f"type {t}: open (no theorem decides this type)")
         return EXIT_OPEN
     _emit(serialize.certificate_to_obj(cert), args.json,
-          f"type {t}: no {cert.level} frame starter ({cert.theorem})\n"
+          f"type {t}: no {starter_kind(cert.level)} ({cert.theorem})\n"
           f"  {cert.statement}")
     return EXIT_OK
 
@@ -117,13 +117,13 @@ def cmd_corpus(args) -> int:
                else corpus_mod.load_entries())
 
     if args.action == "list":
-        rows = [{"id": e.entry_id, "type": e.claimed_type,
+        rows = [{"id": e.entry_id, "type": f"{e.starter.h}^{e.starter.u}",
                  "property": e.claimed_property, "repaired": e.repaired}
                 for e in entries]
         text = "\n".join(
-            f"{e.entry_id}: type {e.claimed_type} ({e.claimed_property})"
-            + (" [repaired transcription]" if e.repaired else "")
-            for e in entries
+            f"{r['id']}: type {r['type']} ({r['property']})"
+            + (" [repaired transcription]" if r["repaired"] else "")
+            for r in rows
         )
         _emit(rows, args.json, text)
         return EXIT_OK
@@ -132,6 +132,7 @@ def cmd_corpus(args) -> int:
     rows = []
     lines = []
     for e in entries:
+        kind = f"{e.starter.h}^{e.starter.u}"
         report = verify_skew(e.starter)
         ok = report.holds(e.claimed_property)
         failures += not ok
@@ -139,11 +140,11 @@ def cmd_corpus(args) -> int:
         if e.repaired:
             note = f" [repaired: {e.note}]" if e.note else " [repaired]"
         lines.append(
-            f"{e.entry_id}: type {e.claimed_type} {e.claimed_property} "
+            f"{e.entry_id}: type {kind} {e.claimed_property} "
             f"{'pass' if ok else 'FAIL'}{note}"
             + ("" if ok else f" ({report.witness})")
         )
-        rows.append({"id": e.entry_id, "type": e.claimed_type,
+        rows.append({"id": e.entry_id, "type": kind,
                      "property": e.claimed_property, "pass": ok,
                      "repaired": e.repaired,
                      "witness": None if ok else report.witness})

@@ -21,7 +21,6 @@ from .starters import FrameStarter
 class CorpusEntry:
     entry_id: str
     starter: FrameStarter
-    claimed_type: str
     claimed_property: str
     repaired: bool
     note: str
@@ -47,7 +46,6 @@ def load_entries() -> tuple[CorpusEntry, ...]:
         entries.append(CorpusEntry(
             entry_id=obj["id"],
             starter=starter_from_obj(obj),
-            claimed_type=obj["type"],
             claimed_property=obj.get("property", "skew"),
             repaired=bool(obj.get("repaired", False)),
             note=obj.get("note", ""),

@@ -120,9 +120,10 @@ class Engine:
 
     cand[x][y] is (pair_mask, diff_mask, sum_mask, (min, max)) for a
     feasible pair {x, y}, else None.  None encodes every per-pair
-    rejection: a member or difference or sum in H, a self-negative
-    difference (it could cover only one element of the difference
-    partition), and for skew a self-negative sum.  partners[x] masks the
+    rejection: a member, the difference or (strong and skew) the sum in
+    H.  For an admissible type no difference or sum outside H is its own
+    negative (for even g, g/2 = (h/2)u lies in H), so the difference and
+    skew sum masks always have two bits.  partners[x] masks the
     feasible partners of x; classes lists each difference class d with the
     mask of base points x whose pair {x, x+d} is feasible.
     """
@@ -140,27 +141,19 @@ class Engine:
                 continue
             row = cand[x]
             for y in range(1, g):
-                if y == x or y % r == 0:
+                if y % r == 0:
                     continue
                 d = (y - x) % g
                 if d % r == 0:
-                    continue
-                nd = g - d
-                if d == nd:
                     continue
                 sum_mask = 0
                 if strongish:
                     s = (x + y) % g
                     if s % r == 0:
                         continue
-                    sum_mask = 1 << s
-                    if skew:
-                        ns = (g - s) % g
-                        if s == ns:
-                            continue
-                        sum_mask |= 1 << ns
-                row[y] = ((1 << x) | (1 << y), (1 << d) | (1 << nd), sum_mask,
-                          (x, y) if x < y else (y, x))
+                    sum_mask = 1 << s | (1 << (g - s) if skew else 0)
+                row[y] = ((1 << x) | (1 << y), (1 << d) | (1 << (g - d)),
+                          sum_mask, (x, y) if x < y else (y, x))
         self.g = g
         self.mask_g = (1 << g) - 1
         self.full = sum(1 << v for v in range(1, g) if v % r)

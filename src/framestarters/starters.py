@@ -206,74 +206,36 @@ class Adder:
         return [a for _, a in self.entries]
 
 
-def _difference_class(group: GroupSpec, p: Pair) -> tuple[Element, Element]:
-    d = group.sub(p.second, p.first)
-    nd = group.neg(d)
-    return (d, nd) if d < nd else (nd, d)
-
-
 def verify_orthogonal(s1: FrameStarter, s2: FrameStarter,
                       ) -> tuple[bool, Adder | None]:
-    """Check orthogonality after aligning pairs by their difference classes.
+    """Check orthogonality of two frame starters over the same (G, H).
 
-    Returns (True, adder) when the per-pair translates are distinct and
-    stay outside H; (False, None) otherwise.  Starters whose difference
-    multisets cannot be aligned are not comparable at all.
+    Each difference class {d, -d} occurs once in a frame starter and
+    d != -d, so every pair of s1 has one translate onto the s2 pair of its
+    class.  Returns (True, adder) when these are distinct and stay outside
+    H; (False, None) otherwise.  Other inputs are not comparable.
     """
     if s1.group != s2.group or s1.subgroup != s2.subgroup:
         raise NotComparableError("starters live over different (G, H)")
+    for s in (s1, s2):
+        report = verify_skew(s)
+        if not report.is_frame:
+            raise NotComparableError(f"not a frame starter: {report.witness}")
     group = s1.group
-
-    by_class: dict[tuple[Element, Element], Pair] = {}
+    # base[e] is the member of the s2 pair that p.first must move onto
+    # when p has difference e.
+    base: dict[Element, Element] = {}
     for q in s2.pairs:
-        key = _difference_class(group, q)
-        if key in by_class:
-            raise NotComparableError(f"duplicate difference class {key} in mate")
-        by_class[key] = q
-
-    matched: list[tuple[Pair, Pair]] = []
-    seen: set[tuple[Element, Element]] = set()
-    for p in s1.pairs:
-        key = _difference_class(group, p)
-        if key in seen:
-            raise NotComparableError(f"duplicate difference class {key}")
-        seen.add(key)
-        q = by_class.get(key)
-        if q is None:
-            raise NotComparableError(f"no mate pair with difference class {key}")
-        matched.append((p, q))
-
-    # Each matched pair admits one translate, or two when the difference is
-    # its own negative (then both orientations of the mate line up).
-    options: list[list[Element]] = []
-    for p, q in matched:
-        d1 = group.sub(p.second, p.first)
-        cand = []
-        if group.sub(q.second, q.first) == d1:
-            cand.append(group.sub(q.first, p.first))
-        if group.sub(q.first, q.second) == d1:
-            a = group.sub(q.second, p.first)
-            if a not in cand:
-                cand.append(a)
-        options.append(cand)
-
-    def assign(i: int, used: set[Element]) -> list[Element] | None:
-        if i == len(options):
-            return []
-        for a in options[i]:
-            if a in s1.subgroup or a in used:
-                continue
-            used.add(a)
-            rest = assign(i + 1, used)
-            used.discard(a)
-            if rest is not None:
-                return [a] + rest
-        return None
-
-    adders = assign(0, set())
-    if adders is None:
+        d = group.sub(q.second, q.first)
+        base[d] = q.first
+        base[group.neg(d)] = q.second
+    entries = tuple(
+        (p, group.sub(base[group.sub(p.second, p.first)], p.first))
+        for p in s1.pairs
+    )
+    adders = {a for _, a in entries}
+    if len(adders) < len(entries) or any(a in s1.subgroup for a in adders):
         return False, None
-    entries = tuple((p, a) for (p, _), a in zip(matched, adders))
     return True, Adder(group, s1.subgroup, entries)
 
 

@@ -198,13 +198,18 @@ def certify(t: StarterType) -> NonexistenceCertificate | None:
             or census_certificate(t, 3) or census_certificate(t, 4))
 
 
+def starter_kind(level: str) -> str:
+    """The starters of a level in prose: "frame starter", "skew frame starter"."""
+    return "frame starter" if level == "frame" else f"{level} frame starter"
+
+
 def exhaustion_certificate(t: StarterType, level: str, nodes: int,
                            ) -> NonexistenceCertificate:
     """Certificate wrapping a completed exhaustive search that found nothing."""
     return NonexistenceCertificate(
         t, level, "search-exhaustion",
         f"exhaustive backtracking over type {t} visited {nodes} nodes and "
-        f"found no {level} frame starter",
+        f"found no {starter_kind(level)}",
     )
 
 

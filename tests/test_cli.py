@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from framestarters import GroupSpec, serialize, trivial_subgroup
+from framestarters import GroupSpec, serialize, trivial_subgroup, verify_skew
 from framestarters.cli import main
 from framestarters.corpus import load_entry
 from framestarters.theory import patterned_starter
@@ -30,6 +30,21 @@ def test_verify_exit_codes(corpus_file, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sum" in out and "subgroup" in out
     assert main(["verify", str(patterned), "--property", "frame"]) == 0
+
+    # --verbose prints one line per witness, --json lists them all
+    non_frame = tmp_path / "non-frame-z7.json"
+    non_frame.write_text('{"group": {"factors": [7]}, "subgroup": '
+                         '{"order": 1}, "pairs": [[1, 2], [3, 5], [4, 6]]}')
+    witnesses = verify_skew(serialize.load_starter(non_frame),
+                            verbose=True).witnesses
+    assert len(witnesses) >= 2
+    capsys.readouterr()
+    assert main(["verify", str(non_frame), "--verbose"]) == 1
+    out = capsys.readouterr().out
+    assert [l for l in out.splitlines() if l.startswith("  - ")] == \
+        [f"  - {w}" for w in witnesses]
+    assert main(["verify", str(non_frame), "--verbose", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["witnesses"] == list(witnesses)
 
     malformed = tmp_path / "malformed.json"
     malformed.write_text('{"group": {"factors": []}, "pairs": []}')
@@ -63,6 +78,9 @@ def test_verify_json_output(corpus_file, capsys):
 def test_certify_exit_codes(capsys):
     assert main(["certify", "--type", "3^15"]) == 0
     assert "C19" in capsys.readouterr().out
+
+    assert main(["certify", "--type", "6^3"]) == 0
+    assert "type 6^3: no frame starter (T9)" in capsys.readouterr().out
 
     assert main(["certify", "--type", "4^11"]) == 3
     assert "open" in capsys.readouterr().out
@@ -102,6 +120,12 @@ def test_search_command(tmp_path, capsys):
     assert obj["result"] == "exhausted_none"
     assert obj["certificate"]["theorem"] == "search-exhaustion"
     assert str(obj["nodes_visited"]) in obj["certificate"]["statement"]
+
+    for extra in ([], ["--json"]):
+        assert main(["search", "--type", "2^3", "--property", "frame",
+                     "--mode", "prove_nonexistence", *extra]) == 0
+        out = capsys.readouterr().out
+        assert "found no frame starter" in out and "frame frame" not in out
 
     assert main(["search", "--type", "6^9", "--budget", "1000"]) == 3
     capsys.readouterr()

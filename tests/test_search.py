@@ -7,6 +7,7 @@ from framestarters import (
     InvalidTypeError,
     SearchConfig,
     StarterType,
+    VerificationReport,
     naive_enumerate,
     search,
     verify_skew,
@@ -65,12 +66,13 @@ def test_spec_search_examples():
     assert search(cfg(6, 5, mode="prove_nonexistence")).result == "exhausted_none"
 
 
-def test_search_strong_examples():
+def test_search_strong_examples(strong_3_7):
     out = search(cfg(5, 5, level="strong", mode="prove_nonexistence"))
     assert out.result == "exhausted_none"
     assert out.config.property == "strong"
     assert search(cfg(2, 5, level="strong")).result == "found"
     assert search(cfg(1, 7)).result == "found"
+    assert search(cfg(3, 7, level="strong")).starters == (strong_3_7,)
 
 
 def test_found_starters_are_verified():
@@ -80,6 +82,14 @@ def test_found_starters_are_verified():
         report = verify_skew(out.starters[0])
         assert report.is_skew
         assert (out.starters[0].h, out.starters[0].u) == (h, u)
+
+
+def test_unverified_candidate_raises(monkeypatch):
+    # the verifier is the last word: a candidate it rejects is an engine bug
+    failing = VerificationReport(False, False, False, witness="frame: planted")
+    monkeypatch.setattr(search_mod, "verify_skew", lambda s: failing)
+    with pytest.raises(RuntimeError, match="planted"):
+        search(cfg(2, 5))
 
 
 def test_oracle_equivalence_small_sample():

@@ -48,6 +48,10 @@ def test_file_roundtrip(tmp_path, corpus_by_id):
     (lambda o: o["pairs"][0].__setitem__(0, 13), "pairs[0][0]"),
     (lambda o: o["pairs"][1].__setitem__(0, -7), "pairs[1][0]"),
     (lambda o: o.update(subgroup={"generators": [13]}), "generators[0]"),
+    # group and subgroup constructor errors re-wrapped with their location
+    (lambda o: o.update(group={"factors": [1]}), "$.group.factors: "),
+    (lambda o: o.update(subgroup={"generators": []}),
+     "$.subgroup.generators: "),
 ])
 def test_schema_errors_carry_location(corpus_by_id, mutate, fragment):
     obj = serialize.starter_to_obj(corpus_by_id["example-1"].starter)

@@ -19,7 +19,7 @@ from framestarters import (
     verify_orthogonal,
     verify_skew,
 )
-from framestarters.theory import patterned_starter
+from framestarters.theory import patterned_starter, strong_to_adder
 
 Z7 = GroupSpec((7,))
 Z7_TRIV = trivial_subgroup(Z7)
@@ -145,12 +145,28 @@ def test_orthogonal_not_comparable():
     # duplicate difference classes cannot be aligned
     s1 = make_starter(Z7, Z7_TRIV, [(1, 2), (3, 4), (5, 6)])
     s2 = make_starter(Z7, Z7_TRIV, [(2, 3), (4, 5), (6, 1)])
-    with pytest.raises(NotComparableError):
+    with pytest.raises(NotComparableError, match="not a frame starter"):
         verify_orthogonal(s1, s2)
+    # distinct difference classes, but the difference 5 lies in H
+    z10 = GroupSpec((10,))
+    s = make_starter(z10, cyclic_subgroup(z10, 2),
+                     [(1, 6), (2, 3), (4, 8), (7, 9)])
+    with pytest.raises(NotComparableError, match="not a frame starter"):
+        verify_orthogonal(s, s)
     z13 = GroupSpec((13,))
     other = patterned_starter(z13, trivial_subgroup(z13))
     with pytest.raises(NotComparableError):
         verify_orthogonal(patterned_starter(Z7, Z7_TRIV), other)
+
+
+def test_orthogonal_patterned_matches_adder_closed_form(corpus_entries,
+                                                        strong_3_7):
+    # a strong starter is orthogonal to the patterned starter through the
+    # adder strong_to_adder computes from pair sums alone
+    starters = [e.starter for e in corpus_entries if e.starter.group.order % 2]
+    for s in starters + [strong_3_7]:
+        patterned = patterned_starter(s.group, s.subgroup)
+        assert verify_orthogonal(patterned, s) == (True, strong_to_adder(s))
 
 
 def test_type_census_example_26(corpus_by_id):

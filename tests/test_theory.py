@@ -173,15 +173,15 @@ def test_strong_to_adder_example(corpus_by_id):
     assert adder_is_skew(adder)
 
 
-def test_adder_roundtrip_odd_corpus(corpus_entries):
-    for entry in corpus_entries:
-        s = entry.starter
-        if s.group.order % 2 == 0:
-            continue
+def test_adder_roundtrip_odd_corpus(corpus_entries, strong_3_7):
+    # the skew corpus plus one strong, non-skew starter
+    starters = [e.starter for e in corpus_entries if e.starter.group.order % 2]
+    for s in starters + [strong_3_7]:
         adder = strong_to_adder(s)
         back = adder_to_strong(adder)
-        assert back.pairs == s.pairs, entry.entry_id
+        assert back.pairs == s.pairs
         assert adder_is_skew(adder) == verify_skew(s).is_skew
+    assert not adder_is_skew(strong_to_adder(strong_3_7))
 
 
 def test_strong_to_adder_rejects_non_strong():
