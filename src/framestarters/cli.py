@@ -91,7 +91,8 @@ def cmd_search(args) -> int:
     text.extend(f"  starter: {serialize.format_pairs(s)}"
                 for s in outcome.starters)
     if outcome.result == "exhausted_none":
-        cert = exhaustion_certificate(t, cfg.property, outcome.nodes_visited)
+        cert = exhaustion_certificate(t, cfg.property, outcome.nodes_visited,
+                                      outcome.kernel)
         obj["certificate"] = serialize.certificate_to_obj(cert)
         text.append(f"  certificate: {cert.statement}")
     _emit(obj, args.json, "\n".join(text))

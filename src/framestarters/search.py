@@ -23,6 +23,16 @@ below the root `Engine.run` calls `branch` once per node.  The branch is a
 deterministic function of the state, so every starter is generated
 exactly once and exhaustive counts are exact.
 
+`Engine.run` walks the tree in Python.  For g <= NATIVE_MAX_ORDER (64)
+`search` runs `Engine.run_native` instead: the same loop ported to C
+(`_kernel.c`, one uint64 mask per state), compiled with the system C
+compiler on the first search that needs it and loaded through ctypes.  It
+takes the candidate table, partner masks, classes and roots from the
+Engine, so the admissibility rules stay written once here, and it visits
+the same nodes in the same order.  `Engine.run` is the oracle the kernel
+is tested against, and the fallback when g > 64 or the kernel cannot be
+built; `SearchOutcome.kernel` says which one ran.
+
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports and checks it once with the independent verifier, in
 the calling process; the acceleration structures are never trusted.  With
@@ -39,17 +49,26 @@ an exhaustive count always runs with the reduction switched off.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import tempfile
 import time
+import zlib
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import InvalidTypeError
 from .groups import GroupSpec, SubgroupSpec
 from .starters import LEVELS, FrameStarter, make_starter, verify_skew
 from .theory import StarterType
+
+if TYPE_CHECKING:
+    import ctypes
 
 MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
 
@@ -60,6 +79,10 @@ BUDGET_FREE_MAX_ORDER = 60
 #: Hard ceiling on g for any search (and so for the table): the engine's
 #: candidate table is O(g^2) before the first node, whatever the budget.
 MAX_SEARCH_ORDER = 200
+
+#: Searches with g up to this order run on the native kernel (one uint64
+#: mask per state) when it builds; larger ones run Engine.run.
+NATIVE_MAX_ORDER = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,6 +129,7 @@ class SearchOutcome:
     nodes_visited: int
     wall_time: float
     config: SearchConfig
+    kernel: str  # "native" | "python": which expansion loop ran
 
 
 class _Halt(Exception):
@@ -281,6 +305,122 @@ class Engine:
         # a cut drops the placement that tripped the budget: it never happened
         return solutions, nodes - cut, cut
 
+    def run_native(self, cfg: SearchConfig, roots: list[tuple],
+                   progress: Callable[[int, int, float], None] | None = None):
+        """`run` on the native kernel (g <= NATIVE_MAX_ORDER): the same
+        tree, the same (raw_pairings, nodes, cut).
+
+        The kernel hands control back before the node that would pass the
+        budget, before each progress node and at least every _CHUNK nodes,
+        so the budget, progress events and Ctrl-C behave as in `run`.
+        """
+        g = self.g
+        if g > NATIVE_MAX_ORDER:  # the kernel's masks and arrays hold 64
+            raise ValueError(f"the native kernel takes g <= {NATIVE_MAX_ORDER}")
+        lib = load_kernel()
+        if lib is None:
+            raise RuntimeError("the native search kernel is not available")
+        flat = [entry for row in self.cand for entry in row]
+        # The kernel keeps pointers into these arrays: they live until return.
+        arrays = (array("Q", [e[1] if e else 0 for e in flat]),
+                  array("Q", [e[2] if e else 0 for e in flat]),
+                  array("Q", self.partners),
+                  array("i", [d for d, _ in self.classes]),
+                  array("Q", [m for _, m in self.classes]),
+                  array("B", [v for *_, pair in roots for v in pair]))
+        dm, sm, partners, cls_d, cls_pl, root_pairs = (
+            a.buffer_info()[0] for a in arrays)
+        state = array("B", bytes(lib.fs_size()))
+        out = array("Q", bytes(8 * (2 + g // 2 + 1)))
+        state_p, out_p = state.buffer_info()[0], out.buffer_info()[0]
+        lib.fs_init(state_p, g, self.strongish, self.full, self.mask_g, dm,
+                    sm, partners, len(self.classes), cls_d, cls_pl,
+                    len(roots), root_pairs)
+        budget = cfg.node_budget
+        interval = cfg.progress_interval if progress is not None else 0
+        stop_early = cfg.mode != "exhaustive_count"
+        next_event = interval
+        nodes = 0
+        solutions: list[tuple[tuple[int, int], ...]] = []
+        started = time.perf_counter()
+        while True:
+            pause = nodes + _CHUNK
+            if budget is not None:
+                pause = min(pause, budget)
+            if interval:
+                pause = min(pause, next_event - 1)
+            status = lib.fs_step(state_p, pause, out_p)
+            nodes, depth = out[0], out[1]
+            if status == _LEAF:
+                solutions.append(tuple((v & 255, v >> 8)
+                                       for v in out[2:3 + depth]))
+                if stop_early:
+                    return solutions, nodes, False
+            elif status == _PAUSE:
+                if nodes == budget:  # the next node would pass the budget
+                    return solutions, nodes, True
+                if nodes + 1 == next_event:
+                    progress(next_event, depth, time.perf_counter() - started)
+                    next_event += interval
+            else:
+                return solutions, nodes, False
+
+
+#: fs_step's return codes (see _kernel.c) and the most nodes it visits
+#: before handing control back to Python.
+_DONE, _LEAF, _PAUSE = range(3)
+_CHUNK = 1 << 20
+
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_kernel_lib = None  # the loaded kernel, False once its build failed
+
+
+def load_kernel() -> ctypes.CDLL | None:
+    """The native kernel, compiled on first use; None when it cannot be
+    built (no C compiler, an unwritable cache directory).
+
+    The library is cached next to the compiled bytecode under a name keyed
+    by the source's hash; it is compiled to a temporary file and renamed
+    into place, so processes that build it at once never see half a file.
+    """
+    global _kernel_lib
+    if _kernel_lib is None:
+        try:
+            _kernel_lib = _build_kernel(_KERNEL_SOURCE)
+        except (OSError, subprocess.SubprocessError):
+            _kernel_lib = False
+    return _kernel_lib or None
+
+
+def _build_kernel(source: Path) -> ctypes.CDLL:
+    import ctypes  # here, not at the top: it adds ~4 ms to the package import
+
+    digest = f"{zlib.crc32(source.read_bytes()):08x}"
+    cache = source.parent / "__pycache__"
+    path = cache / f"{source.stem}-{digest}.so"
+    if not path.exists():
+        cache.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp,
+                            str(source)], check=True, capture_output=True,
+                           timeout=120)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(path))
+    p, u64, c_int = ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int
+    lib.fs_size.argtypes = []
+    lib.fs_size.restype = ctypes.c_size_t
+    lib.fs_init.argtypes = [p, c_int, c_int, u64, u64, p, p, p, c_int, p, p,
+                            c_int, p]
+    lib.fs_init.restype = None
+    lib.fs_step.argtypes = [p, u64, p]
+    lib.fs_step.restype = c_int
+    return lib
+
 
 def _verified_starter(group: GroupSpec, sub: SubgroupSpec, level: str,
                       raw_pairs: Iterable[tuple[int, int]]) -> FrameStarter:
@@ -313,13 +453,16 @@ def search(cfg: SearchConfig,
     started = time.perf_counter()
     engine = Engine(t, cfg.property)
     roots = engine.roots(cfg.symmetry_reduction)
+    # Chosen once here, so every worker slice runs the same kernel.
+    native = t.g <= NATIVE_MAX_ORDER and load_kernel() is not None
+    run = engine.run_native if native else engine.run
     w = cfg.worker_count
     slices = [roots[i::w] for i in range(min(w, len(roots)))]
     if len(slices) <= 1:
-        results = [engine.run(cfg, roots, progress)]
+        results = [run(cfg, roots, progress)]
     else:
         with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            results = list(pool.map(engine.run, repeat(cfg), slices))
+            results = list(pool.map(run, repeat(cfg), slices))
     cut = any(c for _, _, c in results)
     # Each slice is in tree order and its roots ascend, so a stable sort on
     # the root pair interleaves the strided slices back into the serial order.
@@ -339,7 +482,8 @@ def search(cfg: SearchConfig,
         result = "exhausted_none"
     return SearchOutcome(result=result, starters=starters,
                          nodes_visited=sum(nodes for _, nodes, _ in results),
-                         wall_time=time.perf_counter() - started, config=cfg)
+                         wall_time=time.perf_counter() - started, config=cfg,
+                         kernel="native" if native else "python")
 
 
 # ---------------------------------------------------------------------------

@@ -196,4 +196,5 @@ def outcome_to_obj(outcome: SearchOutcome) -> dict:
         "wall_time_s": round(outcome.wall_time, 6),
         "starters": [starter_to_obj(s) for s in outcome.starters],
         "config": config_to_obj(outcome.config),
+        "kernel": outcome.kernel,
     }

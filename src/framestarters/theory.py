@@ -204,12 +204,13 @@ def starter_kind(level: str) -> str:
 
 
 def exhaustion_certificate(t: StarterType, level: str, nodes: int,
-                           ) -> NonexistenceCertificate:
-    """Certificate wrapping a completed exhaustive search that found nothing."""
+                           kernel: str) -> NonexistenceCertificate:
+    """Certificate wrapping a completed exhaustive search that found nothing;
+    it names the kernel ("native" or "python") that traversed the tree."""
     return NonexistenceCertificate(
         t, level, "search-exhaustion",
-        f"exhaustive backtracking over type {t} visited {nodes} nodes and "
-        f"found no {starter_kind(level)}",
+        f"exhaustive backtracking over type {t} on the {kernel} kernel "
+        f"visited {nodes} nodes and found no {starter_kind(level)}",
     )
 
 

@@ -120,6 +120,9 @@ def test_search_command(tmp_path, capsys):
     assert obj["result"] == "exhausted_none"
     assert obj["certificate"]["theorem"] == "search-exhaustion"
     assert str(obj["nodes_visited"]) in obj["certificate"]["statement"]
+    # the "no" names the kernel that produced it
+    assert obj["kernel"] in ("native", "python")
+    assert f"on the {obj['kernel']} kernel" in obj["certificate"]["statement"]
 
     for extra in ([], ["--json"]):
         assert main(["search", "--type", "2^3", "--property", "frame",

@@ -1,4 +1,6 @@
 import importlib
+import os
+import zlib
 
 import pytest
 
@@ -13,12 +15,22 @@ from framestarters import (
     verify_skew,
 )
 from framestarters.serialize import format_pairs
+from framestarters.starters import LEVELS
 
 search_mod = importlib.import_module("framestarters.search")
 
 
 def cfg(h, u, level="skew", mode="find_first", **kw):
     return SearchConfig(StarterType(h, u), property=level, mode=mode, **kw)
+
+
+@pytest.fixture(scope="module")
+def native():
+    """The native kernel must build on CI; elsewhere its tests may skip."""
+    if search_mod.load_kernel() is None:
+        if os.environ.get("CI"):
+            pytest.fail("the native search kernel did not build")
+        pytest.skip("the native search kernel did not build (no C compiler?)")
 
 
 def test_config_validation(monkeypatch):
@@ -161,6 +173,7 @@ def test_parallel_equivalence():
     par = search(cfg(4, 7, mode="prove_nonexistence", worker_count=2))
     assert seq.result == par.result == "exhausted_none"
     assert seq.nodes_visited == par.nodes_visited == 157834
+    assert seq.kernel == par.kernel  # chosen once, for every slice
 
 
 def test_pool_sized_by_root_slices(monkeypatch):
@@ -250,3 +263,128 @@ def test_wall_time_and_config_echo():
 def test_naive_enumerate_guards():
     with pytest.raises(InvalidTypeError):
         naive_enumerate(StarterType(3, 4), "skew")
+
+
+# ---------------------------------------------------------------------------
+# The native kernel walks Engine.run's tree: same pairings, nodes and cuts.
+
+def _both_kernels(engine, c, roots):
+    return engine.run(c, roots), engine.run_native(c, roots)
+
+
+def test_native_parity_oracle_sweep(native):
+    for t in (StarterType(h, u) for h in range(1, 17) for u in range(2, 17)):
+        if t.g > 16 or not t.admissible:
+            continue
+        for level in LEVELS:
+            engine = search_mod.Engine(t, level)
+            c = SearchConfig(t, property=level, mode="exhaustive_count")
+            for symmetry in (True, False):
+                py, nat = _both_kernels(engine, c, engine.roots(symmetry))
+                assert py == nat, (str(t), level, symmetry)
+
+
+@pytest.mark.parametrize("h, u, mode, nodes", [
+    (4, 7, "prove_nonexistence", 157_834),
+    (3, 19, "find_first", 58_407),
+    (5, 11, "find_first", 88_053),
+])
+def test_native_parity_named_cells(native, h, u, mode, nodes):
+    c = cfg(h, u, mode=mode)
+    engine = search_mod.Engine(c.target_type, "skew")
+    py, nat = _both_kernels(engine, c, engine.roots(True))
+    assert py == nat
+    assert py[1] == nodes and len(py[0]) == (mode == "find_first")
+
+
+def test_native_parity_budget_cuts(native):
+    cells = ((3, 7, "prove_nonexistence", (1, 2, 500, 2003, 2004, 2005)),
+             (1, 11, "exhaustive_count", (1, 20, 40, 67, 68, 69)),
+             (6, 9, "find_first", (1_000, 4_321)))
+    for h, u, mode, budgets in cells:
+        for budget in budgets:
+            c = cfg(h, u, mode=mode, node_budget=budget)
+            engine = search_mod.Engine(c.target_type, "skew")
+            py, nat = _both_kernels(engine, c, engine.roots(c.symmetry_reduction))
+            assert py == nat, (h, u, budget)
+    # the budget applies at node budget + 1, exactly as in Engine.run
+    c = cfg(3, 7, mode="prove_nonexistence", node_budget=2003)
+    engine = search_mod.Engine(c.target_type, "skew")
+    assert engine.run_native(c, engine.roots(True)) == ([], 2003, True)
+
+
+def test_native_progress_events(native):
+    for interval, budget in ((500, None), (500, 1000), (1, None), (7, 100)):
+        c = cfg(3, 7, mode="prove_nonexistence", progress_interval=interval,
+                node_budget=budget)
+        engine = search_mod.Engine(c.target_type, "skew")
+        seen = {}
+        for run in (engine.run, engine.run_native):
+            events = seen[run.__name__] = []
+            result = run(c, engine.roots(True),
+                         lambda nodes, depth, _: events.append((nodes, depth)))
+            events.append(result)
+        assert seen["run"] == seen["run_native"], (interval, budget)
+    c = cfg(3, 7, mode="prove_nonexistence", progress_interval=500)
+    events = []
+    search(c, lambda nodes, depth, _: events.append(nodes))
+    assert events == [500, 1000, 1500, 2000]
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+def test_search_result_under_each_kernel(kernel, monkeypatch, request):
+    if kernel == "native":
+        request.getfixturevalue("native")
+    else:
+        monkeypatch.setattr(search_mod, "load_kernel", lambda: None)
+    for c, result, nodes, leaves in (
+            (cfg(3, 19), "found", 58_407, 1),
+            (cfg(5, 11), "found", 88_053, 1),
+            (cfg(4, 7, mode="prove_nonexistence"), "exhausted_none", 157_834, 0),
+            (cfg(4, 11, node_budget=10_000), "budget_exceeded", 10_000, 0)):
+        out = search(c)
+        assert (out.result, out.nodes_visited, len(out.starters), out.kernel) \
+            == (result, nodes, leaves, kernel), c.target_type
+
+
+def test_failed_kernel_build_falls_back_to_python(monkeypatch, tmp_path):
+    before = search(cfg(5, 7))
+    broken = tmp_path / "_kernel.c"
+    broken.write_text("#error this kernel does not compile\n")
+    monkeypatch.setattr(search_mod, "_KERNEL_SOURCE", broken)
+    monkeypatch.setattr(search_mod, "_kernel_lib", None)
+    after = search(cfg(5, 7))
+    assert after.kernel == "python"
+    assert (after.result, after.nodes_visited, after.starters) == \
+        (before.result, before.nodes_visited, before.starters)
+    assert not any((tmp_path / "__pycache__").iterdir())  # no temp file left
+    assert search_mod.load_kernel() is None  # the failure is remembered
+
+
+def test_kernel_builds_into_a_fresh_cache(native, tmp_path):
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(search_mod._KERNEL_SOURCE.read_bytes())
+    lib = search_mod._build_kernel(source)
+    assert lib.fs_size() > 0
+    digest = f"{zlib.crc32(source.read_bytes()):08x}"
+    assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == \
+        [f"_kernel-{digest}.so"]
+
+
+def test_progress_exception_propagates_from_native_kernel(native):
+    def interrupt(nodes, depth, elapsed):
+        raise RuntimeError(f"stopped at node {nodes}")
+
+    c = cfg(3, 7, mode="prove_nonexistence", progress_interval=500)
+    with pytest.raises(RuntimeError, match="stopped at node 500"):
+        search(c, interrupt)
+
+
+def test_orders_above_64_run_the_python_kernel():
+    c = cfg(1, 65, node_budget=200)
+    out = search(c)
+    assert out.kernel == "python"
+    assert out.nodes_visited <= 200
+    engine = search_mod.Engine(c.target_type, "skew")
+    with pytest.raises(ValueError, match="g <= 64"):
+        engine.run_native(c, engine.roots(True))

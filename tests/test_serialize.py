@@ -96,6 +96,7 @@ def test_outcome_serialization():
     assert obj["result"] == "found"
     assert obj["config"]["type"] == "2^5"
     assert len(obj["starters"]) == 1
+    assert obj["kernel"] == out.kernel
     json.dumps(obj)  # must be plain JSON data
 
 

@@ -14,6 +14,7 @@ from framestarters import (
     census_identities,
     certify,
     cyclic_subgroup,
+    exhaustion_certificate,
     generated_subgroup,
     half_set,
     patterned_starter,
@@ -129,6 +130,15 @@ def test_certify_examples():
     assert certify(StarterType(4, 4)).theorem == "T11"
     # frame-level conclusions outrank the skew-level congruences
     assert certify(StarterType(2, 6)).level == "frame"
+
+
+def test_exhaustion_certificate_names_its_kernel():
+    for kernel in ("native", "python"):
+        cert = exhaustion_certificate(StarterType(4, 7), "skew", 157834, kernel)
+        assert cert.theorem == "search-exhaustion"
+        assert cert.statement == (
+            f"exhaustive backtracking over type 4^7 on the {kernel} kernel "
+            "visited 157834 nodes and found no skew frame starter")
 
 
 def test_certificate_rules_out_levels():
