@@ -1,7 +1,10 @@
 """Arithmetic for finite abelian groups given as products of cyclic factors.
 
-Elements are always stored canonically reduced (coordinate i in [0, m_i)),
-so equality and hashing are plain tuple operations.
+Elements are stored canonically reduced (coordinate i in [0, m_i)), so
+equality and hashing are plain tuple operations.  `GroupSpec.element`
+reduces ints and coordinate tuples; an `Element` handed to the group's
+operations or to starter construction must already be canonical, and one
+with a coordinate outside [0, m_i) raises StructureError.
 """
 
 from __future__ import annotations
@@ -9,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     InvalidHomomorphismError,
@@ -23,9 +26,12 @@ from .errors import (
 MAX_ORDER = 2**31
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Element:
-    """A group element as a tuple of canonical residues, one per factor."""
+class Element(NamedTuple):
+    """A group element as a tuple of canonical residues, one per factor.
+
+    A named tuple, so hashing, equality and ordering are the built-in tuple
+    operations on `coords`.
+    """
 
     coords: tuple[int, ...]
 
@@ -80,16 +86,23 @@ class GroupSpec:
             )
         return Element(tuple(c % m for c, m in zip(coords, self.factors)))
 
-    def _check(self, a: Element):
-        if len(a.coords) != len(self.factors):
+    def _check(self, *elements: Element):
+        """Raise StructureError unless every element is canonical here: one
+        coordinate per factor, coordinate i in [0, m_i).  One pass per factor."""
+        coords = [a.coords for a in elements]
+        k = len(self.factors)
+        if set(map(len, coords)) - {k}:
+            c = next(c for c in coords if len(c) != k)
             raise StructureError(
-                f"element has {len(a.coords)} coordinates, group has "
-                f"{len(self.factors)} factors"
-            )
+                f"element has {len(c)} coordinates, group has {k} factors")
+        for i, (col, m) in enumerate(zip(zip(*coords), self.factors)):
+            if min(col) < 0 or max(col) >= m:
+                a = next(a for a in elements if not 0 <= a.coords[i] < m)
+                raise StructureError(
+                    f"{a!r} has coordinate {a.coords[i]} outside [0, {m})")
 
     def add(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
+        self._check(a, b)
         return Element(
             tuple((x + y) % m for x, y, m in zip(a.coords, b.coords, self.factors))
         )
@@ -99,8 +112,7 @@ class GroupSpec:
         return Element(tuple((-x) % m for x, m in zip(a.coords, self.factors)))
 
     def sub(self, a: Element, b: Element) -> Element:
-        self._check(a)
-        self._check(b)
+        self._check(a, b)
         return Element(
             tuple((x - y) % m for x, y, m in zip(a.coords, b.coords, self.factors))
         )

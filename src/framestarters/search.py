@@ -63,7 +63,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import InvalidTypeError
-from .groups import GroupSpec, SubgroupSpec
 from .starters import LEVELS, FrameStarter, make_starter, verify_skew
 from .theory import StarterType
 
@@ -422,16 +421,28 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     return lib
 
 
-def _verified_starter(group: GroupSpec, sub: SubgroupSpec, level: str,
-                      raw_pairs: Iterable[tuple[int, int]]) -> FrameStarter:
-    starter = make_starter(group, sub, raw_pairs)
-    report = verify_skew(starter)
-    if not report.holds(level):
-        raise RuntimeError(
-            f"search emitted a candidate failing {level} verification: "
-            f"{report.witness}"
-        )
-    return starter
+def _verified_starters(t: StarterType, level: str,
+                       raw_pairings: Iterable[tuple[tuple[int, int], ...]],
+                       ) -> tuple[FrameStarter, ...]:
+    """Build each raw pairing into a starter and verify it once.
+
+    The starters share one Element per residue of Z_g.
+    """
+    group = t.group()
+    sub = t.subgroup(group)
+    residues = list(group.elements())
+    starters = []
+    for raw in raw_pairings:
+        starter = make_starter(group, sub,
+                               [(residues[x], residues[y]) for x, y in raw])
+        report = verify_skew(starter)
+        if not report.holds(level):
+            raise RuntimeError(
+                f"search emitted a candidate failing {level} verification: "
+                f"{report.witness}"
+            )
+        starters.append(starter)
+    return tuple(starters)
 
 
 def search(cfg: SearchConfig,
@@ -470,10 +481,7 @@ def search(cfg: SearchConfig,
                        key=itemgetter(0))
     if cfg.mode != "exhaustive_count":
         solutions = solutions[:1]
-    group = t.group()
-    sub = t.subgroup(group)
-    starters = tuple(_verified_starter(group, sub, cfg.property, sol)
-                     for sol in solutions)
+    starters = _verified_starters(t, cfg.property, solutions)
     if starters and (cfg.mode != "exhaustive_count" or not cut):
         result = "found"
     elif cut:
@@ -530,6 +538,4 @@ def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
             pairs.pop()
 
     rec(elements)
-    group = t.group()
-    sub = t.subgroup(group)
-    return [_verified_starter(group, sub, level, sol) for sol in hits]
+    return list(_verified_starters(t, level, hits))

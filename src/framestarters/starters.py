@@ -10,6 +10,7 @@ reports which properties hold and the first offending witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Mapping
 
 from .errors import NotComparableError, StructureError, UnsupportedOperationError
@@ -31,19 +32,21 @@ class Pair:
             object.__setattr__(self, "first", first)
             object.__setattr__(self, "second", second)
 
-    def members(self) -> tuple[Element, Element]:
-        return (self.first, self.second)
-
     def __repr__(self) -> str:
         return f"Pair({self.first!r}, {self.second!r})"
+
+
+#: Pair's own ordering, as a key of built-in tuple comparisons.
+_PAIR_ORDER = attrgetter("first", "second")
 
 
 @dataclass(frozen=True, slots=True)
 class FrameStarter:
     """Candidate frame starter; cheap structural checks run at construction.
 
-    Construction guarantees the pair count is (g-h)/2 and every member lies
-    in G \\ H.  The partition properties are the verifiers' job.
+    Construction guarantees the pair count is (g-h)/2 and every member is
+    a canonical element of G \\ H.  The partition properties are the
+    verifier's job.
     """
 
     group: GroupSpec
@@ -56,17 +59,17 @@ class FrameStarter:
         g, h = self.group.order, self.subgroup.order
         if (g - h) % 2 != 0:
             raise StructureError(f"g - h = {g - h} is odd; no pairing exists")
-        pairs = tuple(sorted(self.pairs))
+        pairs = tuple(sorted(self.pairs, key=_PAIR_ORDER))
         if len(pairs) != (g - h) // 2:
             raise StructureError(
                 f"expected {(g - h) // 2} pairs for type {h}^{g // h}, "
                 f"got {len(pairs)}"
             )
-        for p in pairs:
-            for x in p.members():
-                self.group._check(x)
-                if x in self.subgroup:
-                    raise StructureError(f"pair member {x!r} lies in the subgroup")
+        members = [x for p in pairs for x in (p.first, p.second)]
+        self.group._check(*members)
+        if not self.subgroup.elements.isdisjoint(members):
+            x = next(x for x in members if x in self.subgroup.elements)
+            raise StructureError(f"pair member {x!r} lies in the subgroup")
         object.__setattr__(self, "pairs", pairs)
 
     @property
@@ -95,10 +98,13 @@ class FrameStarter:
 
 
 def make_starter(group: GroupSpec, subgroup: SubgroupSpec, raw_pairs) -> FrameStarter:
-    """Build a starter from raw pair values (ints or coordinate tuples)."""
-    pairs = tuple(
-        Pair(group.element(x), group.element(y)) for x, y in raw_pairs
-    )
+    """Build a starter from raw pair values: ints (cyclic) and coordinate
+    tuples are reduced; elements are taken as they are, and construction
+    rejects one that is not canonical."""
+    def element(v):
+        return v if isinstance(v, Element) else group.element(v)
+
+    pairs = tuple(Pair(element(x), element(y)) for x, y in raw_pairs)
     return FrameStarter(group, subgroup, pairs)
 
 
@@ -134,60 +140,88 @@ def verify_skew(s: FrameStarter, verbose: bool = False) -> VerificationReport:
 
     `report.holds(level)` answers for one level.  `witness` is the first
     violation found; with verbose, `witnesses` lists every one.
+
+    The levels are decided by set sizes over coordinate tuples, computed
+    one column of residues per factor; witness text is formatted only for
+    a starter that fails, and then only as much as the report returns.
     """
-    group, sub = s.group, s.subgroup
-    frame_bad: list[str] = []
-    strong_bad: list[str] = []
-    skew_bad: list[str] = []
+    n = len(s.pairs)
+    firsts = [p.first.coords for p in s.pairs]
+    seconds = [p.second.coords for p in s.pairs]
+    # Per pair d = second - first, -d, t = first + second and -t, one
+    # column of residues per factor, then zipped into coordinate tuples.
+    cols: tuple[list[list[int]], ...] = ([], [], [], [])
+    for xs, ys, m in zip(zip(*firsts), zip(*seconds), s.group.factors):
+        d = [(y - x) % m for x, y in zip(xs, ys)]
+        t = [(x + y) % m for x, y in zip(xs, ys)]
+        for out, col in zip(cols, (d, [-v % m for v in d],
+                                   t, [-v % m for v in t])):
+            out.append(col)
+    diffs, neg_diffs, sums, neg_sums = (list(zip(*c)) for c in cols)
+    in_h = {x.coords for x in s.subgroup.elements}
 
     # Construction pins the pair count and membership in G \ H, so the
-    # members partition G \ H exactly when no element repeats.
-    seen_members: set[Element] = set()
-    for p in s.pairs:
-        for x in p.members():
-            if x in seen_members:
-                frame_bad.append(f"frame: element {x!r} covered twice")
-            seen_members.add(x)
-
-    seen_diffs: set[Element] = set()
-    for p in s.pairs:
-        d = group.sub(p.second, p.first)
-        for v in (d, group.neg(d)):
-            if v in sub:
-                frame_bad.append(
-                    f"frame: difference {v!r} lies in the subgroup (pair {p!r})"
-                )
-            elif v in seen_diffs:
-                frame_bad.append(f"frame: difference {v!r} duplicated (pair {p!r})")
-            seen_diffs.add(v)
-
-    # A self-negative sum contributes one value twice, which the duplicate
-    # check below flags, so no separate 2t = 0 test is needed.
-    seen_sums: set[Element] = set()
-    seen_pm_sums: set[Element] = set()
-    for p in s.pairs:
-        t = group.add(p.first, p.second)
-        if t in sub:
-            strong_bad.append(f"strong: sum {t!r} lies in the subgroup (pair {p!r})")
-        elif t in seen_sums:
-            strong_bad.append(f"strong: sum {t!r} duplicated (pair {p!r})")
-        seen_sums.add(t)
-        for v in (t, group.neg(t)):
-            if v in seen_pm_sums and v not in sub:
-                skew_bad.append(f"skew: sum value {v!r} duplicated (pair {p!r})")
-            seen_pm_sums.add(v)
-
-    is_frame = not frame_bad
-    is_strong = is_frame and not strong_bad
-    is_skew = is_strong and not skew_bad
-    all_witnesses = tuple(frame_bad + strong_bad + skew_bad)
+    # members partition G \ H exactly when no element repeats.  H is closed
+    # under negation, so with no sum in H no -sum is either.
+    clean = (len(set(firsts + seconds)) == 2 * n,
+             len(set(diffs + neg_diffs)) == 2 * n and in_h.isdisjoint(diffs),
+             len(set(sums)) == n and in_h.isdisjoint(sums))
+    is_frame = clean[0] and clean[1]
+    is_strong = is_frame and clean[2]
+    is_skew = is_strong and len(set(sums + neg_sums)) == 2 * n
+    if is_skew:
+        return VerificationReport(True, True, True)
+    found = _violations(s, clean, in_h, diffs, neg_diffs, sums, neg_sums)
+    witnesses = tuple(found) if verbose else ()
     return VerificationReport(
         is_frame=is_frame,
         is_strong=is_strong,
-        is_skew=is_skew,
-        witness=all_witnesses[0] if all_witnesses else None,
-        witnesses=all_witnesses if verbose else (),
+        is_skew=False,
+        witness=witnesses[0] if verbose else next(found),
+        witnesses=witnesses,
     )
+
+
+def _violations(s: FrameStarter, clean: tuple[bool, bool, bool], in_h: set,
+                diffs: list, neg_diffs: list, sums: list,
+                neg_sums: list) -> Iterator[str]:
+    """Every violation of `s`, formatted in report order: members,
+    differences, sums, then +-sums, each in pair order.  `clean` says which
+    of the first three scans has nothing to report, so they are skipped.
+    """
+    seen: set = set()
+    for p in s.pairs if not clean[0] else ():
+        for x in (p.first, p.second):
+            if x.coords in seen:
+                yield f"frame: element {x!r} covered twice"
+            seen.add(x.coords)
+
+    seen = set()
+    for p, d, nd in zip(s.pairs, diffs, neg_diffs) if not clean[1] else ():
+        for v in (d, nd):
+            if v in in_h:
+                yield (f"frame: difference {Element(v)!r} lies in the subgroup "
+                       f"(pair {p!r})")
+            elif v in seen:
+                yield f"frame: difference {Element(v)!r} duplicated (pair {p!r})"
+            seen.add(v)
+
+    seen = set()
+    for p, t in zip(s.pairs, sums) if not clean[2] else ():
+        if t in in_h:
+            yield f"strong: sum {Element(t)!r} lies in the subgroup (pair {p!r})"
+        elif t in seen:
+            yield f"strong: sum {Element(t)!r} duplicated (pair {p!r})"
+        seen.add(t)
+
+    # A self-negative sum contributes one value twice, which the duplicate
+    # check flags, so no separate 2t = 0 test is needed.
+    seen = set()
+    for p, t, nt in zip(s.pairs, sums, neg_sums):
+        for v in (t, nt):
+            if v in seen and v not in in_h:
+                yield f"skew: sum value {Element(v)!r} duplicated (pair {p!r})"
+            seen.add(v)
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,9 +32,22 @@ def test_element_canonicalization():
     assert Z4Z4.element((5, -1)) == Z4Z4.element((1, 3))
 
 
+def test_element_is_an_ordered_immutable_value():
+    a, b = Element((1, 3)), Element(coords=(2, 0))
+    assert a < b and sorted([b, a]) == [a, b]
+    assert a == Z4Z4.element((5, -1)) and hash(a) == hash(Element((1, 3)))
+    assert (repr(a), repr(Z7.element(3))) == ("Element(1, 3)", "Element(3)")
+    with pytest.raises(AttributeError):
+        a.coords = (0, 0)
+
+
 def test_structural_errors():
     with pytest.raises(StructureError):
         Z10.add(Z10.element(1), Element((1, 2)))
+    with pytest.raises(StructureError):
+        Z10.add(Z10.element(1), Element((11,)))  # not canonically reduced
+    with pytest.raises(StructureError):
+        Z4Z4.neg(Element((1, -1)))
     with pytest.raises(StructureError):
         Z4Z4.element(3)  # bare int only denotes cyclic elements
     with pytest.raises(StructureError):

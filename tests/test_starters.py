@@ -1,6 +1,7 @@
 import pytest
 
 from framestarters import (
+    Element,
     FrameStarter,
     GroupSpec,
     NotComparableError,
@@ -45,6 +46,26 @@ def test_construction_guards():
     with pytest.raises(StructureError):
         # odd g - h leaves no possible pairing
         make_starter(z10, cyclic_subgroup(z10, 5), [(1, 2), (3, 4)])
+
+
+def test_construction_rejects_non_canonical_elements():
+    # 11 is 4 in Z_7: this pairing covers 4 twice and misses 1
+    with pytest.raises(StructureError, match="outside"):
+        FrameStarter(Z7, Z7_TRIV, tuple(
+            Pair(Element((x,)), Element((y,)))
+            for x, y in [(4, 5), (11, 2), (3, 6)]))
+    with pytest.raises(StructureError, match="outside"):
+        FrameStarter(Z7, Z7_TRIV, (Pair(Element((-1,)), Element((1,))),
+                                   Pair(Z7.element(2), Z7.element(3)),
+                                   Pair(Z7.element(4), Z7.element(5))))
+    z3z3 = GroupSpec((3, 3))
+    with pytest.raises(StructureError, match="outside"):
+        make_starter(z3z3, trivial_subgroup(z3z3), [
+            (Element((0, 3)), (0, 2)), ((1, 0), (2, 0)),
+            ((1, 1), (2, 2)), ((1, 2), (2, 1))])
+    # raw values that are not elements are still reduced
+    assert make_starter(Z7, Z7_TRIV, [(4, 5), (8, 2), (3, 6)]).pairs[0] == \
+        Pair(Z7.element(1), Z7.element(2))
 
 
 def test_verify_frame_examples(corpus_by_id):
@@ -108,6 +129,93 @@ def test_verbose_collects_all_witnesses():
     report = verify_skew(bad, verbose=True)
     assert len(report.witnesses) >= 2
     assert report.witness == report.witnesses[0]
+
+
+def _witness_cases(strong_3_7):
+    """(starter, (frame, strong, skew), every witness in report order)."""
+    z10 = GroupSpec((10,))
+    z3z3 = GroupSpec((3, 3))
+    one, two, three = (Element((v,)) for v in (1, 2, 3))
+    return [
+        (make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)]),
+         (False, False, False),
+         ("frame: difference Element(2) duplicated "
+          "(pair Pair(Element(4), Element(6)))",
+          "frame: difference Element(5) duplicated "
+          "(pair Pair(Element(4), Element(6)))",
+          "strong: sum Element(3) duplicated "
+          "(pair Pair(Element(4), Element(6)))",
+          "skew: sum value Element(3) duplicated "
+          "(pair Pair(Element(4), Element(6)))",
+          "skew: sum value Element(4) duplicated "
+          "(pair Pair(Element(4), Element(6)))")),
+        (FrameStarter(Z7, Z7_TRIV, (Pair(one, two), Pair(one, three),
+                                    Pair(Z7.element(4), Z7.element(6)))),
+         (False, False, False),
+         ("frame: element Element(1) covered twice",
+          "frame: difference Element(2) duplicated "
+          "(pair Pair(Element(4), Element(6)))",
+          "frame: difference Element(5) duplicated "
+          "(pair Pair(Element(4), Element(6)))",
+          "strong: sum Element(3) duplicated "
+          "(pair Pair(Element(4), Element(6)))",
+          "skew: sum value Element(4) duplicated "
+          "(pair Pair(Element(1), Element(3)))",
+          "skew: sum value Element(3) duplicated "
+          "(pair Pair(Element(1), Element(3)))",
+          "skew: sum value Element(3) duplicated "
+          "(pair Pair(Element(4), Element(6)))",
+          "skew: sum value Element(4) duplicated "
+          "(pair Pair(Element(4), Element(6)))")),
+        (make_starter(z10, cyclic_subgroup(z10, 2),
+                      [(1, 6), (2, 3), (4, 8), (7, 9)]),
+         (False, False, False),
+         ("frame: difference Element(5) lies in the subgroup "
+          "(pair Pair(Element(1), Element(6)))",
+          "frame: difference Element(5) lies in the subgroup "
+          "(pair Pair(Element(1), Element(6)))",
+          "strong: sum Element(5) lies in the subgroup "
+          "(pair Pair(Element(2), Element(3)))")),
+        (patterned_starter(Z7, Z7_TRIV),
+         (True, False, False),
+         ("strong: sum Element(0) lies in the subgroup "
+          "(pair Pair(Element(1), Element(6)))",
+          "strong: sum Element(0) lies in the subgroup "
+          "(pair Pair(Element(2), Element(5)))",
+          "strong: sum Element(0) lies in the subgroup "
+          "(pair Pair(Element(3), Element(4)))")),
+        (strong_3_7,
+         (True, True, False),
+         ("skew: sum value Element(11) duplicated "
+          "(pair Pair(Element(12), Element(20)))",
+          "skew: sum value Element(10) duplicated "
+          "(pair Pair(Element(12), Element(20)))")),
+        (make_starter(z3z3, trivial_subgroup(z3z3),
+                      [((0, 1), (1, 0)), ((0, 2), (1, 1)),
+                       ((1, 2), (2, 0)), ((2, 1), (2, 2))]),
+         (False, False, False),
+         ("frame: difference Element(1, 2) duplicated "
+          "(pair Pair(Element(0, 2), Element(1, 1)))",
+          "frame: difference Element(2, 1) duplicated "
+          "(pair Pair(Element(0, 2), Element(1, 1)))",
+          "strong: sum Element(1, 0) duplicated "
+          "(pair Pair(Element(2, 1), Element(2, 2)))",
+          "skew: sum value Element(1, 0) duplicated "
+          "(pair Pair(Element(2, 1), Element(2, 2)))",
+          "skew: sum value Element(2, 0) duplicated "
+          "(pair Pair(Element(2, 1), Element(2, 2)))")),
+    ]
+
+
+def test_witness_text_is_pinned(strong_3_7):
+    for s, flags, witnesses in _witness_cases(strong_3_7):
+        report = verify_skew(s)
+        assert (report.is_frame, report.is_strong, report.is_skew) == flags
+        assert report.witness == witnesses[0]
+        assert report.witnesses == ()
+        verbose = verify_skew(s, verbose=True)
+        assert verbose.witness == witnesses[0]
+        assert verbose.witnesses == witnesses
 
 
 def test_orthogonal_with_negation(corpus_by_id):
