@@ -1,11 +1,19 @@
 /* Native kernel of search.Engine: the per-node loop of Engine.run and
  * Engine.branch over uint64_t masks, for g <= 64.
  *
- * The Python Engine builds the candidate table (difference and sum masks
- * of every pair, flat, indexed x * g + y), the partner masks, the
- * difference classes and the root placements, and passes them in; this
- * file only walks the tree they define, in Engine.run's order, so it
- * visits the same nodes and reaches the same leaves.
+ * The Python Engine builds the candidate table once, and this file takes
+ * it in the Engine's own layout:
+ *   dm[x * g + y], sm[x * g + y]  the difference and sum masks of the
+ *                                 ordered pair (x, y); dm == 0 marks an
+ *                                 infeasible pair;
+ *   partners[x]                   the feasible partners of x;
+ *   cls_mask, cls_pl[d]           the difference classes d a starter must
+ *                                 realize, and the base points x of class
+ *                                 d's feasible pairs {x, x+d};
+ * and the root placements.  It only walks the tree they define, in
+ * Engine.run's order, so it visits the same nodes and reaches the same
+ * leaves.  It is compiled for the host CPU where the compiler allows
+ * (-march=native: hardware popcount, tzcnt and BMI2 shifts).
  *
  * fs_step runs until the tree is exhausted (FS_DONE), a placement
  * completes a pairing (FS_LEAF), or a node is about to be visited while
@@ -27,10 +35,9 @@ struct frame {            /* one node's state and its open placements */
 };
 
 struct fs {
-    int g, strongish, ncls, depth;
-    uint64_t full, mask_g, nodes;
+    int g, strongish, depth;
+    uint64_t full, mask_g, cls_mask, nodes;
     const uint64_t *dm, *sm, *partners, *cls_pl;
-    const int *cls_d;
     struct frame f[MAXD];
 };
 
@@ -38,13 +45,13 @@ size_t fs_size(void) { return sizeof(struct fs); }
 
 void fs_init(struct fs *s, int g, int strongish, uint64_t full,
              uint64_t mask_g, const uint64_t *dm, const uint64_t *sm,
-             const uint64_t *partners, int ncls, const int *cls_d,
+             const uint64_t *partners, uint64_t cls_mask,
              const uint64_t *cls_pl, int nroots, const uint8_t *roots)
 {
     memset(s, 0, sizeof *s);
     s->g = g; s->strongish = strongish; s->full = full; s->mask_g = mask_g;
     s->dm = dm; s->sm = sm; s->partners = partners;
-    s->ncls = ncls; s->cls_d = cls_d; s->cls_pl = cls_pl;
+    s->cls_mask = cls_mask; s->cls_pl = cls_pl;
     for (int k = 0; k < nroots; k++) {
         s->f[0].lo[k] = roots[2 * k];
         s->f[0].hi[k] = roots[2 * k + 1];
@@ -68,27 +75,36 @@ static int branch(const struct fs *s, struct frame *fr)
         if (s->strongish)
             m &= (notsum >> x | notsum << (g - x)) & mask_g;
         n = __builtin_popcountll(m);
-        if (n == 0) return 0;
-        if (n < best_n) {
-            best_n = n; key = x; opts = m;
-            if (n == 1) break;
+        if (n <= 1) {
+            if (n == 0) return 0;
+            best_n = 1; key = x; opts = m;
+            break;
         }
+        int better = n < best_n;  /* a tie keeps the first, as in Python */
+        best_n = better ? n : best_n;
+        key = better ? x : key;
+        opts = better ? m : opts;
     }
     if (best_n > 1)
-        for (int c = 0; c < s->ncls; c++) {
-            int d = s->cls_d[c];
-            if (!(notdiff >> d & 1)) continue;
-            m = free & ((free >> d | free << (g - d)) & mask_g) & s->cls_pl[c];
+        for (uint64_t scan = notdiff & s->cls_mask; scan; scan &= scan - 1) {
+            int d = __builtin_ctzll(scan);
+            m = free & ((free >> d | free << (g - d)) & mask_g) & s->cls_pl[d];
             n = __builtin_popcountll(m);
-            if (n == 0) return 0;
-            if (n < best_n) {
-                best_n = n; key = d; opts = m; by_class = 1;
-                if (n == 1) break;
+            if (n <= 1) {
+                if (n == 0) return 0;
+                best_n = 1; key = d; opts = m; by_class = 1;
+                break;
             }
+            int better = n < best_n;
+            best_n = better ? n : best_n;
+            key = better ? d : key;
+            opts = better ? m : opts;
+            by_class |= better;
         }
     for (; opts; opts &= opts - 1) {
         int v = __builtin_ctzll(opts);
-        int x = by_class ? v : key, y = by_class ? (v + key) % g : v;
+        int x = by_class ? v : key, y = by_class ? v + key : v;
+        if (y >= g) y -= g;
         if (used & (1ULL << x | 1ULL << y) || fr->ud & s->dm[x * g + y]
             || fr->us & s->sm[x * g + y])
             continue;

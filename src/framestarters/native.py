@@ -1,0 +1,98 @@
+"""Build and load the native search kernel, `_kernel.c`.
+
+`search` imports this module on its first call, so importing the package
+compiles and runs none of it.  `load_kernel` compiles the C file with the
+system C compiler on its first call and loads it through ctypes;
+`search.Engine.run_native` drives it.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import platform
+import subprocess
+import tempfile
+import zlib
+from pathlib import Path
+
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+#: Compiler commands for the kernel, tried in order: tuned for the host CPU
+#: (hardware popcount, tzcnt, BMI2 shifts), then portable, for a compiler
+#: that rejects -march=native.
+_CC_COMMANDS = (("cc", "-O2", "-march=native"), ("cc", "-O2"))
+_kernel_lib = None  # the loaded kernel, False once its build failed
+
+
+def load_kernel() -> ctypes.CDLL | None:
+    """The native kernel, compiled on first use; None when it cannot be
+    built (no C compiler, an unwritable cache directory).
+
+    The library is cached next to the compiled bytecode under a name keyed
+    by the source, the compile command and the host CPU's feature flags,
+    so a checkout shared between machines builds a library for each
+    instead of loading one its CPU cannot run.  It is compiled to a
+    temporary file and renamed into place, so processes that build it at
+    once never see half a file.
+    """
+    global _kernel_lib
+    if _kernel_lib is None:
+        try:
+            _kernel_lib = _build_kernel(_KERNEL_SOURCE)
+        except (OSError, subprocess.SubprocessError):
+            _kernel_lib = False
+    return _kernel_lib or None
+
+
+def _host_cpu() -> bytes:
+    """The CPU feature-flag line of /proc/cpuinfo where there is one (Linux
+    x86 "flags", arm64 "Features"), else the machine name."""
+    try:
+        with open("/proc/cpuinfo", "rb") as f:
+            for line in f:
+                if line.startswith((b"flags", b"Features")):
+                    return line
+    except OSError:
+        pass
+    return platform.machine().encode()
+
+
+def _build_kernel(source: Path) -> ctypes.CDLL:
+    key = source.read_bytes() + _host_cpu()
+    cache = source.parent / "__pycache__"
+    builds = [(cmd, cache / f"{source.stem}-"
+               f"{zlib.crc32(key + ' '.join(cmd).encode()):08x}.so")
+              for cmd in _CC_COMMANDS]
+    path = next((path for _, path in builds if path.exists()), None)
+    if path is None:
+        cache.mkdir(exist_ok=True)
+        path = _compile(source, builds)
+    lib = ctypes.CDLL(str(path))
+    p, u64, c_int = ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int
+    lib.fs_size.argtypes = []
+    lib.fs_size.restype = ctypes.c_size_t
+    lib.fs_init.argtypes = [p, c_int, c_int, u64, u64, p, p, p, u64, p, c_int,
+                            p]
+    lib.fs_init.restype = None
+    lib.fs_step.argtypes = [p, u64, p]
+    lib.fs_step.restype = c_int
+    return lib
+
+
+def _compile(source: Path, builds: list[tuple[tuple[str, ...], Path]]) -> Path:
+    """Compile the source with the first command the compiler accepts and
+    return the library's path; raises when every command fails."""
+    for i, (cmd, path) in enumerate(builds):
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
+        os.close(fd)
+        try:
+            subprocess.run([*cmd, "-shared", "-fPIC", "-o", tmp, str(source)],
+                           check=True, capture_output=True, timeout=120)
+            os.replace(tmp, path)
+            return path
+        except subprocess.CalledProcessError:
+            if i == len(builds) - 1:
+                raise
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

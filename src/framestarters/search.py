@@ -25,11 +25,11 @@ exactly once and exhaustive counts are exact.
 
 `Engine.run` walks the tree in Python.  For g <= NATIVE_MAX_ORDER (64)
 `search` runs `Engine.run_native` instead: the same loop ported to C
-(`_kernel.c`, one uint64 mask per state), compiled with the system C
-compiler on the first search that needs it and loaded through ctypes.  It
-takes the candidate table, partner masks, classes and roots from the
-Engine, so the admissibility rules stay written once here, and it visits
-the same nodes in the same order.  `Engine.run` is the oracle the kernel
+(`_kernel.c`, one uint64 mask per state), which `native.py` compiles on
+the first search that needs it and loads through ctypes.  It takes the
+candidate table, partner masks, classes and roots from the Engine, so
+the admissibility rules stay written once here, and it visits the same
+nodes in the same order.  `Engine.run` is the oracle the kernel
 is tested against, and the fallback when g > 64 or the kernel cannot be
 built; `SearchOutcome.kernel` says which one ran.
 
@@ -49,25 +49,17 @@ an exhaustive count always runs with the reduction switched off.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import tempfile
 import time
-import zlib
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import Callable, Iterable
 
 from .errors import InvalidTypeError
 from .starters import LEVELS, FrameStarter, make_starter, verify_skew
 from .theory import StarterType
-
-if TYPE_CHECKING:
-    import ctypes
 
 MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
 
@@ -141,53 +133,88 @@ class Engine:
     `search` builds it from a validated config, so the type is admissible
     with g <= MAX_SEARCH_ORDER.
 
-    cand[x][y] is (pair_mask, diff_mask, sum_mask, (min, max)) for a
-    feasible pair {x, y}, else None.  None encodes every per-pair
-    rejection: a member, the difference or (strong and skew) the sum in
-    H.  For an admissible type no difference or sum outside H is its own
-    negative (for even g, g/2 = (h/2)u lies in H), so the difference and
-    skew sum masks always have two bits.  partners[x] masks the
-    feasible partners of x; classes lists each difference class d with the
-    mask of base points x whose pair {x, x+d} is feasible.
+    The candidate table is flat: the ordered pair (x, y) sits at index
+    x * g + y of `diff_masks`, the mask {d, -d} of its difference, and of
+    `sum_masks`, the mask of its sum ({s} when strong, {s, -s} when skew,
+    0 at the frame level).  A diff mask of 0 marks an infeasible pair, and
+    encodes every per-pair rejection: a member, the difference or (strong
+    and skew) the sum in H; its sum mask is 0 too.  For an admissible type
+    no difference or sum outside H is its own negative (for even g,
+    g/2 = (h/2)u lies in H), so feasible difference and skew sum masks
+    always have two bits.  partners[x] masks the feasible partners of x.
+    classes[d] masks the base points x whose pair {x, x+d} is feasible,
+    for each difference class d in class_mask (the representatives
+    1 <= d <= (g-1)/2 outside H), and is 0 for every other d.  They are
+    lists of ints, since above g = 64 a mask outgrows 64 bits;
+    `run_native` copies each into a uint64 array in one call, and
+    `Engine.run` reads `entry` tuples built from them on first use.
     """
 
-    __slots__ = ("g", "mask_g", "full", "strongish", "cand", "partners",
-                 "classes")
+    __slots__ = ("g", "mask_g", "full", "strongish", "diff_masks",
+                 "sum_masks", "partners", "classes", "class_mask", "_rows")
 
     def __init__(self, t: StarterType, level: str):
         g, r = t.g, t.u
         strongish = level in ("strong", "skew")
         skew = level == "skew"
-        cand: list[list[tuple | None]] = [[None] * g for _ in range(g)]
-        for x in range(1, g):
-            if x % r == 0:
+        diff_masks = [0] * (g * g)
+        sum_masks = [0] * (g * g)
+        partners = [0] * g
+        classes = [0] * g
+        class_mask = 0
+        bit = [1 << v for v in range(g)]
+        sum_bits = [(bit[s] | (bit[-s] if skew else 0))
+                    if strongish and s % r else 0 for s in range(g)]
+        elements = [x for x in range(1, g) if x % r]
+        # One pass per difference class {d, -d}: a feasible pair {x, x+d}
+        # has both members and its difference outside H, and (strong and
+        # skew) its sum too; it is written in both orders.
+        for d in range(1, (g - 1) // 2 + 1):
+            if d % r == 0:
                 continue
-            row = cand[x]
-            for y in range(1, g):
+            dbits = bit[d] | bit[-d]
+            base = 0
+            for x in elements:
+                y = (x + d) % g
                 if y % r == 0:
                     continue
-                d = (y - x) % g
-                if d % r == 0:
+                sbits = sum_bits[(x + y) % g]
+                if strongish and not sbits:
                     continue
-                sum_mask = 0
-                if strongish:
-                    s = (x + y) % g
-                    if s % r == 0:
-                        continue
-                    sum_mask = 1 << s | (1 << (g - s) if skew else 0)
-                row[y] = ((1 << x) | (1 << y), (1 << d) | (1 << (g - d)),
-                          sum_mask, (x, y) if x < y else (y, x))
+                diff_masks[x * g + y] = diff_masks[y * g + x] = dbits
+                sum_masks[x * g + y] = sum_masks[y * g + x] = sbits
+                partners[x] |= bit[y]
+                partners[y] |= bit[x]
+                base |= bit[x]
+            classes[d] = base
+            class_mask |= bit[d]
         self.g = g
         self.mask_g = (1 << g) - 1
         self.full = sum(1 << v for v in range(1, g) if v % r)
         self.strongish = strongish
-        self.cand = cand
-        self.partners = [sum(1 << y for y in range(g) if row[y] is not None)
-                         for row in cand]
-        self.classes = [
-            (d, sum(1 << x for x in range(g) if cand[x][(x + d) % g] is not None))
-            for d in range(1, (g - 1) // 2 + 1) if d % r
-        ]
+        self.diff_masks = diff_masks
+        self.sum_masks = sum_masks
+        self.partners = partners
+        self.classes = classes
+        self.class_mask = class_mask
+        self._rows = None
+
+    def entry(self, x: int, y: int) -> tuple | None:
+        """(pair_mask, diff_mask, sum_mask, (min, max)) for the feasible pair
+        {x, y}, else None."""
+        k = x * self.g + y
+        dm = self.diff_masks[k]
+        if not dm:
+            return None
+        return (1 << x | 1 << y, dm, self.sum_masks[k],
+                (x, y) if x < y else (y, x))
+
+    def _entries(self) -> list[list[tuple | None]]:
+        """entry(x, y) at [x][y], for `branch`; built on its first call."""
+        if self._rows is None:
+            r = range(self.g)
+            self._rows = [[self.entry(x, y) for y in r] for x in r]
+        return self._rows
 
     def roots(self, symmetry: bool) -> list[tuple]:
         """Placements of the difference-class {1, -1} pair, the fixed root item.
@@ -197,7 +224,7 @@ class Engine:
         """
         top = (self.g - 1) // 2 if symmetry else self.g - 2
         return [entry for x in range(1, top + 1)
-                if (entry := self.cand[x][x + 1]) is not None]
+                if (entry := self.entry(x, x + 1)) is not None]
 
     def branch(self, used: int, used_diff: int, used_sum: int) -> list[tuple]:
         """Feasible placements (as candidate-table entries) of the most
@@ -237,11 +264,14 @@ class Engine:
                 if n == 1:
                     break
         if best_n > 1:
-            for d, placements in self.classes:
-                if not (notdiff >> d) & 1:
-                    continue
+            classes = self.classes
+            scan = notdiff & self.class_mask
+            while scan:
+                db = scan & -scan
+                scan ^= db
+                d = db.bit_length() - 1
                 pl = free & (((free >> d) | (free << (g - d))) & mask_g) \
-                    & placements
+                    & classes[d]
                 n = pl.bit_count()
                 if n == 0:
                     return []
@@ -249,7 +279,7 @@ class Engine:
                     best_n, key, opts, by_class = n, d, pl, True
                     if n == 1:
                         break
-        cand = self.cand
+        cand = self._rows or self._entries()
         out = []
         while opts:
             ob = opts & -opts
@@ -316,25 +346,22 @@ class Engine:
         g = self.g
         if g > NATIVE_MAX_ORDER:  # the kernel's masks and arrays hold 64
             raise ValueError(f"the native kernel takes g <= {NATIVE_MAX_ORDER}")
+        from .native import load_kernel
         lib = load_kernel()
         if lib is None:
             raise RuntimeError("the native search kernel is not available")
-        flat = [entry for row in self.cand for entry in row]
         # The kernel keeps pointers into these arrays: they live until return.
-        arrays = (array("Q", [e[1] if e else 0 for e in flat]),
-                  array("Q", [e[2] if e else 0 for e in flat]),
-                  array("Q", self.partners),
-                  array("i", [d for d, _ in self.classes]),
-                  array("Q", [m for _, m in self.classes]),
+        arrays = (array("Q", self.diff_masks), array("Q", self.sum_masks),
+                  array("Q", self.partners), array("Q", self.classes),
                   array("B", [v for *_, pair in roots for v in pair]))
-        dm, sm, partners, cls_d, cls_pl, root_pairs = (
+        dm, sm, partners, classes, root_pairs = (
             a.buffer_info()[0] for a in arrays)
         state = array("B", bytes(lib.fs_size()))
         out = array("Q", bytes(8 * (2 + g // 2 + 1)))
         state_p, out_p = state.buffer_info()[0], out.buffer_info()[0]
         lib.fs_init(state_p, g, self.strongish, self.full, self.mask_g, dm,
-                    sm, partners, len(self.classes), cls_d, cls_pl,
-                    len(roots), root_pairs)
+                    sm, partners, self.class_mask, classes, len(roots),
+                    root_pairs)
         budget = cfg.node_budget
         interval = cfg.progress_interval if progress is not None else 0
         stop_early = cfg.mode != "exhaustive_count"
@@ -369,56 +396,6 @@ class Engine:
 #: before handing control back to Python.
 _DONE, _LEAF, _PAUSE = range(3)
 _CHUNK = 1 << 20
-
-_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
-_kernel_lib = None  # the loaded kernel, False once its build failed
-
-
-def load_kernel() -> ctypes.CDLL | None:
-    """The native kernel, compiled on first use; None when it cannot be
-    built (no C compiler, an unwritable cache directory).
-
-    The library is cached next to the compiled bytecode under a name keyed
-    by the source's hash; it is compiled to a temporary file and renamed
-    into place, so processes that build it at once never see half a file.
-    """
-    global _kernel_lib
-    if _kernel_lib is None:
-        try:
-            _kernel_lib = _build_kernel(_KERNEL_SOURCE)
-        except (OSError, subprocess.SubprocessError):
-            _kernel_lib = False
-    return _kernel_lib or None
-
-
-def _build_kernel(source: Path) -> ctypes.CDLL:
-    import ctypes  # here, not at the top: it adds ~4 ms to the package import
-
-    digest = f"{zlib.crc32(source.read_bytes()):08x}"
-    cache = source.parent / "__pycache__"
-    path = cache / f"{source.stem}-{digest}.so"
-    if not path.exists():
-        cache.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp,
-                            str(source)], check=True, capture_output=True,
-                           timeout=120)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    lib = ctypes.CDLL(str(path))
-    p, u64, c_int = ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int
-    lib.fs_size.argtypes = []
-    lib.fs_size.restype = ctypes.c_size_t
-    lib.fs_init.argtypes = [p, c_int, c_int, u64, u64, p, p, p, c_int, p, p,
-                            c_int, p]
-    lib.fs_init.restype = None
-    lib.fs_step.argtypes = [p, u64, p]
-    lib.fs_step.restype = c_int
-    return lib
 
 
 def _verified_starters(t: StarterType, level: str,
@@ -465,6 +442,7 @@ def search(cfg: SearchConfig,
     engine = Engine(t, cfg.property)
     roots = engine.roots(cfg.symmetry_reduction)
     # Chosen once here, so every worker slice runs the same kernel.
+    from .native import load_kernel  # here, so importing the package skips it
     native = t.g <= NATIVE_MAX_ORDER and load_kernel() is not None
     run = engine.run_native if native else engine.run
     w = cfg.worker_count

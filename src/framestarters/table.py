@@ -23,7 +23,7 @@ from .theory import NonexistenceCertificate, StarterType, certify
 DEFAULT_CELL_BUDGET = 400_000
 
 #: Cells that only an exhaustive search of millions of nodes or more
-#: decides (4^8 is 5.1M nodes, 0.6 s on the native kernel); skipped unless
+#: decides (4^8 is 5.1M nodes, 0.33 s on the native kernel); skipped unless
 #: deep mode is requested, which searches them within the per-cell budget.
 DEEP_CELLS = frozenset({(2, 16), (4, 8), (4, 9), (4, 10)})
 
@@ -112,6 +112,9 @@ def rows_to_obj(rows: list[TableRow]) -> list[dict]:
             obj["theorem"] = row.certificate.theorem
         if row.outcome is not None:
             obj["nodes"] = row.outcome.nodes_visited
+            obj["seconds"] = row.outcome.wall_time
+            obj["nodes_per_s"] = round(row.outcome.nodes_visited
+                                       / row.outcome.wall_time)
             if row.outcome.starters:
                 obj["witness"] = starter_to_obj(row.outcome.starters[0])
         out.append(obj)

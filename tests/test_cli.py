@@ -168,6 +168,19 @@ def test_table_small(capsys):
     assert rows["2^8"] == dict(rows["2^8"], existence="no", authority="search")
 
 
+def test_table_rows_say_how_long_they_took(capsys):
+    assert main(["table", "--max-g", "20", "--budget", "100000", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    searched = [r for r in rows if "nodes" in r]
+    assert searched and all(r["authority"] != "theorem" for r in searched)
+    for r in searched:
+        assert r["seconds"] > 0
+        assert r["nodes_per_s"] == round(r["nodes"] / r["seconds"])
+    theorem = [r for r in rows if r["authority"] == "theorem"]
+    assert theorem
+    assert not any("seconds" in r or "nodes_per_s" in r for r in theorem)
+
+
 def test_table_includes_search_no_cell(capsys):
     assert main(["table", "--max-g", "21", "--budget", "100000", "--json"]) == 0
     rows = {r["type"]: r for r in json.loads(capsys.readouterr().out)}

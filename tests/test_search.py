@@ -18,6 +18,7 @@ from framestarters.serialize import format_pairs
 from framestarters.starters import LEVELS
 
 search_mod = importlib.import_module("framestarters.search")
+native_mod = importlib.import_module("framestarters.native")
 
 
 def cfg(h, u, level="skew", mode="find_first", **kw):
@@ -27,7 +28,7 @@ def cfg(h, u, level="skew", mode="find_first", **kw):
 @pytest.fixture(scope="module")
 def native():
     """The native kernel must build on CI; elsewhere its tests may skip."""
-    if search_mod.load_kernel() is None:
+    if native_mod.load_kernel() is None:
         if os.environ.get("CI"):
             pytest.fail("the native search kernel did not build")
         pytest.skip("the native search kernel did not build (no C compiler?)")
@@ -239,7 +240,7 @@ def test_canonical_first_branch_walkthrough():
     def branch(*placed):
         state = [0, 0, 0]
         for x, y in placed:
-            for i, mask in enumerate(engine.cand[x][y][:3]):
+            for i, mask in enumerate(engine.entry(x, y)[:3]):
                 state[i] |= mask
         return [pair for *_, pair in engine.branch(*state)]
 
@@ -248,7 +249,7 @@ def test_canonical_first_branch_walkthrough():
     assert branch((2, 3), (1, 5)) == [(4, 6)]
     assert branch((1, 2)) == []  # provably dead state
     assert branch((2, 3), (1, 5), (4, 6)) == []  # complete
-    assert engine.cand[1][6] is None  # the pair's sum lies in the subgroup
+    assert engine.entry(1, 6) is None  # the pair's sum lies in the subgroup
     out = search(cfg(1, 7))
     assert out.nodes_visited == 4
     assert format_pairs(out.starters[0]) == "{1, 5}, {2, 3}, {4, 6}"
@@ -336,7 +337,7 @@ def test_search_result_under_each_kernel(kernel, monkeypatch, request):
     if kernel == "native":
         request.getfixturevalue("native")
     else:
-        monkeypatch.setattr(search_mod, "load_kernel", lambda: None)
+        monkeypatch.setattr(native_mod, "load_kernel", lambda: None)
     for c, result, nodes, leaves in (
             (cfg(3, 19), "found", 58_407, 1),
             (cfg(5, 11), "found", 88_053, 1),
@@ -351,24 +352,54 @@ def test_failed_kernel_build_falls_back_to_python(monkeypatch, tmp_path):
     before = search(cfg(5, 7))
     broken = tmp_path / "_kernel.c"
     broken.write_text("#error this kernel does not compile\n")
-    monkeypatch.setattr(search_mod, "_KERNEL_SOURCE", broken)
-    monkeypatch.setattr(search_mod, "_kernel_lib", None)
+    monkeypatch.setattr(native_mod, "_KERNEL_SOURCE", broken)
+    monkeypatch.setattr(native_mod, "_kernel_lib", None)
     after = search(cfg(5, 7))
     assert after.kernel == "python"
     assert (after.result, after.nodes_visited, after.starters) == \
         (before.result, before.nodes_visited, before.starters)
     assert not any((tmp_path / "__pycache__").iterdir())  # no temp file left
-    assert search_mod.load_kernel() is None  # the failure is remembered
+    assert native_mod.load_kernel() is None  # the failure is remembered
 
 
-def test_kernel_builds_into_a_fresh_cache(native, tmp_path):
+def _library_name(source, cmd):
+    key = source.read_bytes() + native_mod._host_cpu() + " ".join(cmd).encode()
+    return f"_kernel-{zlib.crc32(key):08x}.so"
+
+
+def test_kernel_builds_into_a_fresh_cache(native, tmp_path, monkeypatch):
     source = tmp_path / "_kernel.c"
-    source.write_bytes(search_mod._KERNEL_SOURCE.read_bytes())
-    lib = search_mod._build_kernel(source)
+    source.write_bytes(native_mod._KERNEL_SOURCE.read_bytes())
+    cache = tmp_path / "__pycache__"
+    lib = native_mod._build_kernel(source)
     assert lib.fs_size() > 0
-    digest = f"{zlib.crc32(source.read_bytes()):08x}"
+    assert [p.name for p in cache.iterdir()] == \
+        [_library_name(source, native_mod._CC_COMMANDS[0])]
+    native_mod._build_kernel(source)  # a second load reuses the library
+    assert len(list(cache.iterdir())) == 1
+    # a checkout shared with another kind of CPU builds a library for it
+    monkeypatch.setattr(native_mod, "_host_cpu", lambda: b"flags\t: other")
+    native_mod._build_kernel(source)
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_rejected_host_flag_still_builds_a_native_kernel(native, tmp_path,
+                                                         monkeypatch):
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(native_mod._KERNEL_SOURCE.read_bytes())
+    plain = ("cc", "-O2")
+    monkeypatch.setattr(native_mod, "_CC_COMMANDS",
+                        (("cc", "-O2", "-march=no-such-cpu"), plain))
+    monkeypatch.setattr(native_mod, "_kernel_lib",
+                        native_mod._build_kernel(source))
     assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == \
-        [f"_kernel-{digest}.so"]
+        [_library_name(source, plain)]  # and no temporary file left
+    for h, u in ((4, 7), (3, 7)):
+        c = cfg(h, u, mode="prove_nonexistence")
+        engine = search_mod.Engine(c.target_type, "skew")
+        py, nat = _both_kernels(engine, c, engine.roots(True))
+        assert py == nat and py[0] == [], (h, u)
+        assert search(c).kernel == "native"
 
 
 def test_progress_exception_propagates_from_native_kernel(native):
