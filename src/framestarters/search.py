@@ -19,19 +19,22 @@ reachable in seconds.
 
 The search tree is canonical.  The root places the pair realizing the
 difference class {1, -1} (every frame starter contains exactly one), and
-below the root `Engine.run` calls `branch` once per node.  The branch is a
+below the root `branch` is called once per node.  The branch is a
 deterministic function of the state, so every starter is generated
 exactly once and exhaustive counts are exact.
 
-`Engine.run` walks the tree in Python.  For g <= NATIVE_MAX_ORDER (64)
-`search` runs `Engine.run_native` instead: the same loop ported to C
-(`_kernel.c`, one uint64 mask per state), which `native.py` compiles on
-the first search that needs it and loads through ctypes.  It takes the
-candidate table, partner masks, classes and roots from the Engine, so
-the admissibility rules stay written once here, and it visits the same
-nodes in the same order.  `Engine.run` is the oracle the kernel
-is tested against, and the fallback when g > 64 or the kernel cannot be
-built; `SearchOutcome.kernel` says which one ran.
+`Engine.run` is the one driver of the walk: it alone reads the budget,
+the progress interval and the stop-early rule.  It drives a stepper with
+the contract of `fs_step` in `_kernel.c`: walk to a leaf, the end of the
+tree or a given node count, and return (status, nodes, depth, leaf).
+For g <= NATIVE_MAX_ORDER (64) `search` picks `fs_step` itself, which
+`native.py` compiles on first use and loads through ctypes; otherwise,
+or when it cannot be built, the Python stepper, a loop over explicit
+frames that mirrors `fs_step` line for line and calls `Engine.branch`.
+Both read the Engine's tables, so the admissibility rules stay written
+once here, and both visit the same nodes in the same order; the Python
+stepper is the kernel's test oracle.  `SearchOutcome.kernel` says which
+one ran.
 
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports and checks it once with the independent verifier, in
@@ -53,9 +56,10 @@ import time
 from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from .errors import InvalidTypeError
 from .starters import LEVELS, FrameStarter, make_starter, verify_skew
@@ -72,8 +76,16 @@ BUDGET_FREE_MAX_ORDER = 60
 MAX_SEARCH_ORDER = 200
 
 #: Searches with g up to this order run on the native kernel (one uint64
-#: mask per state) when it builds; larger ones run Engine.run.
+#: mask per state) when it builds; larger ones run the Python stepper.
 NATIVE_MAX_ORDER = 64
+
+
+def check_limits(node_budget: int | None, worker_count: int) -> None:
+    """Reject a node budget (when given) or a worker count below 1."""
+    if node_budget is not None and node_budget < 1:
+        raise InvalidTypeError("node budget must be >= 1 when given")
+    if worker_count < 1:
+        raise InvalidTypeError("worker count must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,10 +103,7 @@ class SearchConfig:
             raise InvalidTypeError(f"unknown property {self.property!r}")
         if self.mode not in MODES:
             raise InvalidTypeError(f"unknown search mode {self.mode!r}")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise InvalidTypeError("node budget must be >= 1 when given")
-        if self.worker_count < 1:
-            raise InvalidTypeError("worker count must be >= 1")
+        check_limits(self.node_budget, self.worker_count)
         if self.progress_interval < 0:
             raise InvalidTypeError("progress interval must be >= 0")
         t = self.target_type
@@ -123,10 +132,6 @@ class SearchOutcome:
     kernel: str  # "native" | "python": which expansion loop ran
 
 
-class _Halt(Exception):
-    """Internal: the first starter in a stop-early mode, or the node budget."""
-
-
 class Engine:
     """Search state for one type and level, built once and shared by every node.
 
@@ -145,13 +150,13 @@ class Engine:
     classes[d] masks the base points x whose pair {x, x+d} is feasible,
     for each difference class d in class_mask (the representatives
     1 <= d <= (g-1)/2 outside H), and is 0 for every other d.  They are
-    lists of ints, since above g = 64 a mask outgrows 64 bits;
-    `run_native` copies each into a uint64 array in one call, and
-    `Engine.run` reads `entry` tuples built from them on first use.
+    lists of ints, since above g = 64 a mask outgrows 64 bits; the native
+    stepper copies each into a uint64 array in one call.  A placement is
+    a pair (lo, hi) with lo < hi, read in the table at lo * g + hi.
     """
 
     __slots__ = ("g", "mask_g", "full", "strongish", "diff_masks",
-                 "sum_masks", "partners", "classes", "class_mask", "_rows")
+                 "sum_masks", "partners", "classes", "class_mask")
 
     def __init__(self, t: StarterType, level: str):
         g, r = t.g, t.u
@@ -197,43 +202,27 @@ class Engine:
         self.partners = partners
         self.classes = classes
         self.class_mask = class_mask
-        self._rows = None
 
-    def entry(self, x: int, y: int) -> tuple | None:
-        """(pair_mask, diff_mask, sum_mask, (min, max)) for the feasible pair
-        {x, y}, else None."""
-        k = x * self.g + y
-        dm = self.diff_masks[k]
-        if not dm:
-            return None
-        return (1 << x | 1 << y, dm, self.sum_masks[k],
-                (x, y) if x < y else (y, x))
-
-    def _entries(self) -> list[list[tuple | None]]:
-        """entry(x, y) at [x][y], for `branch`; built on its first call."""
-        if self._rows is None:
-            r = range(self.g)
-            self._rows = [[self.entry(x, y) for y in r] for x in r]
-        return self._rows
-
-    def roots(self, symmetry: bool) -> list[tuple]:
+    def roots(self, symmetry: bool) -> list[tuple[int, int]]:
         """Placements of the difference-class {1, -1} pair, the fixed root item.
 
         Negation maps the pair {x, x+1} to {g-1-x, g-x}, so with symmetry on
         only base points x <= (g-1)/2 are kept: one representative per orbit.
         """
-        top = (self.g - 1) // 2 if symmetry else self.g - 2
-        return [entry for x in range(1, top + 1)
-                if (entry := self.entry(x, x + 1)) is not None]
+        g, diff_masks = self.g, self.diff_masks
+        top = (g - 1) // 2 if symmetry else g - 2
+        return [(x, x + 1) for x in range(1, top + 1)
+                if diff_masks[x * g + x + 1]]
 
-    def branch(self, used: int, used_diff: int, used_sum: int) -> list[tuple]:
-        """Feasible placements (as candidate-table entries) of the most
-        constrained open requirement, ascending; empty when the state is
-        complete or provably dead.
+    def branch(self, used: int, used_diff: int,
+               used_sum: int) -> list[tuple[int, int]]:
+        """Feasible placements of the most constrained open requirement,
+        ascending; empty when the state is complete or provably dead.
 
-        Element requirements carry an exact mask of feasible partners;
-        class requirements an upper bound, so each placement is checked
-        for collisions before it is returned.  The scan stops early at a
+        Element requirements carry an exact mask of feasible partners.  A
+        class requirement's mask is exact in members and difference but
+        not in the sum, so each of its placements is checked against the
+        used sums before it is returned.  The scan stops early at a
         single-option requirement; any zero-option requirement it skipped
         then surfaces one level deeper, which costs little in practice.
         """
@@ -279,89 +268,31 @@ class Engine:
                     best_n, key, opts, by_class = n, d, pl, True
                     if n == 1:
                         break
-        cand = self._rows or self._entries()
+        sum_masks = self.sum_masks
         out = []
         while opts:
             ob = opts & -opts
             opts ^= ob
             v = ob.bit_length() - 1
-            entry = cand[v][(v + key) % g] if by_class else cand[key][v]
-            pm, dm, sm, _ = entry
-            if not (used & pm or used_diff & dm or used_sum & sm):
-                out.append(entry)
+            if not by_class:
+                out.append((key, v) if key < v else (v, key))
+                continue
+            y = (v + key) % g
+            if not used_sum & sum_masks[v * g + y]:
+                out.append((v, y) if v < y else (y, v))
         return out
 
-    def run(self, cfg: SearchConfig, roots: list[tuple],
-            progress: Callable[[int, int, float], None] | None = None):
-        """Explore the subtrees under the given root entries.
-
-        Returns (raw_pairings, nodes, cut); cut says the node budget
-        stopped the traversal.
+    def run(self, cfg: SearchConfig, roots: list[tuple[int, int]],
+            progress: Callable[[int, int, float], None] | None = None, *,
+            native: bool = False):
+        """Explore the subtrees under the given root pairs, on the native
+        stepper (g <= NATIVE_MAX_ORDER) or the Python one; both return the
+        same (raw_pairings, nodes, cut), where cut says the node budget
+        stopped the walk.  The stepper pauses before the node that would
+        pass the budget, before each progress node and at least every
+        _CHUNK nodes, so budgets, progress and Ctrl-C behave alike.
         """
-        branch = self.branch
-        full = self.full
-        budget = cfg.node_budget
-        interval = cfg.progress_interval if progress is not None else 0
-        stop_early = cfg.mode != "exhaustive_count"
-        nodes = 0
-        solutions: list[tuple[tuple[int, int], ...]] = []
-        stack: list[tuple[int, int]] = []
-        started = time.perf_counter()
-
-        def extend(options, used: int, used_diff: int, used_sum: int):
-            nonlocal nodes
-            for pm, dm, sm, pair in options:
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    raise _Halt
-                if interval and nodes % interval == 0:
-                    progress(nodes, len(stack), time.perf_counter() - started)
-                stack.append(pair)
-                u, ud, us = used | pm, used_diff | dm, used_sum | sm
-                if u == full:
-                    solutions.append(tuple(stack))
-                    if stop_early:
-                        raise _Halt
-                else:
-                    extend(branch(u, ud, us), u, ud, us)
-                stack.pop()
-
-        try:
-            extend(roots, 0, 0, 0)
-        except _Halt:
-            pass
-        cut = budget is not None and nodes > budget
-        # a cut drops the placement that tripped the budget: it never happened
-        return solutions, nodes - cut, cut
-
-    def run_native(self, cfg: SearchConfig, roots: list[tuple],
-                   progress: Callable[[int, int, float], None] | None = None):
-        """`run` on the native kernel (g <= NATIVE_MAX_ORDER): the same
-        tree, the same (raw_pairings, nodes, cut).
-
-        The kernel hands control back before the node that would pass the
-        budget, before each progress node and at least every _CHUNK nodes,
-        so the budget, progress events and Ctrl-C behave as in `run`.
-        """
-        g = self.g
-        if g > NATIVE_MAX_ORDER:  # the kernel's masks and arrays hold 64
-            raise ValueError(f"the native kernel takes g <= {NATIVE_MAX_ORDER}")
-        from .native import load_kernel
-        lib = load_kernel()
-        if lib is None:
-            raise RuntimeError("the native search kernel is not available")
-        # The kernel keeps pointers into these arrays: they live until return.
-        arrays = (array("Q", self.diff_masks), array("Q", self.sum_masks),
-                  array("Q", self.partners), array("Q", self.classes),
-                  array("B", [v for *_, pair in roots for v in pair]))
-        dm, sm, partners, classes, root_pairs = (
-            a.buffer_info()[0] for a in arrays)
-        state = array("B", bytes(lib.fs_size()))
-        out = array("Q", bytes(8 * (2 + g // 2 + 1)))
-        state_p, out_p = state.buffer_info()[0], out.buffer_info()[0]
-        lib.fs_init(state_p, g, self.strongish, self.full, self.mask_g, dm,
-                    sm, partners, self.class_mask, classes, len(roots),
-                    root_pairs)
+        step = self._native_step(roots) if native else self._python_step(roots)
         budget = cfg.node_budget
         interval = cfg.progress_interval if progress is not None else 0
         stop_early = cfg.mode != "exhaustive_count"
@@ -375,11 +306,9 @@ class Engine:
                 pause = min(pause, budget)
             if interval:
                 pause = min(pause, next_event - 1)
-            status = lib.fs_step(state_p, pause, out_p)
-            nodes, depth = out[0], out[1]
+            status, nodes, depth, leaf = step(pause)
             if status == _LEAF:
-                solutions.append(tuple((v & 255, v >> 8)
-                                       for v in out[2:3 + depth]))
+                solutions.append(leaf)
                 if stop_early:
                     return solutions, nodes, False
             elif status == _PAUSE:
@@ -391,20 +320,87 @@ class Engine:
             else:
                 return solutions, nodes, False
 
+    def _python_step(self, roots: list[tuple[int, int]]):
+        """`fs_step` (see _kernel.c) in Python, over a stack of frames
+        [used, used_diff, used_sum, placements, next index]."""
+        g, full, branch = self.g, self.full, self.branch
+        diff_masks, sum_masks = self.diff_masks, self.sum_masks
+        frames = [[0, 0, 0, roots, 0]]
+        nodes = 0
 
-#: fs_step's return codes (see _kernel.c) and the most nodes it visits
-#: before handing control back to Python.
+        def step(pause_at: int):
+            nonlocal nodes
+            while True:
+                fr = frames[-1]
+                used, ud, us, placements, i = fr
+                if i == len(placements):
+                    if len(frames) == 1:
+                        return _DONE, nodes, 0, None
+                    frames.pop()
+                    continue
+                if nodes == pause_at:
+                    return _PAUSE, nodes, len(frames) - 1, None
+                nodes += 1
+                x, y = placements[i]
+                fr[4] = i + 1
+                used |= 1 << x | 1 << y
+                ud |= diff_masks[x * g + y]
+                us |= sum_masks[x * g + y]
+                if used == full:
+                    return (_LEAF, nodes, len(frames) - 1,
+                            tuple(f[3][f[4] - 1] for f in frames))
+                if placements := branch(used, ud, us):
+                    frames.append([used, ud, us, placements, 0])
+
+        return step
+
+    def _native_step(self, roots: list[tuple[int, int]]):
+        """`fs_step` on the native kernel, with the step contract of
+        `_python_step`."""
+        g = self.g
+        if g > NATIVE_MAX_ORDER:  # the kernel's masks and arrays hold 64
+            raise ValueError(f"the native kernel takes g <= {NATIVE_MAX_ORDER}")
+        from .native import load_kernel
+        lib = load_kernel()
+        if lib is None:
+            raise RuntimeError("the native search kernel is not available")
+        arrays = (array("Q", self.diff_masks), array("Q", self.sum_masks),
+                  array("Q", self.partners), array("Q", self.classes),
+                  array("B", [v for pair in roots for v in pair]),
+                  array("B", bytes(lib.fs_size())))
+        dm, sm, partners, classes, root_pairs, state = (
+            a.buffer_info()[0] for a in arrays)
+        out = array("Q", bytes(8 * (2 + g // 2 + 1)))
+        out_p = out.buffer_info()[0]
+        lib.fs_init(state, g, self.strongish, self.full, self.mask_g, dm, sm,
+                    partners, self.class_mask, classes, len(roots), root_pairs)
+
+        # The kernel keeps pointers into the arrays: the step holds them.
+        def step(pause_at: int, _arrays=arrays):
+            status = lib.fs_step(state, pause_at, out_p)
+            depth = out[1]
+            leaf = (tuple((v & 255, v >> 8) for v in out[2:3 + depth])
+                    if status == _LEAF else None)
+            return status, out[0], depth, leaf
+
+        return step
+
+
+#: fs_step's return codes (see _kernel.c) and the most nodes a stepper
+#: visits before handing control back to `Engine.run`.
 _DONE, _LEAF, _PAUSE = range(3)
 _CHUNK = 1 << 20
 
 
 def _verified_starters(t: StarterType, level: str,
-                       raw_pairings: Iterable[tuple[tuple[int, int], ...]],
+                       raw_pairings: Sequence[tuple[tuple[int, int], ...]],
                        ) -> tuple[FrameStarter, ...]:
     """Build each raw pairing into a starter and verify it once.
 
     The starters share one Element per residue of Z_g.
     """
+    if not raw_pairings:
+        return ()
     group = t.group()
     sub = t.subgroup(group)
     residues = list(group.elements())
@@ -444,7 +440,7 @@ def search(cfg: SearchConfig,
     # Chosen once here, so every worker slice runs the same kernel.
     from .native import load_kernel  # here, so importing the package skips it
     native = t.g <= NATIVE_MAX_ORDER and load_kernel() is not None
-    run = engine.run_native if native else engine.run
+    run = partial(engine.run, native=native)
     w = cfg.worker_count
     slices = [roots[i::w] for i in range(min(w, len(roots)))]
     if len(slices) <= 1:

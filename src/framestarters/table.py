@@ -14,7 +14,8 @@ import io
 from dataclasses import dataclass
 
 from .errors import InvalidTypeError
-from .search import MAX_SEARCH_ORDER, SearchConfig, SearchOutcome, search
+from .search import (MAX_SEARCH_ORDER, SearchConfig, SearchOutcome,
+                     check_limits, search)
 from .serialize import format_pairs, starter_to_obj
 from .theory import NonexistenceCertificate, StarterType, certify
 
@@ -77,6 +78,7 @@ def build_table(max_g: int, *, deep: bool = False,
                 workers: int = 1) -> list[TableRow]:
     if max_g > MAX_SEARCH_ORDER:
         raise InvalidTypeError(f"--max-g is capped at {MAX_SEARCH_ORDER}")
+    check_limits(budget, workers)  # before the first row, searched or not
     return [build_row(t, deep=deep, budget=budget, workers=workers)
             for t in admissible_types(max_g)]
 

@@ -238,3 +238,12 @@ def test_corpus_commands(capsys):
     assert "repaired" in out and "pass" in out
 
     assert main(["corpus", "check", "--only", "example-99"]) == 2
+
+
+def test_table_rejects_bad_budget_and_workers(capsys):
+    # 2^2 is the only cell of g <= 4 and a theorem decides it, so no search
+    # would ever check these limits
+    for flag, message in (("--budget", "node budget must be >= 1"),
+                          ("--workers", "worker count must be >= 1")):
+        assert main(["table", "--max-g", "4", flag, "0"]) == 2
+        assert message in capsys.readouterr().err

@@ -130,8 +130,8 @@ def test_symmetry_reduction_preserves_existence():
 
 def test_symmetry_explores_orbit_representatives():
     engine = search_mod.Engine(StarterType(1, 9), "skew")
-    roots_on = [pair for *_, pair in engine.roots(True)]
-    roots_off = [pair for *_, pair in engine.roots(False)]
+    roots_on = engine.roots(True)
+    roots_off = engine.roots(False)
     g = 9
     assert set(roots_on) <= set(roots_off)
     # every off-root's negation orbit has a representative among the on-roots
@@ -240,16 +240,18 @@ def test_canonical_first_branch_walkthrough():
     def branch(*placed):
         state = [0, 0, 0]
         for x, y in placed:
-            for i, mask in enumerate(engine.entry(x, y)[:3]):
+            k = x * engine.g + y
+            masks = (1 << x | 1 << y, engine.diff_masks[k], engine.sum_masks[k])
+            for i, mask in enumerate(masks):
                 state[i] |= mask
-        return [pair for *_, pair in engine.branch(*state)]
+        return engine.branch(*state)
 
-    assert [pair for *_, pair in engine.roots(True)] == [(1, 2), (2, 3)]
+    assert engine.roots(True) == [(1, 2), (2, 3)]
     assert branch((2, 3)) == [(1, 5)]
     assert branch((2, 3), (1, 5)) == [(4, 6)]
     assert branch((1, 2)) == []  # provably dead state
     assert branch((2, 3), (1, 5), (4, 6)) == []  # complete
-    assert engine.entry(1, 6) is None  # the pair's sum lies in the subgroup
+    assert engine.diff_masks[1 * 7 + 6] == 0  # the pair's sum lies in H
     out = search(cfg(1, 7))
     assert out.nodes_visited == 4
     assert format_pairs(out.starters[0]) == "{1, 5}, {2, 3}, {4, 6}"
@@ -267,10 +269,11 @@ def test_naive_enumerate_guards():
 
 
 # ---------------------------------------------------------------------------
-# The native kernel walks Engine.run's tree: same pairings, nodes and cuts.
+# The native kernel walks the Python stepper's tree: same pairings, nodes
+# and cuts.
 
 def _both_kernels(engine, c, roots):
-    return engine.run(c, roots), engine.run_native(c, roots)
+    return engine.run(c, roots), engine.run(c, roots, native=True)
 
 
 def test_native_parity_oracle_sweep(native):
@@ -308,10 +311,10 @@ def test_native_parity_budget_cuts(native):
             engine = search_mod.Engine(c.target_type, "skew")
             py, nat = _both_kernels(engine, c, engine.roots(c.symmetry_reduction))
             assert py == nat, (h, u, budget)
-    # the budget applies at node budget + 1, exactly as in Engine.run
+    # the budget applies at node budget + 1, exactly as in the Python kernel
     c = cfg(3, 7, mode="prove_nonexistence", node_budget=2003)
     engine = search_mod.Engine(c.target_type, "skew")
-    assert engine.run_native(c, engine.roots(True)) == ([], 2003, True)
+    assert engine.run(c, engine.roots(True), native=True) == ([], 2003, True)
 
 
 def test_native_progress_events(native):
@@ -320,12 +323,14 @@ def test_native_progress_events(native):
                 node_budget=budget)
         engine = search_mod.Engine(c.target_type, "skew")
         seen = {}
-        for run in (engine.run, engine.run_native):
-            events = seen[run.__name__] = []
-            result = run(c, engine.roots(True),
-                         lambda nodes, depth, _: events.append((nodes, depth)))
+        for kernel in (False, True):
+            events = seen[kernel] = []
+            result = engine.run(
+                c, engine.roots(True),
+                lambda nodes, depth, _: events.append((nodes, depth)),
+                native=kernel)
             events.append(result)
-        assert seen["run"] == seen["run_native"], (interval, budget)
+        assert seen[False] == seen[True], (interval, budget)
     c = cfg(3, 7, mode="prove_nonexistence", progress_interval=500)
     events = []
     search(c, lambda nodes, depth, _: events.append(nodes))
@@ -402,13 +407,47 @@ def test_rejected_host_flag_still_builds_a_native_kernel(native, tmp_path,
         assert search(c).kernel == "native"
 
 
-def test_progress_exception_propagates_from_native_kernel(native):
+@pytest.mark.parametrize("kernel", ["native", "python"])
+def test_progress_exception_propagates_from_each_kernel(kernel, monkeypatch,
+                                                        request):
+    if kernel == "native":
+        request.getfixturevalue("native")
+    else:
+        monkeypatch.setattr(native_mod, "load_kernel", lambda: None)
+
     def interrupt(nodes, depth, elapsed):
         raise RuntimeError(f"stopped at node {nodes}")
 
     c = cfg(3, 7, mode="prove_nonexistence", progress_interval=500)
     with pytest.raises(RuntimeError, match="stopped at node 500"):
         search(c, interrupt)
+
+
+def test_pause_and_resume_every_few_nodes(native, monkeypatch):
+    # No tier-1 tree reaches _CHUNK nodes; at 7 every walk below pauses and
+    # resumes many times, and must return what one uninterrupted walk does.
+    def walk(c):
+        engine = search_mod.Engine(c.target_type, "skew")
+        roots = engine.roots(c.symmetry_reduction)
+        runs = []
+        for kernel in (False, True):
+            events = []
+            result = engine.run(
+                c, roots, lambda nodes, depth, _: events.append((nodes, depth)),
+                native=kernel)
+            silent = engine.run(c, roots, native=kernel)  # no progress pauses
+            runs.append((result, events, silent))
+        return runs
+
+    for c in (cfg(3, 7, mode="prove_nonexistence", progress_interval=500),
+              cfg(1, 11, mode="exhaustive_count", progress_interval=10),
+              cfg(6, 9, node_budget=4_321, progress_interval=1_000)):
+        whole = walk(c)
+        with monkeypatch.context() as m:
+            m.setattr(search_mod, "_CHUNK", 7)
+            chunked = walk(c)
+        assert whole[0] == whole[1] == chunked[0] == chunked[1], c.target_type
+        assert whole[0][1], c.target_type  # progress events were compared
 
 
 def test_orders_above_64_run_the_python_kernel():
@@ -418,4 +457,4 @@ def test_orders_above_64_run_the_python_kernel():
     assert out.nodes_visited <= 200
     engine = search_mod.Engine(c.target_type, "skew")
     with pytest.raises(ValueError, match="g <= 64"):
-        engine.run_native(c, engine.roots(True))
+        engine.run(c, engine.roots(True), native=True)
