@@ -3,7 +3,7 @@
 `search` imports this module on its first call, so importing the package
 compiles and runs none of it.  `load_kernel` compiles the C file with the
 system C compiler on its first call and loads it through ctypes;
-`search.Engine.run_native` drives it.
+`search.Engine.run(..., native=True)` drives it.
 """
 
 from __future__ import annotations

@@ -39,9 +39,10 @@ one ran.
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports and checks it once with the independent verifier, in
 the calling process; the acceleration structures are never trusted.  With
-several workers each process runs the engine on its own stride of root
-pairs, and the results merge back into tree order, so every worker count
-reports what the serial run reports.
+several workers the first _HEAD_START nodes are walked in-process, since
+most trees end sooner than a process pool starts; a larger tree is walked
+again by one process per stride of root pairs, and the results merge back
+into tree order, so every worker count reports what the serial run reports.
 
 Symmetry reduction exploits negation x -> -x, which maps starters to
 starters of the same kind.  Writing the root pair {x, x+1}, negation sends
@@ -54,10 +55,8 @@ from __future__ import annotations
 
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -391,6 +390,10 @@ class Engine:
 _DONE, _LEAF, _PAUSE = range(3)
 _CHUNK = 1 << 20
 
+#: A search with several workers first walks this many nodes in-process, as
+#: one worker does; about 10 ms on the native kernel, one pool start-up.
+_HEAD_START = 1 << 18
+
 
 def _verified_starters(t: StarterType, level: str,
                        raw_pairings: Sequence[tuple[tuple[int, int], ...]],
@@ -426,11 +429,14 @@ def search(cfg: SearchConfig,
     find_first and prove_nonexistence stop at the first starter;
     exhaustive_count traverses the whole canonical tree.  exhausted_none is
     reported only after a complete traversal, never after a budget cut.
-    With several workers the root placements are split statically into at
-    most that many slices, one process each (node budget applies per
-    process, progress reporting only when one slice runs in-process), and
-    results merge back into tree order by root pair, so find modes report
-    the serial witness and exhaustive lists equal the serial list.
+    With several workers the first _HEAD_START (2^18) nodes are walked
+    in-process, as one worker walks them, and a walk that ends there is
+    the answer.  A larger tree is walked again, its first 2^18 nodes too,
+    by at most that many processes, one per static stride of root pairs,
+    which share the node budget and report no progress; nodes_visited
+    counts their walk alone.  Results merge back into tree order by root
+    pair, so find modes report the serial witness and exhaustive lists
+    equal the serial list.
     Each reported starter is built and verified once, here.
     """
     t = cfg.target_type
@@ -441,13 +447,19 @@ def search(cfg: SearchConfig,
     from .native import load_kernel  # here, so importing the package skips it
     native = t.g <= NATIVE_MAX_ORDER and load_kernel() is not None
     run = partial(engine.run, native=native)
-    w = cfg.worker_count
-    slices = [roots[i::w] for i in range(min(w, len(roots)))]
-    if len(slices) <= 1:
-        results = [run(cfg, roots, progress)]
-    else:
-        with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-            results = list(pool.map(run, repeat(cfg), slices))
+    budget = cfg.node_budget
+    k = min(cfg.worker_count, len(roots))
+    fan_out = k > 1 and (budget is None or budget > _HEAD_START)
+    results = [run(replace(cfg, node_budget=_HEAD_START) if fan_out else cfg,
+                   roots, progress)]
+    if fan_out and results[0][2]:  # the tree outgrew the head start
+        from concurrent.futures import ProcessPoolExecutor
+        # The shares (budget + i) // k add up to the budget.
+        shares = [replace(cfg, node_budget=budget and (budget + i) // k)
+                  for i in range(k)]
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            results = list(pool.map(run, shares,
+                                    [roots[i::k] for i in range(k)]))
     cut = any(c for _, _, c in results)
     # Each slice is in tree order and its roots ascend, so a stable sort on
     # the root pair interleaves the strided slices back into the serial order.

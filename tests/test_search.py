@@ -1,9 +1,14 @@
+import concurrent.futures
 import importlib
 import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 
+import framestarters
 from framestarters import (
     FrameStarterError,
     InvalidTypeError,
@@ -147,7 +152,7 @@ def test_determinism_single_worker():
     assert a.result == b.result
 
 
-def test_parallel_equivalence():
+def _check_parallel_equivalence():
     base = dict(level="skew", mode="exhaustive_count", symmetry_reduction=False)
     seq = search(cfg(2, 5, **base, worker_count=1))
     par = search(cfg(2, 5, **base, worker_count=3))
@@ -177,6 +182,25 @@ def test_parallel_equivalence():
     assert seq.kernel == par.kernel  # chosen once, for every slice
 
 
+def test_parallel_equivalence():
+    _check_parallel_equivalence()  # every tree here ends in the head start
+
+
+def test_parallel_equivalence_past_head_start(monkeypatch):
+    # A head start of a few nodes sends the same cells to a real pool.
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(search_mod, "_HEAD_START", 3)
+    _check_parallel_equivalence()
+    assert len(started) == 13  # every W > 1 search above fanned out
+
+
 def test_pool_sized_by_root_slices(monkeypatch):
     sizes = []
 
@@ -193,17 +217,46 @@ def test_pool_sized_by_root_slices(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(search_mod, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    kw = dict(mode="exhaustive_count", symmetry_reduction=False)
+    assert search(cfg(2, 5, worker_count=32)).result == "found"
+    assert search(cfg(1, 11, **kw, worker_count=3)).result == "found"
+    assert sizes == []  # both trees end in the head start: no pool
+    monkeypatch.setattr(search_mod, "_HEAD_START", 1)
     assert search(cfg(2, 5, worker_count=32)).result == "found"  # 2 roots
     assert sizes == [2]
     out = search(cfg(4, 2, mode="prove_nonexistence", worker_count=4))
     assert out.result == "exhausted_none"  # no roots: no pool at all
     assert sizes == [2]
-    kw = dict(mode="exhaustive_count", symmetry_reduction=False)
     seq = search(cfg(1, 11, **kw))  # 8 roots
     par = search(cfg(1, 11, **kw, worker_count=3))
     assert sizes == [2, 3]
     assert par.starters == seq.starters and len(par.starters) == 4
+    assert par.nodes_visited == seq.nodes_visited  # the head start not counted
+
+
+def test_head_start_progress_matches_one_worker():
+    events = {}
+    for w in (1, 2):
+        seen = events[w] = []
+        c = cfg(4, 7, mode="prove_nonexistence", progress_interval=50_000,
+                worker_count=w)
+        search(c, lambda nodes, depth, _: seen.append((nodes, depth)))
+    assert [n for n, _ in events[1]] == [50_000, 100_000, 150_000]
+    assert events[2] == events[1]
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, framestarters; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))")
+    src = str(Path(framestarters.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_parallel_find_first():
@@ -214,10 +267,15 @@ def test_parallel_find_first():
 
 
 def test_budget_exceeded():
-    out = search(cfg(6, 9, node_budget=5000))
+    for w in (1, 2):  # 5,000 nodes end in the head start at W = 2
+        out = search(cfg(6, 9, node_budget=5000, worker_count=w))
+        assert out.result == "budget_exceeded"
+        assert out.nodes_visited == 5000
+        assert out.starters == ()
+    # past the head start the workers share the budget
+    out = search(cfg(6, 9, node_budget=300_000, worker_count=2))
     assert out.result == "budget_exceeded"
-    assert out.nodes_visited == 5000
-    assert out.starters == ()
+    assert out.nodes_visited <= 300_000
 
 
 def test_exhaustive_count_with_budget_reports_partial():
