@@ -2,13 +2,14 @@
 
 Subcommands: verify, certify, search, table, corpus.  Exit codes form a
 stable contract: 0 decided / verified true, 1 verified false, 2 malformed
-input, 3 open or budget-exhausted.
+input, 3 open or budget-exhausted, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -16,7 +17,7 @@ from . import serialize, table as table_mod
 from .errors import FrameStarterError
 from .search import MODES, SearchConfig, search
 from .starters import LEVELS, verify_skew
-from .theory import StarterType, certify, exhaustion_certificate, starter_kind
+from .theory import StarterType, certify, starter_kind
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -90,20 +91,14 @@ def cmd_search(args) -> int:
             f"  wall time: {outcome.wall_time:.3f}s"]
     text.extend(f"  starter: {serialize.format_pairs(s)}"
                 for s in outcome.starters)
-    if outcome.result == "exhausted_none":
-        cert = exhaustion_certificate(t, cfg.property, outcome.nodes_visited,
-                                      outcome.kernel)
-        obj["certificate"] = serialize.certificate_to_obj(cert)
+    if (cert := outcome.certificate) is not None:
         text.append(f"  certificate: {cert.statement}")
     _emit(obj, args.json, "\n".join(text))
-    if outcome.result == "budget_exceeded":
-        return EXIT_OPEN
-    return EXIT_OK
+    return EXIT_OPEN if outcome.result == "budget_exceeded" else EXIT_OK
 
 
 def cmd_table(args) -> int:
-    rows = table_mod.build_table(args.max_g, deep=args.deep,
-                                 budget=args.budget, workers=args.workers)
+    rows = table_mod.build_table(args.max_g, deep=args.deep, budget=args.budget)
     if args.json:
         print(json.dumps(table_mod.rows_to_obj(rows), indent=1))
     elif args.format == "csv":
@@ -181,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="find_first")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget (required for g > 60)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for a search without --budget")
     p.add_argument("--no-symmetry", action="store_true",
                    help="disable the negation symmetry reduction")
     p.add_argument("--out", metavar="FILE",
@@ -197,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also search the deep cells, within --budget")
     p.add_argument("--budget", type=int, default=table_mod.DEFAULT_CELL_BUDGET,
                    help="per-cell node budget")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
@@ -215,10 +210,17 @@ def main(argv=None) -> int:
     """Run one subcommand; bad input of any kind exits 2 with its location."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except FrameStarterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader left (`table | head -1`): drop the rest and exit as a
+        # shell reports a pipeline member killed by SIGPIPE (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -38,11 +38,9 @@ one ran.
 
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports and checks it once with the independent verifier, in
-the calling process; the acceleration structures are never trusted.  With
-several workers the first _HEAD_START nodes are walked in-process, since
-most trees end sooner than a process pool starts; a larger tree is walked
-again by one process per stride of root pairs, and the results merge back
-into tree order, so every worker count reports what the serial run reports.
+the calling process; the acceleration structures are never trusted.
+`search` says when several workers split the tree, and why every worker
+count reports what the serial run reports.
 
 Symmetry reduction exploits negation x -> -x, which maps starters to
 starters of the same kind.  Writing the root pair {x, x+1}, negation sends
@@ -62,7 +60,7 @@ from typing import Callable, Sequence
 
 from .errors import InvalidTypeError
 from .starters import LEVELS, FrameStarter, make_starter, verify_skew
-from .theory import StarterType
+from .theory import NonexistenceCertificate, StarterType, exhaustion_certificate
 
 MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
 
@@ -79,12 +77,10 @@ MAX_SEARCH_ORDER = 200
 NATIVE_MAX_ORDER = 64
 
 
-def check_limits(node_budget: int | None, worker_count: int) -> None:
-    """Reject a node budget (when given) or a worker count below 1."""
+def check_budget(node_budget: int | None) -> None:
+    """Reject a node budget below 1 (no budget is fine)."""
     if node_budget is not None and node_budget < 1:
         raise InvalidTypeError("node budget must be >= 1 when given")
-    if worker_count < 1:
-        raise InvalidTypeError("worker count must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +98,12 @@ class SearchConfig:
             raise InvalidTypeError(f"unknown property {self.property!r}")
         if self.mode not in MODES:
             raise InvalidTypeError(f"unknown search mode {self.mode!r}")
-        check_limits(self.node_budget, self.worker_count)
+        check_budget(self.node_budget)
+        if self.worker_count < 1:
+            raise InvalidTypeError("worker count must be >= 1")
+        if self.node_budget is not None:
+            # A budget is spent in tree order, as one worker spends it.
+            object.__setattr__(self, "worker_count", 1)
         if self.progress_interval < 0:
             raise InvalidTypeError("progress interval must be >= 0")
         t = self.target_type
@@ -129,6 +130,15 @@ class SearchOutcome:
     wall_time: float
     config: SearchConfig
     kernel: str  # "native" | "python": which expansion loop ran
+
+    @property
+    def certificate(self) -> NonexistenceCertificate | None:
+        """The certificate of an exhausted_none outcome; None otherwise."""
+        if self.result != "exhausted_none":
+            return None
+        cfg = self.config
+        return exhaustion_certificate(cfg.target_type, cfg.property,
+                                      self.nodes_visited, self.kernel)
 
 
 class Engine:
@@ -429,14 +439,12 @@ def search(cfg: SearchConfig,
     find_first and prove_nonexistence stop at the first starter;
     exhaustive_count traverses the whole canonical tree.  exhausted_none is
     reported only after a complete traversal, never after a budget cut.
-    With several workers the first _HEAD_START (2^18) nodes are walked
-    in-process, as one worker walks them, and a walk that ends there is
-    the answer.  A larger tree is walked again, its first 2^18 nodes too,
-    by at most that many processes, one per static stride of root pairs,
-    which share the node budget and report no progress; nodes_visited
-    counts their walk alone.  Results merge back into tree order by root
-    pair, so find modes report the serial witness and exhaustive lists
-    equal the serial list.
+    A budgeted config has one worker, so a budget cuts the serial walk.
+    Several workers first walk _HEAD_START (2^18) nodes in-process, as one
+    does, and a walk that ends there is the answer.  A larger tree is
+    walked again by one process per stride of root pairs, which report no
+    progress; nodes_visited counts their walk alone.  Results merge back
+    into tree order, so every worker count reports the serial starters.
     Each reported starter is built and verified once, here.
     """
     t = cfg.target_type
@@ -447,18 +455,13 @@ def search(cfg: SearchConfig,
     from .native import load_kernel  # here, so importing the package skips it
     native = t.g <= NATIVE_MAX_ORDER and load_kernel() is not None
     run = partial(engine.run, native=native)
-    budget = cfg.node_budget
-    k = min(cfg.worker_count, len(roots))
-    fan_out = k > 1 and (budget is None or budget > _HEAD_START)
-    results = [run(replace(cfg, node_budget=_HEAD_START) if fan_out else cfg,
+    k = min(cfg.worker_count, len(roots))  # 1 whenever there is a budget
+    results = [run(replace(cfg, node_budget=_HEAD_START) if k > 1 else cfg,
                    roots, progress)]
-    if fan_out and results[0][2]:  # the tree outgrew the head start
+    if k > 1 and results[0][2]:  # the tree outgrew the head start
         from concurrent.futures import ProcessPoolExecutor
-        # The shares (budget + i) // k add up to the budget.
-        shares = [replace(cfg, node_budget=budget and (budget + i) // k)
-                  for i in range(k)]
         with ProcessPoolExecutor(max_workers=k) as pool:
-            results = list(pool.map(run, shares,
+            results = list(pool.map(run, [cfg] * k,
                                     [roots[i::k] for i in range(k)]))
     cut = any(c for _, _, c in results)
     # Each slice is in tree order and its roots ascend, so a stable sort on

@@ -190,7 +190,7 @@ def config_to_obj(cfg: SearchConfig) -> dict:
 
 
 def outcome_to_obj(outcome: SearchOutcome) -> dict:
-    return {
+    obj = {
         "result": outcome.result,
         "nodes_visited": outcome.nodes_visited,
         "wall_time_s": round(outcome.wall_time, 6),
@@ -198,3 +198,6 @@ def outcome_to_obj(outcome: SearchOutcome) -> dict:
         "config": config_to_obj(outcome.config),
         "kernel": outcome.kernel,
     }
+    if (cert := outcome.certificate) is not None:
+        obj["certificate"] = certificate_to_obj(cert)
+    return obj

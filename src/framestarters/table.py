@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidTypeError
 from .search import (MAX_SEARCH_ORDER, SearchConfig, SearchOutcome,
-                     check_limits, search)
+                     check_budget, search)
 from .serialize import format_pairs, starter_to_obj
 from .theory import NonexistenceCertificate, StarterType, certify
 
@@ -46,7 +46,8 @@ def admissible_types(max_g: int) -> list[StarterType]:
             if (t := StarterType(h, u)).admissible]
 
 
-def build_row(t: StarterType, *, deep: bool, budget: int, workers: int) -> TableRow:
+def build_row(t: StarterType, *, deep: bool, budget: int, workers: int = 1) -> TableRow:
+    """One cell.  `workers` is unused: a budgeted search walks serially."""
     cert = certify(t)
     if cert is not None:
         return TableRow(t, "no", "theorem",
@@ -54,40 +55,30 @@ def build_row(t: StarterType, *, deep: bool, budget: int, workers: int) -> Table
     if (t.h, t.u) in DEEP_CELLS and not deep:
         return TableRow(t, "?", "none",
                         "deep cell skipped; rerun with --deep to search it")
-    outcome = search(SearchConfig(
-        t, property="skew", mode="find_first", node_budget=budget,
-        worker_count=workers,
-    ))
-    if outcome.result == "found":
-        return TableRow(t, "yes", "search",
-                        f"witness found after {outcome.nodes_visited} nodes: "
-                        f"{format_pairs(outcome.starters[0])}",
-                        outcome=outcome)
-    if outcome.result == "exhausted_none":
-        return TableRow(t, "no", "search",
-                        f"exhaustive search: no skew frame starter "
-                        f"({outcome.nodes_visited} nodes)",
-                        outcome=outcome)
-    return TableRow(t, "?", "none",
-                    f"budget exceeded after {outcome.nodes_visited} nodes",
-                    outcome=outcome)
+    out = search(SearchConfig(t, node_budget=budget))  # skew, find_first
+    cert, n = out.certificate, out.nodes_visited
+    existence = {"found": "yes", "exhausted_none": "no"}.get(out.result, "?")
+    detail = (f"witness found after {n} nodes: {format_pairs(out.starters[0])}"
+              if out.starters else cert.statement if cert
+              else f"budget exceeded after {n} nodes")
+    return TableRow(t, existence, "none" if existence == "?" else "search",
+                    detail, certificate=cert, outcome=out)
 
 
 def build_table(max_g: int, *, deep: bool = False,
-                budget: int = DEFAULT_CELL_BUDGET,
-                workers: int = 1) -> list[TableRow]:
+                budget: int = DEFAULT_CELL_BUDGET) -> list[TableRow]:
     if max_g > MAX_SEARCH_ORDER:
         raise InvalidTypeError(f"--max-g is capped at {MAX_SEARCH_ORDER}")
-    check_limits(budget, workers)  # before the first row, searched or not
-    return [build_row(t, deep=deep, budget=budget, workers=workers)
+    check_budget(budget)  # before the first row, searched or not
+    return [build_row(t, deep=deep, budget=budget)
             for t in admissible_types(max_g)]
 
 
 def render_markdown(rows: list[TableRow]) -> str:
-    lines = ["| type | existence | authority |",
-             "|------|-----------|-----------|"]
-    for row in rows:
-        lines.append(f"| {row.starter_type} | {row.existence} | {row.detail} |")
+    lines = ["| type | existence | authority | detail |",
+             "|------|-----------|-----------|--------|"]
+    lines += (f"| {r.starter_type} | {r.existence} | {r.authority} | {r.detail} |"
+              for r in rows)
     return "\n".join(lines)
 
 
@@ -95,9 +86,8 @@ def render_csv(rows: list[TableRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["type", "existence", "authority", "detail"])
-    for row in rows:
-        writer.writerow([str(row.starter_type), row.existence,
-                         row.authority, row.detail])
+    writer.writerows([str(r.starter_type), r.existence, r.authority, r.detail]
+                     for r in rows)
     return buf.getvalue()
 
 

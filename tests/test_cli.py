@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import framestarters
 from framestarters import GroupSpec, serialize, trivial_subgroup, verify_skew
 from framestarters.cli import main
 from framestarters.corpus import load_entry
@@ -150,6 +154,13 @@ def test_search_command(tmp_path, capsys):
     assert len(obj["starters"]) == 75
     assert obj["config"]["symmetry_reduction"] is False
 
+    # a budget is walked in tree order, and the echoed config says so
+    assert main(["search", "--type", "6^9", "--budget", "1000",
+                 "--workers", "2", "--json"]) == 3
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["config"]["worker_count"] == 1
+    assert obj["nodes_visited"] == 1000
+
 
 def test_search_progress_stream(capsys):
     assert main(["search", "--type", "3^7", "--mode", "prove_nonexistence",
@@ -186,6 +197,11 @@ def test_table_includes_search_no_cell(capsys):
     rows = {r["type"]: r for r in json.loads(capsys.readouterr().out)}
     assert rows["3^7"]["existence"] == "no"
     assert rows["3^7"]["authority"] == "search"
+    # the row carries the search's exhaustion certificate
+    assert rows["3^7"]["theorem"] == "search-exhaustion"
+    statement = rows["3^7"]["detail"]
+    assert f"visited {rows['3^7']['nodes']} nodes" in statement
+    assert "native kernel" in statement or "python kernel" in statement
 
 
 def test_table_formats(capsys):
@@ -196,6 +212,29 @@ def test_table_formats(capsys):
                  "--format", "csv"]) == 0
     csv_text = capsys.readouterr().out
     assert csv_text.splitlines()[0] == "type,existence,authority,detail"
+    # markdown has the same four columns
+    lines = md.splitlines()
+    assert lines[0] == "| type | existence | authority | detail |"
+    assert any(line.startswith("| 2^5 | yes | search | witness found after ")
+               for line in lines)
+
+
+def test_table_into_closed_pipe_exits_141():
+    # `framestarters table | head -1`: the reader is gone before the write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(Path(framestarters.__file__).parents[1]),
+                      os.environ.get("PYTHONPATH"))))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "framestarters.cli", "table",
+             "--max-g", "57"], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "Error" not in proc.stderr
+    assert proc.returncode == 141  # 128 + SIGPIPE, as a shell reports it
 
 
 def test_table_caps_max_g(capsys):
@@ -242,8 +281,11 @@ def test_corpus_commands(capsys):
 
 def test_table_rejects_bad_budget_and_workers(capsys):
     # 2^2 is the only cell of g <= 4 and a theorem decides it, so no search
-    # would ever check these limits
-    for flag, message in (("--budget", "node budget must be >= 1"),
-                          ("--workers", "worker count must be >= 1")):
-        assert main(["table", "--max-g", "4", flag, "0"]) == 2
-        assert message in capsys.readouterr().err
+    # would ever check the budget
+    assert main(["table", "--max-g", "4", "--budget", "0"]) == 2
+    assert "node budget must be >= 1" in capsys.readouterr().err
+    # every cell is budgeted, so there is no worker count to give
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--max-g", "4", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err

@@ -245,6 +245,14 @@ def test_head_start_progress_matches_one_worker():
         search(c, lambda nodes, depth, _: seen.append((nodes, depth)))
     assert [n for n, _ in events[1]] == [50_000, 100_000, 150_000]
     assert events[2] == events[1]
+    # a budget past the head start is walked in order, with every event
+    for w in (1, 2):
+        seen = events[w] = []
+        c = cfg(6, 9, node_budget=400_000, progress_interval=100_000,
+                worker_count=w)
+        search(c, lambda nodes, depth, _: seen.append((nodes, depth)))
+    assert [n for n, _ in events[1]] == [100_000, 200_000, 300_000, 400_000]
+    assert events[2] == events[1]
 
 
 def test_import_loads_no_process_pool():
@@ -266,16 +274,33 @@ def test_parallel_find_first():
     assert out.starters == search(cfg(5, 7, worker_count=1)).starters
 
 
-def test_budget_exceeded():
-    for w in (1, 2):  # 5,000 nodes end in the head start at W = 2
+def test_budget_exceeded(monkeypatch):
+    for w in (1, 2):
         out = search(cfg(6, 9, node_budget=5000, worker_count=w))
         assert out.result == "budget_exceeded"
         assert out.nodes_visited == 5000
         assert out.starters == ()
-    # past the head start the workers share the budget
     out = search(cfg(6, 9, node_budget=300_000, worker_count=2))
     assert out.result == "budget_exceeded"
-    assert out.nodes_visited <= 300_000
+    assert out.nodes_visited == 300_000
+    # A budget past the head start cuts the serial walk at every worker
+    # count; a pool given 1/W of the budget each found a starter here
+    # that the serial walk reaches only past the budget.
+    monkeypatch.setattr(search_mod, "_HEAD_START", 16)
+    for budget in (1722, 2871, 4020, 5168):
+        seq, par = (search(cfg(3, 13, node_budget=budget, worker_count=w))
+                    for w in (1, 2))
+        assert (par.result, par.nodes_visited, par.starters) \
+            == (seq.result, seq.nodes_visited, seq.starters) \
+            == ("budget_exceeded", budget, ()), budget
+
+
+def test_budgeted_config_has_one_worker():
+    c = cfg(3, 13, node_budget=1000, worker_count=2)
+    assert c.worker_count == 1
+    assert cfg(3, 13, worker_count=2).worker_count == 2  # no budget
+    with pytest.raises(InvalidTypeError):  # still checked first
+        cfg(3, 13, node_budget=1000, worker_count=0)
 
 
 def test_exhaustive_count_with_budget_reports_partial():

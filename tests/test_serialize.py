@@ -97,7 +97,14 @@ def test_outcome_serialization():
     assert obj["config"]["type"] == "2^5"
     assert len(obj["starters"]) == 1
     assert obj["kernel"] == out.kernel
+    assert out.certificate is None and "certificate" not in obj
     json.dumps(obj)  # must be plain JSON data
+    # only an exhausted_none outcome carries a certificate, written last
+    out = search(SearchConfig(StarterType(2, 8), mode="prove_nonexistence"))
+    obj = serialize.outcome_to_obj(out)
+    assert list(obj)[-1] == "certificate"
+    assert obj["certificate"] == serialize.certificate_to_obj(out.certificate)
+    assert obj["certificate"]["theorem"] == "search-exhaustion"
 
 
 def test_certificate_serialization():
