@@ -12,8 +12,11 @@
  *                                 d's feasible pairs {x, x+d};
  * and the root placements.  It only walks the tree they define, in
  * Engine.run's order, so it visits the same nodes and reaches the same
- * leaves.  It is compiled for the host CPU where the compiler allows
- * (-march=native: hardware popcount, tzcnt and BMI2 shifts).
+ * leaves.  With the symmetry flag set, each root {x, x+1} of base x >= 2
+ * walks copies of partners and cls_pl without the pairs whose unit-
+ * multiplier key is below x (Engine.root_masks; filter() below).  It is
+ * compiled for the host CPU where the compiler allows (-march=native:
+ * hardware popcount, tzcnt and BMI2 shifts).
  *
  * fs_step runs until the tree is exhausted (FS_DONE), a placement
  * completes a pairing (FS_LEAF), or a node is about to be visited while
@@ -35,28 +38,56 @@ struct frame {            /* one node's state and its open placements */
 };
 
 struct fs {
-    int g, strongish, depth;
+    int g, strongish, symmetry, depth;
     uint64_t full, mask_g, cls_mask, nodes;
     const uint64_t *dm, *sm, *partners, *cls_pl;
+    uint64_t part[MAXG], cls[MAXG];  /* the current root's masks */
     struct frame f[MAXD];
 };
 
 size_t fs_size(void) { return sizeof(struct fs); }
 
-void fs_init(struct fs *s, int g, int strongish, uint64_t full,
-             uint64_t mask_g, const uint64_t *dm, const uint64_t *sm,
-             const uint64_t *partners, uint64_t cls_mask,
+void fs_init(struct fs *s, int g, int strongish, int symmetry,
+             uint64_t full, uint64_t mask_g, const uint64_t *dm,
+             const uint64_t *sm, const uint64_t *partners, uint64_t cls_mask,
              const uint64_t *cls_pl, int nroots, const uint8_t *roots)
 {
     memset(s, 0, sizeof *s);
-    s->g = g; s->strongish = strongish; s->full = full; s->mask_g = mask_g;
+    s->g = g; s->strongish = strongish; s->symmetry = symmetry;
+    s->full = full; s->mask_g = mask_g;
     s->dm = dm; s->sm = sm; s->partners = partners;
     s->cls_mask = cls_mask; s->cls_pl = cls_pl;
+    memcpy(s->part, partners, g * sizeof *partners);
+    memcpy(s->cls, cls_pl, g * sizeof *cls_pl);
     for (int k = 0; k < nroots; k++) {
         s->f[0].lo[k] = roots[2 * k];
         s->f[0].hi[k] = roots[2 * k + 1];
     }
     s->f[0].n = nroots;
+}
+
+/* Engine.root_masks: the masks below a root of base x >= 2, without every
+ * pair {p, p+d} of unit difference d whose key min(b, g-1-b), with
+ * b = p/d mod g, is below x. */
+static void filter(struct fs *s, int x)
+{
+    int g = s->g;
+    memcpy(s->part, s->partners, g * sizeof *s->part);
+    for (uint64_t scan = s->cls_mask; scan; scan &= scan - 1) {
+        int d = __builtin_ctzll(scan), inv = 0;
+        for (int e = 1; e < g && !inv; e++)
+            inv = d * e % g == 1 ? e : 0;
+        s->cls[d] = s->cls_pl[d];
+        if (!inv) continue;
+        for (uint64_t ps = s->cls_pl[d]; ps; ps &= ps - 1) {
+            int p = __builtin_ctzll(ps), q = (p + d) % g, b = inv * p % g;
+            if (b < x || g - 1 - b < x) {
+                s->cls[d] &= ~(1ULL << p);
+                s->part[p] &= ~(1ULL << q);
+                s->part[q] &= ~(1ULL << p);
+            }
+        }
+    }
 }
 
 /* Engine.branch: fill fr with the placements of the most constrained open
@@ -70,7 +101,7 @@ static int branch(const struct fs *s, struct frame *fr)
     fr->n = fr->i = 0;
     for (uint64_t scan = free; scan; scan &= scan - 1) {
         int x = __builtin_ctzll(scan);
-        m = free & s->partners[x]
+        m = free & s->part[x]
             & ((notdiff << x | notdiff >> (g - x)) & mask_g);
         if (s->strongish)
             m &= (notsum >> x | notsum << (g - x)) & mask_g;
@@ -88,7 +119,7 @@ static int branch(const struct fs *s, struct frame *fr)
     if (best_n > 1)
         for (uint64_t scan = notdiff & s->cls_mask; scan; scan &= scan - 1) {
             int d = __builtin_ctzll(scan);
-            m = free & ((free >> d | free << (g - d)) & mask_g) & s->cls_pl[d];
+            m = free & ((free >> d | free << (g - d)) & mask_g) & s->cls[d];
             n = __builtin_popcountll(m);
             if (n <= 1) {
                 if (n == 0) return 0;
@@ -127,6 +158,8 @@ int fs_step(struct fs *s, uint64_t pause_at, uint64_t *out)
         if (s->nodes == pause_at) { rc = FS_PAUSE; break; }
         s->nodes++;
         int x = fr->lo[fr->i], y = fr->hi[fr->i++];
+        if (s->depth == 0 && s->symmetry && x >= 2)
+            filter(s, x);  /* a new root: no key lies below 1 */
         next->used = fr->used | 1ULL << x | 1ULL << y;
         next->ud = fr->ud | s->dm[x * s->g + y];
         next->us = fr->us | s->sm[x * s->g + y];

@@ -179,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="processes for a search without --budget")
     p.add_argument("--no-symmetry", action="store_true",
-                   help="disable the negation symmetry reduction")
+                   help="disable the symmetry reduction (negation and unit "
+                        "multipliers)")
     p.add_argument("--out", metavar="FILE",
                    help="write the first found starter as JSON")
     p.add_argument("--progress", type=int, default=0, metavar="NODES",

@@ -42,11 +42,18 @@ the calling process; the acceleration structures are never trusted.
 `search` says when several workers split the tree, and why every worker
 count reports what the serial run reports.
 
-Symmetry reduction exploits negation x -> -x, which maps starters to
-starters of the same kind.  Writing the root pair {x, x+1}, negation sends
-the base point x to g-1-x, so exploring only x <= (g-1)/2 keeps one
-representative of every orbit.  This prunes for existence questions;
-an exhaustive count always runs with the reduction switched off.
+Symmetry reduction exploits the units a of Z_g: x -> ax maps a starter
+to a starter of the same kind and fixes H.  Negation (a = -1) sends the
+root pair {x, x+1} to the one of base g-1-x, so only roots x <= (g-1)/2
+are explored.  The other units prune below the root: a pair {p, p+d}
+with d a unit is the image under d of the {1, -1} pair {b, b+1} of the
+starter d^-1 S, b = p/d mod g, whose negation-normalised base is the
+pair's key min(b, g-1-b).  A starter holding a pair of key k < x has an
+orbit member rooted at base k, so the subtree of root x drops those pairs
+(`Engine.root_masks`).  The orbit member of least root base keeps all of
+its pairs, so every orbit under Z_g^* keeps a representative.  This
+prunes for existence questions; an exhaustive count always runs with the
+reduction switched off.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ import time
 from array import array
 from dataclasses import dataclass, replace
 from functools import partial
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -138,7 +146,8 @@ class SearchOutcome:
             return None
         cfg = self.config
         return exhaustion_certificate(cfg.target_type, cfg.property,
-                                      self.nodes_visited, self.kernel)
+                                      self.nodes_visited, self.kernel,
+                                      cfg.symmetry_reduction)
 
 
 class Engine:
@@ -162,12 +171,14 @@ class Engine:
     lists of ints, since above g = 64 a mask outgrows 64 bits; the native
     stepper copies each into a uint64 array in one call.  A placement is
     a pair (lo, hi) with lo < hi, read in the table at lo * g + hi.
+    `symmetry` says whether the search is symmetry-reduced: `roots` and
+    `root_masks` read it.
     """
 
-    __slots__ = ("g", "mask_g", "full", "strongish", "diff_masks",
+    __slots__ = ("g", "mask_g", "full", "strongish", "symmetry", "diff_masks",
                  "sum_masks", "partners", "classes", "class_mask")
 
-    def __init__(self, t: StarterType, level: str):
+    def __init__(self, t: StarterType, level: str, symmetry: bool):
         g, r = t.g, t.u
         strongish = level in ("strong", "skew")
         skew = level == "skew"
@@ -206,25 +217,46 @@ class Engine:
         self.mask_g = (1 << g) - 1
         self.full = sum(1 << v for v in range(1, g) if v % r)
         self.strongish = strongish
+        self.symmetry = symmetry
         self.diff_masks = diff_masks
         self.sum_masks = sum_masks
         self.partners = partners
         self.classes = classes
         self.class_mask = class_mask
 
-    def roots(self, symmetry: bool) -> list[tuple[int, int]]:
+    def roots(self) -> list[tuple[int, int]]:
         """Placements of the difference-class {1, -1} pair, the fixed root item.
 
         Negation maps the pair {x, x+1} to {g-1-x, g-x}, so with symmetry on
         only base points x <= (g-1)/2 are kept: one representative per orbit.
         """
         g, diff_masks = self.g, self.diff_masks
-        top = (g - 1) // 2 if symmetry else g - 2
+        top = (g - 1) // 2 if self.symmetry else g - 2
         return [(x, x + 1) for x in range(1, top + 1)
                 if diff_masks[x * g + x + 1]]
 
-    def branch(self, used: int, used_diff: int,
-               used_sum: int) -> list[tuple[int, int]]:
+    def root_masks(self, base: int) -> tuple[list[int], list[int]]:
+        """`partners` and `classes` below the root pair {base, base+1}: with
+        symmetry on, without the pairs whose key is below base (see the
+        module docstring).  No key lies below 1."""
+        if not self.symmetry or base < 2:
+            return self.partners, self.classes
+        g, partners, classes = self.g, self.partners[:], self.classes[:]
+        for d in range(1, (g + 1) // 2):
+            if gcd(d, g) != 1:
+                continue
+            inv = pow(d, -1, g)
+            for p in range(1, g):
+                b = inv * p % g
+                if classes[d] >> p & 1 and min(b, g - 1 - b) < base:
+                    q = (p + d) % g
+                    classes[d] ^= 1 << p
+                    partners[p] ^= 1 << q
+                    partners[q] ^= 1 << p
+        return partners, classes
+
+    def branch(self, used: int, used_diff: int, used_sum: int,
+               masks: tuple[list[int], list[int]]) -> list[tuple[int, int]]:
         """Feasible placements of the most constrained open requirement,
         ascending; empty when the state is complete or provably dead.
 
@@ -234,13 +266,14 @@ class Engine:
         used sums before it is returned.  The scan stops early at a
         single-option requirement; any zero-option requirement it skipped
         then surfaces one level deeper, which costs little in practice.
+        `masks` are the current root's (partners, classes), `root_masks`.
         """
         g = self.g
         mask_g = self.mask_g
         free = self.full & ~used
         notdiff = ~used_diff & mask_g
         notsum = ~used_sum & mask_g
-        partners = self.partners
+        partners, classes = masks
         strongish = self.strongish
         best_n = g + 1
         key = opts = 0
@@ -262,7 +295,6 @@ class Engine:
                 if n == 1:
                     break
         if best_n > 1:
-            classes = self.classes
             scan = notdiff & self.class_mask
             while scan:
                 db = scan & -scan
@@ -331,14 +363,16 @@ class Engine:
 
     def _python_step(self, roots: list[tuple[int, int]]):
         """`fs_step` (see _kernel.c) in Python, over a stack of frames
-        [used, used_diff, used_sum, placements, next index]."""
+        [used, used_diff, used_sum, placements, next index], reading the
+        current root's `root_masks`."""
         g, full, branch = self.g, self.full, self.branch
         diff_masks, sum_masks = self.diff_masks, self.sum_masks
         frames = [[0, 0, 0, roots, 0]]
         nodes = 0
+        masks = None
 
         def step(pause_at: int):
-            nonlocal nodes
+            nonlocal nodes, masks
             while True:
                 fr = frames[-1]
                 used, ud, us, placements, i = fr
@@ -352,13 +386,15 @@ class Engine:
                 nodes += 1
                 x, y = placements[i]
                 fr[4] = i + 1
+                if len(frames) == 1:
+                    masks = self.root_masks(x)
                 used |= 1 << x | 1 << y
                 ud |= diff_masks[x * g + y]
                 us |= sum_masks[x * g + y]
                 if used == full:
                     return (_LEAF, nodes, len(frames) - 1,
                             tuple(f[3][f[4] - 1] for f in frames))
-                if placements := branch(used, ud, us):
+                if placements := branch(used, ud, us, masks):
                     frames.append([used, ud, us, placements, 0])
 
         return step
@@ -381,8 +417,9 @@ class Engine:
             a.buffer_info()[0] for a in arrays)
         out = array("Q", bytes(8 * (2 + g // 2 + 1)))
         out_p = out.buffer_info()[0]
-        lib.fs_init(state, g, self.strongish, self.full, self.mask_g, dm, sm,
-                    partners, self.class_mask, classes, len(roots), root_pairs)
+        lib.fs_init(state, g, self.strongish, self.symmetry, self.full,
+                    self.mask_g, dm, sm, partners, self.class_mask, classes,
+                    len(roots), root_pairs)
 
         # The kernel keeps pointers into the arrays: the step holds them.
         def step(pause_at: int, _arrays=arrays):
@@ -449,8 +486,8 @@ def search(cfg: SearchConfig,
     """
     t = cfg.target_type
     started = time.perf_counter()
-    engine = Engine(t, cfg.property)
-    roots = engine.roots(cfg.symmetry_reduction)
+    engine = Engine(t, cfg.property, cfg.symmetry_reduction)
+    roots = engine.roots()
     # Chosen once here, so every worker slice runs the same kernel.
     from .native import load_kernel  # here, so importing the package skips it
     native = t.g <= NATIVE_MAX_ORDER and load_kernel() is not None

@@ -24,7 +24,7 @@ from .theory import NonexistenceCertificate, StarterType, certify
 DEFAULT_CELL_BUDGET = 400_000
 
 #: Cells that only an exhaustive search of millions of nodes or more
-#: decides (4^8 is 5.1M nodes, 0.33 s on the native kernel); skipped unless
+#: decides (4^8 is 1.0M nodes, 0.05 s on the native kernel); skipped unless
 #: deep mode is requested, which searches them within the per-cell budget.
 DEEP_CELLS = frozenset({(2, 16), (4, 8), (4, 9), (4, 10)})
 

@@ -204,13 +204,17 @@ def starter_kind(level: str) -> str:
 
 
 def exhaustion_certificate(t: StarterType, level: str, nodes: int,
-                           kernel: str) -> NonexistenceCertificate:
+                           kernel: str, symmetry: bool,
+                           ) -> NonexistenceCertificate:
     """Certificate wrapping a completed exhaustive search that found nothing;
-    it names the kernel ("native" or "python") that traversed the tree."""
+    it names the symmetry reduction, which sets the node count, and the
+    kernel ("native" or "python") that traversed the tree."""
+    reduction = (f"with symmetry reduction by the units of Z_{t.g}"
+                 if symmetry else "without symmetry reduction")
     return NonexistenceCertificate(
         t, level, "search-exhaustion",
-        f"exhaustive backtracking over type {t} on the {kernel} kernel "
-        f"visited {nodes} nodes and found no {starter_kind(level)}",
+        f"exhaustive backtracking over type {t} {reduction} on the {kernel} "
+        f"kernel visited {nodes} nodes and found no {starter_kind(level)}",
     )
 
 

@@ -6,7 +6,9 @@ lines.  Searches are shared through session fixtures so the later criteria
 every starter found during the run.
 """
 
+import importlib
 import time
+from math import gcd
 
 import pytest
 
@@ -30,6 +32,8 @@ from framestarters import (
     verify_skew,
 )
 from framestarters.table import build_table
+
+search_mod = importlib.import_module("framestarters.search")
 
 # Existence of small cyclic skew frame starters with g <= 57, transcribed
 # from the published summary table: existence plus how each "no" was
@@ -227,6 +231,27 @@ def test_acceptance_7_oracle_equivalence(oracle_sweep):
         assert (len(naive) > 0) == (exists.result == "found"), (str(t), level)
     assert len(oracle_sweep) == 22 * 3
     _passed(7, "naive oracle equivalence, g <= 16")
+
+
+def test_symmetry_reduction_meets_every_unit_orbit(oracle_sweep):
+    # The whole symmetry-reduced tree (negation roots and the unit-multiplier
+    # filter) reaches only starters, and meets every orbit of the oracle's
+    # starters under x -> ax, a a unit of Z_g.
+    for t, level, naive, _, _ in oracle_sweep:
+        g = t.g
+        units = [a for a in range(1, g) if gcd(a, g) == 1]
+        engine = search_mod.Engine(t, level, True)
+        raw, _, _ = engine.run(
+            SearchConfig(t, property=level, mode="exhaustive_count"),
+            engine.roots())
+        reached = {frozenset(map(frozenset, pairs)) for pairs in raw}
+        orbits = {frozenset(frozenset(frozenset((a * p.first.coords[0] % g,
+                                                 a * p.second.coords[0] % g))
+                                      for p in s.pairs) for a in units)
+                  for s in naive}
+        assert reached <= set().union(*orbits), (str(t), level)
+        for orbit in orbits:
+            assert orbit & reached, (str(t), level)
 
 
 def test_acceptance_8_census_equations(corpus_entries, found_starters):

@@ -124,9 +124,18 @@ def test_search_command(tmp_path, capsys):
     assert obj["result"] == "exhausted_none"
     assert obj["certificate"]["theorem"] == "search-exhaustion"
     assert str(obj["nodes_visited"]) in obj["certificate"]["statement"]
-    # the "no" names the kernel that produced it
+    # the "no" names the kernel and the symmetry reduction that produced it
     assert obj["kernel"] in ("native", "python")
     assert f"on the {obj['kernel']} kernel" in obj["certificate"]["statement"]
+    assert "with symmetry reduction by the units of Z_16" \
+        in obj["certificate"]["statement"]
+    assert main(["search", "--type", "2^8", "--mode", "prove_nonexistence",
+                 "--no-symmetry", "--json"]) == 0
+    unreduced = json.loads(capsys.readouterr().out)
+    assert unreduced["nodes_visited"] > obj["nodes_visited"]
+    assert f"type 2^8 without symmetry reduction on the {obj['kernel']} " \
+        f"kernel visited {unreduced['nodes_visited']} nodes" \
+        in unreduced["certificate"]["statement"]
 
     for extra in ([], ["--json"]):
         assert main(["search", "--type", "2^3", "--property", "frame",
@@ -202,6 +211,7 @@ def test_table_includes_search_no_cell(capsys):
     statement = rows["3^7"]["detail"]
     assert f"visited {rows['3^7']['nodes']} nodes" in statement
     assert "native kernel" in statement or "python kernel" in statement
+    assert "with symmetry reduction by the units of Z_21" in statement
 
 
 def test_table_formats(capsys):

@@ -62,13 +62,13 @@ def test_candidate_table_reads_the_pair_rules(t, level):
     h_set = {e.coords[0] for e in t.subgroup().elements}
     diff, sums, partners, classes, class_mask, entries = \
         _reference(g, h_set, level)
-    engine = search_mod.Engine(t, level)
+    engine = search_mod.Engine(t, level, False)
     assert engine.diff_masks == diff
     assert engine.sum_masks == sums
     assert engine.partners == partners
     assert engine.classes == classes
     assert engine.class_mask == class_mask
     for symmetry, top in ((True, (g - 1) // 2), (False, g - 2)):
-        assert engine.roots(symmetry) == [
+        assert search_mod.Engine(t, level, symmetry).roots() == [
             (x, x + 1) for x in range(1, top + 1)
             if entries[x, x + 1] is not None]

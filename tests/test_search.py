@@ -134,9 +134,8 @@ def test_symmetry_reduction_preserves_existence():
 
 
 def test_symmetry_explores_orbit_representatives():
-    engine = search_mod.Engine(StarterType(1, 9), "skew")
-    roots_on = engine.roots(True)
-    roots_off = engine.roots(False)
+    roots_on = search_mod.Engine(StarterType(1, 9), "skew", True).roots()
+    roots_off = search_mod.Engine(StarterType(1, 9), "skew", False).roots()
     g = 9
     assert set(roots_on) <= set(roots_off)
     # every off-root's negation orbit has a representative among the on-roots
@@ -178,7 +177,7 @@ def _check_parallel_equivalence():
     seq = search(cfg(4, 7, mode="prove_nonexistence", worker_count=1))
     par = search(cfg(4, 7, mode="prove_nonexistence", worker_count=2))
     assert seq.result == par.result == "exhausted_none"
-    assert seq.nodes_visited == par.nodes_visited == 157834
+    assert seq.nodes_visited == par.nodes_visited == 46995
     assert seq.kernel == par.kernel  # chosen once, for every slice
 
 
@@ -240,10 +239,10 @@ def test_head_start_progress_matches_one_worker():
     events = {}
     for w in (1, 2):
         seen = events[w] = []
-        c = cfg(4, 7, mode="prove_nonexistence", progress_interval=50_000,
+        c = cfg(4, 7, mode="prove_nonexistence", progress_interval=10_000,
                 worker_count=w)
         search(c, lambda nodes, depth, _: seen.append((nodes, depth)))
-    assert [n for n, _ in events[1]] == [50_000, 100_000, 150_000]
+    assert [n for n, _ in events[1]] == [10_000, 20_000, 30_000, 40_000]
     assert events[2] == events[1]
     # a budget past the head start is walked in order, with every event
     for w in (1, 2):
@@ -318,7 +317,7 @@ def test_structurally_empty_type_exhausts_immediately():
 
 
 def test_canonical_first_branch_walkthrough():
-    engine = search_mod.Engine(StarterType(1, 7), "skew")
+    engine = search_mod.Engine(StarterType(1, 7), "skew", True)
 
     def branch(*placed):
         state = [0, 0, 0]
@@ -327,9 +326,9 @@ def test_canonical_first_branch_walkthrough():
             masks = (1 << x | 1 << y, engine.diff_masks[k], engine.sum_masks[k])
             for i, mask in enumerate(masks):
                 state[i] |= mask
-        return engine.branch(*state)
+        return engine.branch(*state, engine.root_masks(placed[0][0]))
 
-    assert engine.roots(True) == [(1, 2), (2, 3)]
+    assert engine.roots() == [(1, 2), (2, 3)]
     assert branch((2, 3)) == [(1, 5)]
     assert branch((2, 3), (1, 5)) == [(4, 6)]
     assert branch((1, 2)) == []  # provably dead state
@@ -364,60 +363,61 @@ def test_native_parity_oracle_sweep(native):
         if t.g > 16 or not t.admissible:
             continue
         for level in LEVELS:
-            engine = search_mod.Engine(t, level)
             c = SearchConfig(t, property=level, mode="exhaustive_count")
-            for symmetry in (True, False):
-                py, nat = _both_kernels(engine, c, engine.roots(symmetry))
+            for symmetry in (True, False):  # the whole tree, reduced or not
+                engine = search_mod.Engine(t, level, symmetry)
+                py, nat = _both_kernels(engine, c, engine.roots())
                 assert py == nat, (str(t), level, symmetry)
 
 
 @pytest.mark.parametrize("h, u, mode, nodes", [
-    (4, 7, "prove_nonexistence", 157_834),
+    (4, 7, "prove_nonexistence", 46_995),
     (3, 19, "find_first", 58_407),
     (5, 11, "find_first", 88_053),
 ])
 def test_native_parity_named_cells(native, h, u, mode, nodes):
     c = cfg(h, u, mode=mode)
-    engine = search_mod.Engine(c.target_type, "skew")
-    py, nat = _both_kernels(engine, c, engine.roots(True))
+    engine = search_mod.Engine(c.target_type, "skew", True)
+    py, nat = _both_kernels(engine, c, engine.roots())
     assert py == nat
     assert py[1] == nodes and len(py[0]) == (mode == "find_first")
 
 
 def test_native_parity_budget_cuts(native):
-    cells = ((3, 7, "prove_nonexistence", (1, 2, 500, 2003, 2004, 2005)),
+    cells = ((3, 7, "prove_nonexistence", (1, 2, 500, 622, 623, 624)),
              (1, 11, "exhaustive_count", (1, 20, 40, 67, 68, 69)),
              (6, 9, "find_first", (1_000, 4_321)))
     for h, u, mode, budgets in cells:
         for budget in budgets:
             c = cfg(h, u, mode=mode, node_budget=budget)
-            engine = search_mod.Engine(c.target_type, "skew")
-            py, nat = _both_kernels(engine, c, engine.roots(c.symmetry_reduction))
+            engine = search_mod.Engine(c.target_type, "skew",
+                                       c.symmetry_reduction)
+            py, nat = _both_kernels(engine, c, engine.roots())
             assert py == nat, (h, u, budget)
     # the budget applies at node budget + 1, exactly as in the Python kernel
-    c = cfg(3, 7, mode="prove_nonexistence", node_budget=2003)
-    engine = search_mod.Engine(c.target_type, "skew")
-    assert engine.run(c, engine.roots(True), native=True) == ([], 2003, True)
+    c = cfg(3, 7, mode="prove_nonexistence", node_budget=622)
+    engine = search_mod.Engine(c.target_type, "skew", True)
+    assert engine.run(c, engine.roots(), native=True) == ([], 622, True)
 
 
 def test_native_progress_events(native):
-    for interval, budget in ((500, None), (500, 1000), (1, None), (7, 100)):
+    for interval, budget in ((100, None), (100, 300), (1, None), (7, 100)):
         c = cfg(3, 7, mode="prove_nonexistence", progress_interval=interval,
                 node_budget=budget)
-        engine = search_mod.Engine(c.target_type, "skew")
+        engine = search_mod.Engine(c.target_type, "skew", True)
         seen = {}
         for kernel in (False, True):
             events = seen[kernel] = []
             result = engine.run(
-                c, engine.roots(True),
+                c, engine.roots(),
                 lambda nodes, depth, _: events.append((nodes, depth)),
                 native=kernel)
             events.append(result)
         assert seen[False] == seen[True], (interval, budget)
-    c = cfg(3, 7, mode="prove_nonexistence", progress_interval=500)
+    c = cfg(3, 7, mode="prove_nonexistence", progress_interval=100)
     events = []
     search(c, lambda nodes, depth, _: events.append(nodes))
-    assert events == [500, 1000, 1500, 2000]
+    assert events == [100, 200, 300, 400, 500, 600]
 
 
 @pytest.mark.parametrize("kernel", ["native", "python"])
@@ -429,7 +429,7 @@ def test_search_result_under_each_kernel(kernel, monkeypatch, request):
     for c, result, nodes, leaves in (
             (cfg(3, 19), "found", 58_407, 1),
             (cfg(5, 11), "found", 88_053, 1),
-            (cfg(4, 7, mode="prove_nonexistence"), "exhausted_none", 157_834, 0),
+            (cfg(4, 7, mode="prove_nonexistence"), "exhausted_none", 46_995, 0),
             (cfg(4, 11, node_budget=10_000), "budget_exceeded", 10_000, 0)):
         out = search(c)
         assert (out.result, out.nodes_visited, len(out.starters), out.kernel) \
@@ -484,8 +484,8 @@ def test_rejected_host_flag_still_builds_a_native_kernel(native, tmp_path,
         [_library_name(source, plain)]  # and no temporary file left
     for h, u in ((4, 7), (3, 7)):
         c = cfg(h, u, mode="prove_nonexistence")
-        engine = search_mod.Engine(c.target_type, "skew")
-        py, nat = _both_kernels(engine, c, engine.roots(True))
+        engine = search_mod.Engine(c.target_type, "skew", True)
+        py, nat = _both_kernels(engine, c, engine.roots())
         assert py == nat and py[0] == [], (h, u)
         assert search(c).kernel == "native"
 
@@ -510,8 +510,8 @@ def test_pause_and_resume_every_few_nodes(native, monkeypatch):
     # No tier-1 tree reaches _CHUNK nodes; at 7 every walk below pauses and
     # resumes many times, and must return what one uninterrupted walk does.
     def walk(c):
-        engine = search_mod.Engine(c.target_type, "skew")
-        roots = engine.roots(c.symmetry_reduction)
+        engine = search_mod.Engine(c.target_type, "skew", c.symmetry_reduction)
+        roots = engine.roots()
         runs = []
         for kernel in (False, True):
             events = []
@@ -522,7 +522,9 @@ def test_pause_and_resume_every_few_nodes(native, monkeypatch):
             runs.append((result, events, silent))
         return runs
 
-    for c in (cfg(3, 7, mode="prove_nonexistence", progress_interval=500),
+    # 4^7 pauses across root changes with the unit-multiplier filter on.
+    for c in (cfg(3, 7, mode="prove_nonexistence", progress_interval=100),
+              cfg(4, 7, mode="prove_nonexistence", progress_interval=10_000),
               cfg(1, 11, mode="exhaustive_count", progress_interval=10),
               cfg(6, 9, node_budget=4_321, progress_interval=1_000)):
         whole = walk(c)
@@ -538,6 +540,6 @@ def test_orders_above_64_run_the_python_kernel():
     out = search(c)
     assert out.kernel == "python"
     assert out.nodes_visited <= 200
-    engine = search_mod.Engine(c.target_type, "skew")
+    engine = search_mod.Engine(c.target_type, "skew", True)
     with pytest.raises(ValueError, match="g <= 64"):
-        engine.run(c, engine.roots(True), native=True)
+        engine.run(c, engine.roots(), native=True)

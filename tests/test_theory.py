@@ -133,12 +133,18 @@ def test_certify_examples():
 
 
 def test_exhaustion_certificate_names_its_kernel():
-    for kernel in ("native", "python"):
-        cert = exhaustion_certificate(StarterType(4, 7), "skew", 157834, kernel)
-        assert cert.theorem == "search-exhaustion"
-        assert cert.statement == (
-            f"exhaustive backtracking over type 4^7 on the {kernel} kernel "
-            "visited 157834 nodes and found no skew frame starter")
+    # the node count depends on the symmetry reduction, so both are named
+    for symmetry, nodes, reduction in (
+            (True, 46995, "with symmetry reduction by the units of Z_28"),
+            (False, 315450, "without symmetry reduction")):
+        for kernel in ("native", "python"):
+            cert = exhaustion_certificate(StarterType(4, 7), "skew", nodes,
+                                          kernel, symmetry)
+            assert cert.theorem == "search-exhaustion"
+            assert cert.statement == (
+                f"exhaustive backtracking over type 4^7 {reduction} on the "
+                f"{kernel} kernel visited {nodes} nodes and found no skew "
+                "frame starter")
 
 
 def test_certificate_rules_out_levels():
