@@ -1,22 +1,22 @@
 /* Native kernel of search.Engine: the per-node loop of Engine.run and
  * Engine.branch over uint64_t masks, for g <= 64.
  *
- * The Python Engine builds the candidate table once, and this file takes
- * it in the Engine's own layout:
- *   dm[x * g + y], sm[x * g + y]  the difference and sum masks of the
- *                                 ordered pair (x, y); dm == 0 marks an
- *                                 infeasible pair;
- *   partners[x]                   the feasible partners of x;
- *   cls_mask, cls_pl[d]           the difference classes d a starter must
- *                                 realize, and the base points x of class
- *                                 d's feasible pairs {x, x+d};
- * and the root placements.  It only walks the tree they define, in
- * Engine.run's order, so it visits the same nodes and reaches the same
- * leaves.  With the symmetry flag set, each root {x, x+1} of base x >= 2
- * walks copies of partners and cls_pl without the pairs whose unit-
- * multiplier key is below x (Engine.root_masks; filter() below).  It is
- * compiled for the host CPU where the compiler allows (-march=native:
- * hardware popcount, tzcnt and BMI2 shifts).
+ * The Python Engine owns every rule of the search and hands this file
+ * only masks of length g, in the Engine's own layout:
+ *   sum_bits[s]                   what a pair of sum s adds to the used
+ *                                 sums (0 at the frame level);
+ *   cls_mask                      the difference classes d a starter
+ *                                 must realize;
+ *   partners[k * g + x]           the feasible partners of x and the base
+ *   classes[k * g + d]            points x of class d's feasible pairs
+ *                                 {x, x+d} below root k
+ *                                 (Engine.root_masks);
+ * and the root placements.  A placement (x, y), x < y, adds the
+ * differences 1 << y-x | 1 << g-y+x.  The kernel only walks the tree the
+ * masks define, in Engine.run's order, so it visits the same nodes and
+ * reaches the same leaves.  It is compiled for the host CPU where the
+ * compiler allows (-march=native: hardware popcount, tzcnt and BMI2
+ * shifts).
  *
  * fs_step runs until the tree is exhausted (FS_DONE), a placement
  * completes a pairing (FS_LEAF), or a node is about to be visited while
@@ -38,27 +38,24 @@ struct frame {            /* one node's state and its open placements */
 };
 
 struct fs {
-    int g, strongish, symmetry, depth;
+    int g, depth;
     uint64_t full, mask_g, cls_mask, nodes;
-    const uint64_t *dm, *sm, *partners, *cls_pl;
-    uint64_t part[MAXG], cls[MAXG];  /* the current root's masks */
+    const uint64_t *sum_bits, *partners, *classes;
+    const uint64_t *part, *cls;  /* the current root's rows */
     struct frame f[MAXD];
 };
 
 size_t fs_size(void) { return sizeof(struct fs); }
 
-void fs_init(struct fs *s, int g, int strongish, int symmetry,
-             uint64_t full, uint64_t mask_g, const uint64_t *dm,
-             const uint64_t *sm, const uint64_t *partners, uint64_t cls_mask,
-             const uint64_t *cls_pl, int nroots, const uint8_t *roots)
+void fs_init(struct fs *s, int g, uint64_t full, uint64_t mask_g,
+             const uint64_t *sum_bits, uint64_t cls_mask,
+             const uint64_t *partners, const uint64_t *classes, int nroots,
+             const uint8_t *roots)
 {
     memset(s, 0, sizeof *s);
-    s->g = g; s->strongish = strongish; s->symmetry = symmetry;
-    s->full = full; s->mask_g = mask_g;
-    s->dm = dm; s->sm = sm; s->partners = partners;
-    s->cls_mask = cls_mask; s->cls_pl = cls_pl;
-    memcpy(s->part, partners, g * sizeof *partners);
-    memcpy(s->cls, cls_pl, g * sizeof *cls_pl);
+    s->g = g; s->full = full; s->mask_g = mask_g;
+    s->sum_bits = sum_bits; s->cls_mask = cls_mask;
+    s->partners = partners; s->classes = classes;
     for (int k = 0; k < nroots; k++) {
         s->f[0].lo[k] = roots[2 * k];
         s->f[0].hi[k] = roots[2 * k + 1];
@@ -66,45 +63,19 @@ void fs_init(struct fs *s, int g, int strongish, int symmetry,
     s->f[0].n = nroots;
 }
 
-/* Engine.root_masks: the masks below a root of base x >= 2, without every
- * pair {p, p+d} of unit difference d whose key min(b, g-1-b), with
- * b = p/d mod g, is below x. */
-static void filter(struct fs *s, int x)
-{
-    int g = s->g;
-    memcpy(s->part, s->partners, g * sizeof *s->part);
-    for (uint64_t scan = s->cls_mask; scan; scan &= scan - 1) {
-        int d = __builtin_ctzll(scan), inv = 0;
-        for (int e = 1; e < g && !inv; e++)
-            inv = d * e % g == 1 ? e : 0;
-        s->cls[d] = s->cls_pl[d];
-        if (!inv) continue;
-        for (uint64_t ps = s->cls_pl[d]; ps; ps &= ps - 1) {
-            int p = __builtin_ctzll(ps), q = (p + d) % g, b = inv * p % g;
-            if (b < x || g - 1 - b < x) {
-                s->cls[d] &= ~(1ULL << p);
-                s->part[p] &= ~(1ULL << q);
-                s->part[q] &= ~(1ULL << p);
-            }
-        }
-    }
-}
-
 /* Engine.branch: fill fr with the placements of the most constrained open
  * requirement, ascending; returns their number. */
 static int branch(const struct fs *s, struct frame *fr)
 {
     int g = s->g, best_n = g + 1, key = 0, by_class = 0, n;
-    uint64_t mask_g = s->mask_g, used = fr->used, free = s->full & ~used;
+    uint64_t mask_g = s->mask_g, free = s->full & ~fr->used;
     uint64_t notdiff = ~fr->ud & mask_g, notsum = ~fr->us & mask_g;
     uint64_t opts = 0, m;
     fr->n = fr->i = 0;
     for (uint64_t scan = free; scan; scan &= scan - 1) {
         int x = __builtin_ctzll(scan);
-        m = free & s->part[x]
-            & ((notdiff << x | notdiff >> (g - x)) & mask_g);
-        if (s->strongish)
-            m &= (notsum >> x | notsum << (g - x)) & mask_g;
+        m = free & s->part[x] & (notdiff << x | notdiff >> (g - x))
+            & (notsum >> x | notsum << (g - x)) & mask_g;
         n = __builtin_popcountll(m);
         if (n <= 1) {
             if (n == 0) return 0;
@@ -136,9 +107,8 @@ static int branch(const struct fs *s, struct frame *fr)
         int v = __builtin_ctzll(opts);
         int x = by_class ? v : key, y = by_class ? v + key : v;
         if (y >= g) y -= g;
-        if (used & (1ULL << x | 1ULL << y) || fr->ud & s->dm[x * g + y]
-            || fr->us & s->sm[x * g + y])
-            continue;
+        if (by_class && fr->us & s->sum_bits[x + y < g ? x + y : x + y - g])
+            continue;  /* a class's mask is not exact in the sum */
         fr->lo[fr->n] = x < y ? x : y;
         fr->hi[fr->n++] = x < y ? y : x;
     }
@@ -157,12 +127,14 @@ int fs_step(struct fs *s, uint64_t pause_at, uint64_t *out)
         }
         if (s->nodes == pause_at) { rc = FS_PAUSE; break; }
         s->nodes++;
-        int x = fr->lo[fr->i], y = fr->hi[fr->i++];
-        if (s->depth == 0 && s->symmetry && x >= 2)
-            filter(s, x);  /* a new root: no key lies below 1 */
+        if (s->depth == 0) {  /* a new root: walk its rows */
+            s->part = s->partners + fr->i * s->g;
+            s->cls = s->classes + fr->i * s->g;
+        }
+        int g = s->g, x = fr->lo[fr->i], y = fr->hi[fr->i++];
         next->used = fr->used | 1ULL << x | 1ULL << y;
-        next->ud = fr->ud | s->dm[x * s->g + y];
-        next->us = fr->us | s->sm[x * s->g + y];
+        next->ud = fr->ud | 1ULL << (y - x) | 1ULL << (g - y + x);
+        next->us = fr->us | s->sum_bits[x + y < g ? x + y : x + y - g];
         if (next->used == s->full) { rc = FS_LEAF; break; }
         if (branch(s, next)) s->depth++;
     }

@@ -71,8 +71,7 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     p, u64, c_int = ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int
     lib.fs_size.argtypes = []
     lib.fs_size.restype = ctypes.c_size_t
-    lib.fs_init.argtypes = [p, c_int, c_int, c_int, u64, u64, p, p, p, u64, p,
-                            c_int, p]
+    lib.fs_init.argtypes = [p, c_int, u64, u64, p, u64, p, p, c_int, p]
     lib.fs_init.restype = None
     lib.fs_step.argtypes = [p, u64, p]
     lib.fs_step.restype = c_int

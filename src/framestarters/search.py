@@ -5,12 +5,13 @@ every search rule when it is built (admissible type, g <= MAX_SEARCH_ORDER,
 a budget when g > BUDGET_FREE_MAX_ORDER), so every config can run.
 
 One `Engine` holds what a search over Z_g \\ H at one property level needs,
-built once from the starter type and the level: the candidate table of
-feasible pairs, the static partner and placement masks, `full` (the
-elements of G \\ H) and `mask_g` (the elements of Z_g), all as bitmasks
-over the dense integers 0..g-1.  A search state is three occupancy masks:
-members, +-differences and +-sums.  One engine step expands a state:
-`branch` returns the feasible placements of the most constrained open
+built once from the starter type and the level: the feasible pairs as
+masks of length g (`partners` by element, `classes` by difference
+class), the sum masks `sum_bits`, `full` (the elements of G \\ H) and
+`mask_g` (the elements of Z_g), all as bitmasks over the dense integers
+0..g-1.  A search state is three occupancy masks: members,
++-differences and +-sums.  One engine step expands a state: `branch`
+returns the feasible placements of the most constrained open
 requirement (an uncovered element that must be paired, or an unused
 difference class that must be realized) in ascending order.  A
 requirement with no placement left empties the list and prunes the node;
@@ -31,10 +32,11 @@ For g <= NATIVE_MAX_ORDER (64) `search` picks `fs_step` itself, which
 `native.py` compiles on first use and loads through ctypes; otherwise,
 or when it cannot be built, the Python stepper, a loop over explicit
 frames that mirrors `fs_step` line for line and calls `Engine.branch`.
-Both read the Engine's tables, so the admissibility rules stay written
-once here, and both visit the same nodes in the same order; the Python
-stepper is the kernel's test oracle.  `SearchOutcome.kernel` says which
-one ran.
+Both walk only the masks the Engine hands them, `sum_bits` and each
+root's `root_masks`, so every rule of the search, the pair rules and the
+symmetry reduction alike, is written once, here.  Both visit the same
+nodes in the same order; the Python stepper is the kernel's test
+oracle.  `SearchOutcome.kernel` says which one ran.
 
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports and checks it once with the independent verifier, in
@@ -45,15 +47,11 @@ count reports what the serial run reports.
 Symmetry reduction exploits the units a of Z_g: x -> ax maps a starter
 to a starter of the same kind and fixes H.  Negation (a = -1) sends the
 root pair {x, x+1} to the one of base g-1-x, so only roots x <= (g-1)/2
-are explored.  The other units prune below the root: a pair {p, p+d}
-with d a unit is the image under d of the {1, -1} pair {b, b+1} of the
-starter d^-1 S, b = p/d mod g, whose negation-normalised base is the
-pair's key min(b, g-1-b).  A starter holding a pair of key k < x has an
-orbit member rooted at base k, so the subtree of root x drops those pairs
-(`Engine.root_masks`).  The orbit member of least root base keeps all of
-its pairs, so every orbit under Z_g^* keeps a representative.  This
-prunes for existence questions; an exhaustive count always runs with the
-reduction switched off.
+are explored.  The other units prune below the root: each root's
+subtree drops the pairs that put some unit multiple of the starter under
+an earlier root (`Engine.root_masks`).  This prunes for existence
+questions; an exhaustive count always runs with the reduction switched
+off.
 """
 
 from __future__ import annotations
@@ -76,8 +74,9 @@ MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
 #: expensive quickly and the tool must not silently run forever.
 BUDGET_FREE_MAX_ORDER = 60
 
-#: Hard ceiling on g for any search (and so for the table): the engine's
-#: candidate table is O(g^2) before the first node, whatever the budget.
+#: Hard ceiling on g for any search (and so for the table): building the
+#: engine's masks takes O(g^2) time before the first node, whatever the
+#: budget (their memory is O(g) per root).
 MAX_SEARCH_ORDER = 200
 
 #: Searches with g up to this order run on the native kernel (one uint64
@@ -156,58 +155,47 @@ class Engine:
     `search` builds it from a validated config, so the type is admissible
     with g <= MAX_SEARCH_ORDER.
 
-    The candidate table is flat: the ordered pair (x, y) sits at index
-    x * g + y of `diff_masks`, the mask {d, -d} of its difference, and of
-    `sum_masks`, the mask of its sum ({s} when strong, {s, -s} when skew,
-    0 at the frame level).  A diff mask of 0 marks an infeasible pair, and
-    encodes every per-pair rejection: a member, the difference or (strong
-    and skew) the sum in H; its sum mask is 0 too.  For an admissible type
-    no difference or sum outside H is its own negative (for even g,
-    g/2 = (h/2)u lies in H), so feasible difference and skew sum masks
-    always have two bits.  partners[x] masks the feasible partners of x.
-    classes[d] masks the base points x whose pair {x, x+d} is feasible,
-    for each difference class d in class_mask (the representatives
-    1 <= d <= (g-1)/2 outside H), and is 0 for every other d.  They are
-    lists of ints, since above g = 64 a mask outgrows 64 bits; the native
-    stepper copies each into a uint64 array in one call.  A placement is
-    a pair (lo, hi) with lo < hi, read in the table at lo * g + hi.
-    `symmetry` says whether the search is symmetry-reduced: `roots` and
-    `root_masks` read it.
+    A pair {x, y} is feasible when its members, its difference and (strong
+    and skew) its sum all lie outside H.  partners[x] masks the feasible
+    partners of x.  classes[d] masks the base points x whose pair {x, x+d}
+    is feasible, for each difference class d in class_mask (the
+    representatives 1 <= d <= (g-1)/2 outside H), and is 0 for every other
+    d.  sum_bits[s] is what a pair of sum s adds to the used sums: {s} when
+    strong, {s, -s} when skew, 0 at the frame level.  A placement is a
+    pair (lo, hi) with lo < hi; it adds the differences
+    1 << hi-lo | 1 << g-hi+lo.  For an admissible type no difference or
+    sum outside H is its own negative (for even g, g/2 = (h/2)u lies in
+    H), so difference and skew sum masks always have two bits.  The masks
+    are lists of ints, since above g = 64 a mask outgrows 64 bits; the
+    native stepper copies them into uint64 arrays.  `symmetry` says
+    whether the search is symmetry-reduced: `roots` and `root_masks` read
+    it.
     """
 
-    __slots__ = ("g", "mask_g", "full", "strongish", "symmetry", "diff_masks",
-                 "sum_masks", "partners", "classes", "class_mask")
+    __slots__ = ("g", "mask_g", "full", "symmetry", "sum_bits", "partners",
+                 "classes", "class_mask")
 
     def __init__(self, t: StarterType, level: str, symmetry: bool):
         g, r = t.g, t.u
         strongish = level in ("strong", "skew")
-        skew = level == "skew"
-        diff_masks = [0] * (g * g)
-        sum_masks = [0] * (g * g)
         partners = [0] * g
         classes = [0] * g
         class_mask = 0
         bit = [1 << v for v in range(g)]
-        sum_bits = [(bit[s] | (bit[-s] if skew else 0))
+        sum_bits = [(bit[s] | (bit[-s] if level == "skew" else 0))
                     if strongish and s % r else 0 for s in range(g)]
         elements = [x for x in range(1, g) if x % r]
         # One pass per difference class {d, -d}: a feasible pair {x, x+d}
         # has both members and its difference outside H, and (strong and
-        # skew) its sum too; it is written in both orders.
+        # skew) its sum too.
         for d in range(1, (g - 1) // 2 + 1):
             if d % r == 0:
                 continue
-            dbits = bit[d] | bit[-d]
             base = 0
             for x in elements:
                 y = (x + d) % g
-                if y % r == 0:
+                if y % r == 0 or strongish and not sum_bits[(x + y) % g]:
                     continue
-                sbits = sum_bits[(x + y) % g]
-                if strongish and not sbits:
-                    continue
-                diff_masks[x * g + y] = diff_masks[y * g + x] = dbits
-                sum_masks[x * g + y] = sum_masks[y * g + x] = sbits
                 partners[x] |= bit[y]
                 partners[y] |= bit[x]
                 base |= bit[x]
@@ -216,10 +204,8 @@ class Engine:
         self.g = g
         self.mask_g = (1 << g) - 1
         self.full = sum(1 << v for v in range(1, g) if v % r)
-        self.strongish = strongish
         self.symmetry = symmetry
-        self.diff_masks = diff_masks
-        self.sum_masks = sum_masks
+        self.sum_bits = sum_bits
         self.partners = partners
         self.classes = classes
         self.class_mask = class_mask
@@ -230,30 +216,44 @@ class Engine:
         Negation maps the pair {x, x+1} to {g-1-x, g-x}, so with symmetry on
         only base points x <= (g-1)/2 are kept: one representative per orbit.
         """
-        g, diff_masks = self.g, self.diff_masks
-        top = (g - 1) // 2 if self.symmetry else g - 2
+        top = (self.g - 1) // 2 if self.symmetry else self.g - 2
         return [(x, x + 1) for x in range(1, top + 1)
-                if diff_masks[x * g + x + 1]]
+                if self.classes[1] >> x & 1]
 
-    def root_masks(self, base: int) -> tuple[list[int], list[int]]:
-        """`partners` and `classes` below the root pair {base, base+1}: with
-        symmetry on, without the pairs whose key is below base (see the
-        module docstring).  No key lies below 1."""
-        if not self.symmetry or base < 2:
-            return self.partners, self.classes
+    def root_masks(self, roots: list[tuple[int, int]]
+                   ) -> list[tuple[list[int], list[int]]]:
+        """(partners, classes) below each of the root pairs {x, x+1}, which
+        come in ascending order, as `roots` or a stride of it lists them.
+
+        With symmetry on, the subtree of root x drops every pair {p, p+d}
+        of unit difference d whose key is below x.  That pair is the image
+        under d of the {1, -1} pair {b, b+1} of the starter d^-1 S,
+        b = p/d mod g, whose negation-normalised root base is the key
+        min(b, g-1-b).  A starter holding a pair of key k < x has an orbit
+        member rooted at base k; the orbit member of least root base keeps
+        all of its pairs, so every orbit under Z_g^* keeps a
+        representative.  The pairs of key k are {kd, (k+1)d} and
+        {-(k+1)d, -kd}, so each root drops only the keys from the previous
+        root's base up to its own.  No key lies below 1.
+        """
+        if not self.symmetry:
+            return [(self.partners, self.classes)] * len(roots)
         g, partners, classes = self.g, self.partners[:], self.classes[:]
-        for d in range(1, (g + 1) // 2):
-            if gcd(d, g) != 1:
-                continue
-            inv = pow(d, -1, g)
-            for p in range(1, g):
-                b = inv * p % g
-                if classes[d] >> p & 1 and min(b, g - 1 - b) < base:
-                    q = (p + d) % g
-                    classes[d] ^= 1 << p
-                    partners[p] ^= 1 << q
-                    partners[q] ^= 1 << p
-        return partners, classes
+        units = [d for d in range(1, (g + 1) // 2) if gcd(d, g) == 1]
+        out = []
+        key = 1
+        for x, _ in roots:
+            for k in range(key, x):
+                for d in units:
+                    for p in (k * d % g, -(k + 1) * d % g):
+                        if classes[d] >> p & 1:
+                            q = (p + d) % g
+                            classes[d] ^= 1 << p
+                            partners[p] ^= 1 << q
+                            partners[q] ^= 1 << p
+            key = x
+            out.append((partners[:], classes[:]))
+        return out
 
     def branch(self, used: int, used_diff: int, used_sum: int,
                masks: tuple[list[int], list[int]]) -> list[tuple[int, int]]:
@@ -274,7 +274,6 @@ class Engine:
         notdiff = ~used_diff & mask_g
         notsum = ~used_sum & mask_g
         partners, classes = masks
-        strongish = self.strongish
         best_n = g + 1
         key = opts = 0
         by_class = False
@@ -283,10 +282,9 @@ class Engine:
             xb = scan & -scan
             scan ^= xb
             x = xb.bit_length() - 1
-            m = free & partners[x] & (((notdiff << x) | (notdiff >> (g - x)))
+            m = free & partners[x] & ((notdiff << x | notdiff >> g - x)
+                                      & (notsum >> x | notsum << g - x)
                                       & mask_g)
-            if strongish:
-                m &= ((notsum >> x) | (notsum << (g - x))) & mask_g
             n = m.bit_count()
             if n == 0:
                 return []
@@ -309,7 +307,7 @@ class Engine:
                     best_n, key, opts, by_class = n, d, pl, True
                     if n == 1:
                         break
-        sum_masks = self.sum_masks
+        sum_bits = self.sum_bits
         out = []
         while opts:
             ob = opts & -opts
@@ -319,7 +317,7 @@ class Engine:
                 out.append((key, v) if key < v else (v, key))
                 continue
             y = (v + key) % g
-            if not used_sum & sum_masks[v * g + y]:
+            if not used_sum & sum_bits[(v + y) % g]:
                 out.append((v, y) if v < y else (y, v))
         return out
 
@@ -366,7 +364,8 @@ class Engine:
         [used, used_diff, used_sum, placements, next index], reading the
         current root's `root_masks`."""
         g, full, branch = self.g, self.full, self.branch
-        diff_masks, sum_masks = self.diff_masks, self.sum_masks
+        sum_bits = self.sum_bits
+        per_root = self.root_masks(roots)
         frames = [[0, 0, 0, roots, 0]]
         nodes = 0
         masks = None
@@ -387,10 +386,10 @@ class Engine:
                 x, y = placements[i]
                 fr[4] = i + 1
                 if len(frames) == 1:
-                    masks = self.root_masks(x)
+                    masks = per_root[i]
                 used |= 1 << x | 1 << y
-                ud |= diff_masks[x * g + y]
-                us |= sum_masks[x * g + y]
+                ud |= 1 << y - x | 1 << g - y + x
+                us |= sum_bits[(x + y) % g]
                 if used == full:
                     return (_LEAF, nodes, len(frames) - 1,
                             tuple(f[3][f[4] - 1] for f in frames))
@@ -409,17 +408,19 @@ class Engine:
         lib = load_kernel()
         if lib is None:
             raise RuntimeError("the native search kernel is not available")
-        arrays = (array("Q", self.diff_masks), array("Q", self.sum_masks),
-                  array("Q", self.partners), array("Q", self.classes),
+        per_root = self.root_masks(roots)
+        arrays = (array("Q", self.sum_bits),
+                  array("Q", [m for p, _ in per_root for m in p]),
+                  array("Q", [m for _, c in per_root for m in c]),
                   array("B", [v for pair in roots for v in pair]),
                   array("B", bytes(lib.fs_size())))
-        dm, sm, partners, classes, root_pairs, state = (
+        sum_bits, partners, classes, root_pairs, state = (
             a.buffer_info()[0] for a in arrays)
         out = array("Q", bytes(8 * (2 + g // 2 + 1)))
         out_p = out.buffer_info()[0]
-        lib.fs_init(state, g, self.strongish, self.symmetry, self.full,
-                    self.mask_g, dm, sm, partners, self.class_mask, classes,
-                    len(roots), root_pairs)
+        lib.fs_init(state, g, self.full, self.mask_g, sum_bits,
+                    self.class_mask, partners, classes, len(roots),
+                    root_pairs)
 
         # The kernel keeps pointers into the arrays: the step holds them.
         def step(pause_at: int, _arrays=arrays):

@@ -234,9 +234,9 @@ def test_acceptance_7_oracle_equivalence(oracle_sweep):
 
 
 def test_symmetry_reduction_meets_every_unit_orbit(oracle_sweep):
-    # The whole symmetry-reduced tree (negation roots and the unit-multiplier
-    # filter) reaches only starters, and meets every orbit of the oracle's
-    # starters under x -> ax, a a unit of Z_g.
+    # The whole symmetry-reduced tree (negation roots and each root's
+    # unit-multiplier masks) reaches only starters, and meets every orbit
+    # of the oracle's starters under x -> ax, a a unit of Z_g.
     for t, level, naive, _, _ in oracle_sweep:
         g = t.g
         units = [a for a in range(1, g) if gcd(a, g) == 1]

@@ -1,16 +1,18 @@
-"""Property test: the engine's candidate table against a direct reading of
-the pair rules.
+"""Property test: the engine's masks against a direct reading of the rules.
 
 For random admissible cyclic types with g <= 64 (the native kernel's
-range) at every level, every table the engine builds (the flat difference
-and sum masks, `partners`, `classes` with `class_mask`, and the roots)
-is compared with one computed here from the rules alone: a pair {x, y} of
-Z_g is feasible when its members, its difference and (strong and skew)
-its sum all lie outside H.  Only the element set of H comes from the
-package.
+range) at every level, every mask the engine builds (`partners`,
+`classes` with `class_mask`, `sum_bits`, the roots and each root's
+`root_masks`) is compared with one computed here from the rules alone: a
+pair {x, y} of Z_g is feasible when its members, its difference and
+(strong and skew) its sum all lie outside H, and with symmetry on the
+subtree of root x drops every pair {p, p+d} of unit difference d whose
+key min(b, g-1-b), b = p/d mod g, is below x.  Only the element set of H
+comes from the package.
 """
 
 import importlib
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ TYPES = [t for h in range(1, 33) for u in range(2, 65)
 
 
 def _reference(g, h_set, level):
-    """(diff, sums, partners, classes, class_mask, entries) by the rules."""
+    """(feasible, partners, classes, class_mask, sum_bits) by the rules."""
     strongish = level in ("strong", "skew")
 
     def feasible(x, y):
@@ -33,26 +35,34 @@ def _reference(g, h_set, level):
                 and (y - x) % g not in h_set
                 and not (strongish and (x + y) % g in h_set))
 
-    diff, sums, entries = [], [], {}
-    for x in range(g):
-        for y in range(g):
-            d, s = (y - x) % g, (x + y) % g
-            ok = feasible(x, y)
-            dm = (1 << d | 1 << -d % g) if ok else 0
-            sm = 0
-            if ok and strongish:
-                sm = 1 << s | (1 << -s % g if level == "skew" else 0)
-            diff.append(dm)
-            sums.append(sm)
-            entries[x, y] = ((1 << x | 1 << y, dm, sm, (min(x, y), max(x, y)))
-                             if ok else None)
     partners = [sum(1 << y for y in range(g) if feasible(x, y))
                 for x in range(g)]
     class_ds = [d for d in range(1, g) if 2 * d < g and d not in h_set]
     classes = [sum(1 << x for x in range(g) if feasible(x, (x + d) % g))
                if d in class_ds else 0 for d in range(g)]
-    return (diff, sums, partners, classes, sum(1 << d for d in class_ds),
-            entries)
+    sum_bits = [0 if not strongish or s in h_set
+                else 1 << s | (1 << -s % g if level == "skew" else 0)
+                for s in range(g)]
+    return (feasible, partners, classes, sum(1 << d for d in class_ds),
+            sum_bits)
+
+
+def _key_filter(g, partners, classes, base):
+    """`partners` and `classes` below the root pair {base, base+1}, without
+    the pairs whose unit-multiplier key is below base."""
+    partners, classes = partners[:], classes[:]
+    for d in range(1, (g + 1) // 2):
+        if gcd(d, g) != 1:
+            continue
+        inv = pow(d, -1, g)
+        for p in range(1, g):
+            b = inv * p % g
+            if classes[d] >> p & 1 and min(b, g - 1 - b) < base:
+                q = (p + d) % g
+                classes[d] ^= 1 << p
+                partners[p] ^= 1 << q
+                partners[q] ^= 1 << p
+    return partners, classes
 
 
 @settings(max_examples=150, deadline=None)
@@ -60,15 +70,20 @@ def _reference(g, h_set, level):
 def test_candidate_table_reads_the_pair_rules(t, level):
     g = t.g
     h_set = {e.coords[0] for e in t.subgroup().elements}
-    diff, sums, partners, classes, class_mask, entries = \
+    feasible, partners, classes, class_mask, sum_bits = \
         _reference(g, h_set, level)
     engine = search_mod.Engine(t, level, False)
-    assert engine.diff_masks == diff
-    assert engine.sum_masks == sums
     assert engine.partners == partners
     assert engine.classes == classes
     assert engine.class_mask == class_mask
+    assert engine.sum_bits == sum_bits
     for symmetry, top in ((True, (g - 1) // 2), (False, g - 2)):
-        assert search_mod.Engine(t, level, symmetry).roots() == [
-            (x, x + 1) for x in range(1, top + 1)
-            if entries[x, x + 1] is not None]
+        engine = search_mod.Engine(t, level, symmetry)
+        roots = engine.roots()
+        assert roots == [(x, x + 1) for x in range(1, top + 1)
+                         if feasible(x, x + 1)]
+        # the whole root list, and a worker's stride of it
+        for some in (roots, roots[1::2]):
+            want = [_key_filter(g, partners, classes, x) if symmetry
+                    else (partners, classes) for x, _ in some]
+            assert engine.root_masks(some) == want, (symmetry, some)

@@ -67,7 +67,7 @@ def test_config_validation(monkeypatch):
     assert not SearchConfig(StarterType(1, 7), mode="exhaustive_count") \
         .symmetry_reduction
 
-    # The budget rule comes before the engine's O(g^2) candidate table.
+    # The budget rule comes before the engine's O(g^2)-time set-up.
     def no_engine(*args):
         raise AssertionError("engine built before the budget check")
 
@@ -320,20 +320,21 @@ def test_canonical_first_branch_walkthrough():
     engine = search_mod.Engine(StarterType(1, 7), "skew", True)
 
     def branch(*placed):
+        # members, +-differences and +-sums of the placed pairs, by the rule
         state = [0, 0, 0]
         for x, y in placed:
-            k = x * engine.g + y
-            masks = (1 << x | 1 << y, engine.diff_masks[k], engine.sum_masks[k])
+            d, s = (y - x) % 7, (x + y) % 7
+            masks = (1 << x | 1 << y, 1 << d | 1 << -d % 7, 1 << s | 1 << -s % 7)
             for i, mask in enumerate(masks):
                 state[i] |= mask
-        return engine.branch(*state, engine.root_masks(placed[0][0]))
+        return engine.branch(*state, engine.root_masks([placed[0]])[0])
 
     assert engine.roots() == [(1, 2), (2, 3)]
     assert branch((2, 3)) == [(1, 5)]
     assert branch((2, 3), (1, 5)) == [(4, 6)]
     assert branch((1, 2)) == []  # provably dead state
     assert branch((2, 3), (1, 5), (4, 6)) == []  # complete
-    assert engine.diff_masks[1 * 7 + 6] == 0  # the pair's sum lies in H
+    assert not engine.partners[1] >> 6 & 1  # the pair's sum lies in H
     out = search(cfg(1, 7))
     assert out.nodes_visited == 4
     assert format_pairs(out.starters[0]) == "{1, 5}, {2, 3}, {4, 6}"
@@ -381,6 +382,26 @@ def test_native_parity_named_cells(native, h, u, mode, nodes):
     py, nat = _both_kernels(engine, c, engine.roots())
     assert py == nat
     assert py[1] == nodes and len(py[0]) == (mode == "find_first")
+
+
+@pytest.mark.parametrize("h, u, level, budget", [
+    (2, 32, "skew", 20_000),
+    (8, 8, "skew", 20_000),
+    (4, 16, "strong", 1_000_000),  # g > 60 needs a budget; it finds first
+    (2, 32, "frame", 1_000_000),
+])
+def test_native_parity_at_the_widest_masks(native, h, u, level, budget):
+    # At g = 64 the difference bits and the mask rotations reach bit 63.
+    # The worker's stride of roots starts at a root with a filtered row.
+    for symmetry in (True, False):
+        c = cfg(h, u, level, node_budget=budget, symmetry_reduction=symmetry)
+        engine = search_mod.Engine(c.target_type, level, symmetry)
+        roots = engine.roots()
+        py, nat = _both_kernels(engine, c, roots)
+        assert py == nat, symmetry
+        assert py[2] if budget == 20_000 else len(py[0]) == 1, symmetry
+        py, nat = _both_kernels(engine, c, roots[1::2])
+        assert py == nat, symmetry
 
 
 def test_native_parity_budget_cuts(native):
@@ -522,7 +543,7 @@ def test_pause_and_resume_every_few_nodes(native, monkeypatch):
             runs.append((result, events, silent))
         return runs
 
-    # 4^7 pauses across root changes with the unit-multiplier filter on.
+    # 4^7 pauses across root changes, each root with its own masks.
     for c in (cfg(3, 7, mode="prove_nonexistence", progress_interval=100),
               cfg(4, 7, mode="prove_nonexistence", progress_interval=10_000),
               cfg(1, 11, mode="exhaustive_count", progress_interval=10),
