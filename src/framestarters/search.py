@@ -39,8 +39,9 @@ nodes in the same order; the Python stepper is the kernel's test
 oracle.  `SearchOutcome.kernel` says which one ran.
 
 The engine returns raw pairings in tree order.  `search` builds each
-starter it reports and checks it once with the independent verifier, in
-the calling process; the acceleration structures are never trusted.
+starter it reports, from one shared Pair per placement, and checks it once
+with the independent verifier, in the calling process; the acceleration
+structures are never trusted.
 `search` says when several workers split the tree, and why every worker
 count reports what the serial run reports.
 
@@ -65,7 +66,7 @@ from operator import itemgetter
 from typing import Callable, Sequence
 
 from .errors import InvalidTypeError
-from .starters import LEVELS, FrameStarter, make_starter, verify_skew
+from .starters import LEVELS, FrameStarter, Pair, make_starter, verify_skew
 from .theory import NonexistenceCertificate, StarterType, exhaustion_certificate
 
 MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
@@ -448,17 +449,19 @@ def _verified_starters(t: StarterType, level: str,
                        ) -> tuple[FrameStarter, ...]:
     """Build each raw pairing into a starter and verify it once.
 
-    The starters share one Element per residue of Z_g.
+    The starters share one Element per residue of Z_g and one Pair per
+    placement (lo, hi); each starter still runs its construction checks.
     """
     if not raw_pairings:
         return ()
     group = t.group()
     sub = t.subgroup(group)
     residues = list(group.elements())
+    pairs = {(x, y): Pair(residues[x], residues[y])
+             for x, y in set().union(*raw_pairings)}
     starters = []
     for raw in raw_pairings:
-        starter = make_starter(group, sub,
-                               [(residues[x], residues[y]) for x, y in raw])
+        starter = make_starter(group, sub, map(pairs.__getitem__, raw))
         report = verify_skew(starter)
         if not report.holds(level):
             raise RuntimeError(

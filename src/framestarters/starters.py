@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import NotComparableError, StructureError, UnsupportedOperationError
 from .groups import Element, GroupSpec, SubgroupSpec, reduce_mod
@@ -98,14 +98,15 @@ class FrameStarter:
 
 
 def make_starter(group: GroupSpec, subgroup: SubgroupSpec, raw_pairs) -> FrameStarter:
-    """Build a starter from raw pair values: ints (cyclic) and coordinate
-    tuples are reduced; elements are taken as they are, and construction
-    rejects one that is not canonical."""
+    """Build a starter from pairs.  A `Pair` is taken as it is; in a raw pair
+    of values, ints (cyclic) and coordinate tuples are reduced and elements
+    are taken as they are.  Construction rejects a member that is not
+    canonical."""
     def element(v):
         return v if isinstance(v, Element) else group.element(v)
 
-    pairs = tuple(Pair(element(x), element(y)) for x, y in raw_pairs)
-    return FrameStarter(group, subgroup, pairs)
+    return FrameStarter(group, subgroup, tuple(
+        p if isinstance(p, Pair) else Pair(*map(element, p)) for p in raw_pairs))
 
 
 def negate_starter(s: FrameStarter) -> FrameStarter:
@@ -121,15 +122,28 @@ def negate_starter(s: FrameStarter) -> FrameStarter:
 LEVELS = ("frame", "strong", "skew")
 
 
-@dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Outcome of verification; skew implies strong implies frame by design."""
+    """Outcome of verification; skew implies strong implies frame by design.
 
-    is_frame: bool
-    is_strong: bool
-    is_skew: bool
-    witness: str | None = None
-    witnesses: tuple[str, ...] = ()
+    `witness` is the first violation (None for a skew starter).  It may be
+    given as a function of no arguments, called when `witness` is first
+    read, so a caller that asks only `holds(level)` formats no text.
+    """
+
+    __slots__ = ("is_frame", "is_strong", "is_skew", "witnesses", "_witness")
+
+    def __init__(self, is_frame: bool, is_strong: bool, is_skew: bool,
+                 witness: str | Callable[[], str] | None = None,
+                 witnesses: tuple[str, ...] = ()):
+        self.is_frame, self.is_strong, self.is_skew = is_frame, is_strong, is_skew
+        self.witnesses = witnesses
+        self._witness = witness
+
+    @property
+    def witness(self) -> str | None:
+        if callable(self._witness):
+            self._witness = self._witness()
+        return self._witness
 
     def holds(self, level: str) -> bool:
         return (self.is_frame, self.is_strong, self.is_skew)[LEVELS.index(level)]
@@ -139,88 +153,80 @@ def verify_skew(s: FrameStarter, verbose: bool = False) -> VerificationReport:
     """The one verifier: which of frame, strong and skew the starter satisfies.
 
     `report.holds(level)` answers for one level.  `witness` is the first
-    violation found; with verbose, `witnesses` lists every one.
+    violation found, formatted when it is first read; with verbose,
+    `witnesses` lists every one.
 
-    The levels are decided by set sizes over coordinate tuples, computed
-    one column of residues per factor; witness text is formatted only for
-    a starter that fails, and then only as much as the report returns.
+    The levels are decided by set sizes over integer element indices: the
+    members, d = second - first, -d, t = first + second and -t of every
+    pair are computed one column of residues per factor and folded into
+    mixed-radix codes, so one code path serves every group.
     """
-    n = len(s.pairs)
-    firsts = [p.first.coords for p in s.pairs]
-    seconds = [p.second.coords for p in s.pairs]
-    # Per pair d = second - first, -d, t = first + second and -t, one
-    # column of residues per factor, then zipped into coordinate tuples.
-    cols: tuple[list[list[int]], ...] = ([], [], [], [])
-    for xs, ys, m in zip(zip(*firsts), zip(*seconds), s.group.factors):
+    factors, n = s.group.factors, len(s.pairs)
+    codes = in_h = None
+    for xs, ys, m in zip(zip(*[p.first.coords for p in s.pairs]),
+                         zip(*[p.second.coords for p in s.pairs]), factors):
         d = [(y - x) % m for x, y in zip(xs, ys)]
         t = [(x + y) % m for x, y in zip(xs, ys)]
-        for out, col in zip(cols, (d, [-v % m for v in d],
-                                   t, [-v % m for v in t])):
-            out.append(col)
-    diffs, neg_diffs, sums, neg_sums = (list(zip(*c)) for c in cols)
-    in_h = {x.coords for x in s.subgroup.elements}
+        cols = (xs + ys, d, [-v % m for v in d], t, [-v % m for v in t])
+        codes = cols if codes is None else [
+            [c * m + v for c, v in zip(a, col)] for a, col in zip(codes, cols)]
+    for col, m in zip(zip(*[x.coords for x in s.subgroup.elements]), factors):
+        in_h = col if in_h is None else [c * m + v for c, v in zip(in_h, col)]
+    members, diffs, neg_diffs, sums, neg_sums = codes or ((),) * 5
+    in_h = set(in_h)
 
     # Construction pins the pair count and membership in G \ H, so the
     # members partition G \ H exactly when no element repeats.  H is closed
     # under negation, so with no sum in H no -sum is either.
-    clean = (len(set(firsts + seconds)) == 2 * n,
-             len(set(diffs + neg_diffs)) == 2 * n and in_h.isdisjoint(diffs),
-             len(set(sums)) == n and in_h.isdisjoint(sums))
-    is_frame = clean[0] and clean[1]
-    is_strong = is_frame and clean[2]
+    is_frame = (len(set(members)) == 2 * n and in_h.isdisjoint(diffs)
+                and len(set(diffs + neg_diffs)) == 2 * n)
+    is_strong = is_frame and len(set(sums)) == n and in_h.isdisjoint(sums)
     is_skew = is_strong and len(set(sums + neg_sums)) == 2 * n
     if is_skew:
         return VerificationReport(True, True, True)
-    found = _violations(s, clean, in_h, diffs, neg_diffs, sums, neg_sums)
-    witnesses = tuple(found) if verbose else ()
-    return VerificationReport(
-        is_frame=is_frame,
-        is_strong=is_strong,
-        is_skew=False,
-        witness=witnesses[0] if verbose else next(found),
-        witnesses=witnesses,
-    )
+    if verbose:
+        witnesses = tuple(_violations(s))
+        return VerificationReport(is_frame, is_strong, False, witnesses[0],
+                                  witnesses)
+    return VerificationReport(is_frame, is_strong, False,
+                              lambda: next(_violations(s)))
 
 
-def _violations(s: FrameStarter, clean: tuple[bool, bool, bool], in_h: set,
-                diffs: list, neg_diffs: list, sums: list,
-                neg_sums: list) -> Iterator[str]:
+def _violations(s: FrameStarter) -> Iterator[str]:
     """Every violation of `s`, formatted in report order: members,
-    differences, sums, then +-sums, each in pair order.  `clean` says which
-    of the first three scans has nothing to report, so they are skipped.
-    """
+    differences, sums, then +-sums, each in pair order."""
+    in_h = s.subgroup.elements
     seen: set = set()
-    for p in s.pairs if not clean[0] else ():
-        for x in (p.first, p.second):
-            if x.coords in seen:
-                yield f"frame: element {x!r} covered twice"
-            seen.add(x.coords)
+    for x in s.members():
+        if x in seen:
+            yield f"frame: element {x!r} covered twice"
+        seen.add(x)
 
     seen = set()
-    for p, d, nd in zip(s.pairs, diffs, neg_diffs) if not clean[1] else ():
-        for v in (d, nd):
+    for p, pm in zip(s.pairs, s.differences()):
+        for v in pm:
             if v in in_h:
-                yield (f"frame: difference {Element(v)!r} lies in the subgroup "
-                       f"(pair {p!r})")
+                yield f"frame: difference {v!r} lies in the subgroup (pair {p!r})"
             elif v in seen:
-                yield f"frame: difference {Element(v)!r} duplicated (pair {p!r})"
+                yield f"frame: difference {v!r} duplicated (pair {p!r})"
             seen.add(v)
 
     seen = set()
-    for p, t in zip(s.pairs, sums) if not clean[2] else ():
+    sums = s.sums()
+    for p, t in zip(s.pairs, sums):
         if t in in_h:
-            yield f"strong: sum {Element(t)!r} lies in the subgroup (pair {p!r})"
+            yield f"strong: sum {t!r} lies in the subgroup (pair {p!r})"
         elif t in seen:
-            yield f"strong: sum {Element(t)!r} duplicated (pair {p!r})"
+            yield f"strong: sum {t!r} duplicated (pair {p!r})"
         seen.add(t)
 
     # A self-negative sum contributes one value twice, which the duplicate
     # check flags, so no separate 2t = 0 test is needed.
     seen = set()
-    for p, t, nt in zip(s.pairs, sums, neg_sums):
-        for v in (t, nt):
+    for p, t in zip(s.pairs, sums):
+        for v in (t, s.group.neg(t)):
             if v in seen and v not in in_h:
-                yield f"skew: sum value {Element(v)!r} duplicated (pair {p!r})"
+                yield f"skew: sum value {v!r} duplicated (pair {p!r})"
             seen.add(v)
 
 

@@ -69,6 +69,8 @@ def build_table(max_g: int, *, deep: bool = False,
                 budget: int = DEFAULT_CELL_BUDGET) -> list[TableRow]:
     if max_g > MAX_SEARCH_ORDER:
         raise InvalidTypeError(f"--max-g is capped at {MAX_SEARCH_ORDER}")
+    if max_g < 4:
+        raise InvalidTypeError("--max-g must be >= 4, the order of 2^2")
     check_budget(budget)  # before the first row, searched or not
     return [build_row(t, deep=deep, budget=budget)
             for t in admissible_types(max_g)]

@@ -251,6 +251,17 @@ def test_table_caps_max_g(capsys):
     assert main(["table", "--max-g", "5000"]) == 2
 
 
+def test_table_rejects_max_g_below_the_smallest_type(capsys):
+    # 2^2 (g = 4) is the smallest table type; a smaller bound is an error,
+    # not an empty table
+    assert main(["table", "--max-g", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-g must be >= 4" in captured.err
+    assert main(["table", "--max-g", "4", "--json"]) == 0
+    assert [row["type"] for row in json.loads(capsys.readouterr().out)] == ["2^2"]
+
+
 def test_deep_cells_skipped_by_default():
     row = build_row(StarterType(2, 16), deep=False, budget=1000, workers=1)
     assert row.existence == "?" and "deep" in row.detail

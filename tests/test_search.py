@@ -110,6 +110,35 @@ def test_unverified_candidate_raises(monkeypatch):
         search(cfg(2, 5))
 
 
+def test_search_formats_no_witness(monkeypatch):
+    # A frame-level count of 2^9 emits 4,800 starters, most of them not
+    # skew; the search reads only holds(level), so no witness is formatted.
+    starters_mod = importlib.import_module("framestarters.starters")
+
+    def formatted(s):
+        raise AssertionError("a witness was formatted on the search path")
+
+    monkeypatch.setattr(starters_mod, "_violations", formatted)
+    out = search(cfg(2, 9, "frame", "exhaustive_count"))
+    assert len(out.starters) == 4800
+    monkeypatch.undo()
+    sample = [s for s in out.starters[::50] if not verify_skew(s).is_skew]
+    assert len(sample) > 50
+    for s in sample:
+        assert verify_skew(s).witness == \
+            verify_skew(s, verbose=True).witnesses[0]
+
+
+def test_starters_of_one_search_share_pairs():
+    t = StarterType(1, 11)
+    out = search(SearchConfig(t, property="frame", mode="exhaustive_count"))
+    a, b = out.starters[:2]
+    shared = [(p, q) for p in a.pairs for q in b.pairs if p == q]
+    assert shared and all(p is q for p, q in shared)
+    assert {s.pairs for s in out.starters} == \
+        {s.pairs for s in naive_enumerate(t, "frame")}
+
+
 def test_oracle_equivalence_small_sample():
     # the full g <= 16 sweep lives in the acceptance suite
     for h, u in ((1, 7), (2, 5), (1, 9), (4, 3)):

@@ -48,6 +48,19 @@ def test_construction_guards():
         make_starter(z10, cyclic_subgroup(z10, 5), [(1, 2), (3, 4)])
 
 
+def test_ready_pairs_are_still_checked():
+    # make_starter takes a Pair as it is; construction still checks it
+    def pairs(*xy):
+        return [Pair(Element((x,)), Element((y,))) for x, y in xy]
+
+    with pytest.raises(StructureError, match="subgroup"):
+        make_starter(Z7, Z7_TRIV, pairs((0, 1), (2, 3), (4, 5)))
+    with pytest.raises(StructureError, match="outside"):
+        make_starter(Z7, Z7_TRIV, pairs((1, 2), (3, 4), (5, 9)))
+    with pytest.raises(StructureError, match="expected 3 pairs"):
+        make_starter(Z7, Z7_TRIV, pairs((1, 2), (3, 4)))
+
+
 def test_construction_rejects_non_canonical_elements():
     # 11 is 4 in Z_7: this pairing covers 4 twice and misses 1
     with pytest.raises(StructureError, match="outside"):
