@@ -31,7 +31,7 @@ def _emit(obj, as_json: bool, text: str):
 
 def cmd_verify(args) -> int:
     starter = serialize.load_starter(args.file)
-    report = verify_skew(starter, verbose=args.verbose)
+    report = verify_skew(starter)
     holds = report.holds(args.property)
     text = [f"type {starter.h}^{starter.u} in a group of order "
             f"{starter.group.order}"]
@@ -39,9 +39,11 @@ def cmd_verify(args) -> int:
         text.append(f"  {level}: {'yes' if report.holds(level) else 'no'}")
     if report.witness and not holds:
         text.append(f"  witness: {report.witness}")
+    obj = serialize.report_to_obj(report)
     if args.verbose and report.witnesses:
         text.extend(f"  - {w}" for w in report.witnesses)
-    _emit(serialize.report_to_obj(report), args.json, "\n".join(text))
+        obj["witnesses"] = list(report.witnesses)
+    _emit(obj, args.json, "\n".join(text))
     return EXIT_OK if holds else EXIT_FALSE
 
 

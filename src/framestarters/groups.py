@@ -135,10 +135,10 @@ class GroupSpec:
 
 @dataclass(frozen=True, slots=True)
 class SubgroupSpec:
-    """A subgroup given by generators, with its element set materialized."""
+    """A subgroup given by generators; equal specs have equal element sets."""
 
     group: GroupSpec
-    generators: tuple[Element, ...]
+    generators: tuple[Element, ...] = field(compare=False)
     elements: frozenset[Element]
     order: int = field(init=False, compare=False)
 

@@ -478,14 +478,15 @@ def search(cfg: SearchConfig,
     """Run the backtracking search described by the config.
 
     find_first and prove_nonexistence stop at the first starter;
-    exhaustive_count traverses the whole canonical tree.  exhausted_none is
-    reported only after a complete traversal, never after a budget cut.
-    A budgeted config has one worker, so a budget cuts the serial walk.
-    Several workers first walk _HEAD_START (2^18) nodes in-process, as one
-    does, and a walk that ends there is the answer.  A larger tree is
-    walked again by one process per stride of root pairs, which report no
-    progress; nodes_visited counts their walk alone.  Results merge back
-    into tree order, so every worker count reports the serial starters.
+    exhaustive_count traverses the whole canonical tree and holds every
+    starter in memory, which a node budget bounds, as no tree has more leaves
+    than nodes.  exhausted_none is reported only after a complete traversal,
+    never after a budget cut.  A budgeted config has one worker, so a budget
+    cuts the serial walk.  Several workers first walk _HEAD_START (2^18) nodes
+    in-process, as one does, and a walk that ends there is the answer.  A
+    larger tree is walked again by one process per stride of root pairs, which
+    report no progress; nodes_visited counts their walk alone.  Results merge
+    back into tree order, so every worker count reports the serial starters.
     Each reported starter is built and verified once, here.
     """
     t = cfg.target_type

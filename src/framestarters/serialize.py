@@ -158,15 +158,12 @@ def dump_starter(s: FrameStarter, path: str | Path):
 
 
 def report_to_obj(report: VerificationReport) -> dict:
-    out = {
+    return {
         "is_frame": report.is_frame,
         "is_strong": report.is_strong,
         "is_skew": report.is_skew,
         "witness": report.witness,
     }
-    if report.witnesses:
-        out["witnesses"] = list(report.witnesses)
-    return out
 
 
 def certificate_to_obj(cert: NonexistenceCertificate) -> dict:

@@ -4,7 +4,7 @@ A frame starter over G \\ H is a set of (g-h)/2 unordered pairs whose
 members partition G \\ H and whose +- differences partition G \\ H again.
 "Strong" adds distinct pair sums outside H, "skew" requires the +- sums
 to partition G \\ H.  Verification never throws on a bad starter; it
-reports which properties hold and the first offending witness.
+reports which properties hold and every violation, formatted when read.
 """
 
 from __future__ import annotations
@@ -80,22 +80,6 @@ class FrameStarter:
     def u(self) -> int:
         return self.group.order // self.subgroup.order
 
-    def members(self) -> Iterator[Element]:
-        for p in self.pairs:
-            yield p.first
-            yield p.second
-
-    def sums(self) -> list[Element]:
-        return [self.group.add(p.first, p.second) for p in self.pairs]
-
-    def differences(self) -> list[tuple[Element, Element]]:
-        """Per pair, the ordered (+d, -d) difference couple."""
-        out = []
-        for p in self.pairs:
-            d = self.group.sub(p.second, p.first)
-            out.append((d, self.group.neg(d)))
-        return out
-
 
 def make_starter(group: GroupSpec, subgroup: SubgroupSpec, raw_pairs) -> FrameStarter:
     """Build a starter from pairs.  A `Pair` is taken as it is; in a raw pair
@@ -125,36 +109,38 @@ LEVELS = ("frame", "strong", "skew")
 class VerificationReport:
     """Outcome of verification; skew implies strong implies frame by design.
 
-    `witness` is the first violation (None for a skew starter).  It may be
-    given as a function of no arguments, called when `witness` is first
-    read, so a caller that asks only `holds(level)` formats no text.
+    `witnesses` lists every violation in report order and `witness` is the
+    first, or None for a skew starter.  The list may be a function of no
+    arguments, called on first read, so a caller that asks only
+    `holds(level)` formats no text.
     """
 
-    __slots__ = ("is_frame", "is_strong", "is_skew", "witnesses", "_witness")
+    __slots__ = ("is_frame", "is_strong", "is_skew", "_witnesses")
 
     def __init__(self, is_frame: bool, is_strong: bool, is_skew: bool,
-                 witness: str | Callable[[], str] | None = None,
-                 witnesses: tuple[str, ...] = ()):
+                 witnesses: tuple[str, ...] | Callable[[], tuple[str, ...]] = ()):
         self.is_frame, self.is_strong, self.is_skew = is_frame, is_strong, is_skew
-        self.witnesses = witnesses
-        self._witness = witness
+        self._witnesses = witnesses
+
+    @property
+    def witnesses(self) -> tuple[str, ...]:
+        if callable(self._witnesses):
+            self._witnesses = self._witnesses()
+        return self._witnesses
 
     @property
     def witness(self) -> str | None:
-        if callable(self._witness):
-            self._witness = self._witness()
-        return self._witness
+        return self.witnesses[0] if self.witnesses else None
 
     def holds(self, level: str) -> bool:
         return (self.is_frame, self.is_strong, self.is_skew)[LEVELS.index(level)]
 
 
-def verify_skew(s: FrameStarter, verbose: bool = False) -> VerificationReport:
+def verify_skew(s: FrameStarter) -> VerificationReport:
     """The one verifier: which of frame, strong and skew the starter satisfies.
 
-    `report.holds(level)` answers for one level.  `witness` is the first
-    violation found, formatted when it is first read; with verbose,
-    `witnesses` lists every one.
+    `report.holds(level)` answers for one level; `report.witnesses` lists
+    every violation, formatted from the same codes when it is first read.
 
     The levels are decided by set sizes over integer element indices: the
     members, d = second - first, -d, t = first + second and -t of every
@@ -184,49 +170,49 @@ def verify_skew(s: FrameStarter, verbose: bool = False) -> VerificationReport:
     is_skew = is_strong and len(set(sums + neg_sums)) == 2 * n
     if is_skew:
         return VerificationReport(True, True, True)
-    if verbose:
-        witnesses = tuple(_violations(s))
-        return VerificationReport(is_frame, is_strong, False, witnesses[0],
-                                  witnesses)
-    return VerificationReport(is_frame, is_strong, False,
-                              lambda: next(_violations(s)))
+    return VerificationReport(is_frame, is_strong, False, lambda: tuple(
+        _violations(factors, in_h, *codes)))
 
 
-def _violations(s: FrameStarter) -> Iterator[str]:
-    """Every violation of `s`, formatted in report order: members,
-    differences, sums, then +-sums, each in pair order."""
-    in_h = s.subgroup.elements
-    seen: set = set()
-    for x in s.members():
+def _violations(factors, in_h, members, diffs, neg_diffs, sums, neg_sums,
+                ) -> Iterator[str]:
+    """Every violation, formatted in report order: members, differences,
+    sums, then +-sums, each in pair order.  The arguments are
+    `verify_skew`'s: the codes of H and its five columns of codes."""
+    def element(code):
+        coords = []
+        for m in reversed(factors):
+            code, v = divmod(code, m)
+            coords.append(v)
+        return Element(tuple(reversed(coords)))
+
+    def partition(level, what, columns):
+        seen = set()
+        for p, vs in zip(pairs, zip(*columns)):
+            for v in vs:
+                if v in in_h or v in seen:
+                    how = "lies in the subgroup" if v in in_h else "duplicated"
+                    yield f"{level}: {what} {element(v)!r} {how} (pair {p!r})"
+                seen.add(v)
+
+    # members holds every pair's first member, then every second member.
+    firsts, seconds = members[:len(sums)], members[len(sums):]
+    pairs = [Pair(element(x), element(y)) for x, y in zip(firsts, seconds)]
+    seen = set()
+    for x in (x for xy in zip(firsts, seconds) for x in xy):
         if x in seen:
-            yield f"frame: element {x!r} covered twice"
+            yield f"frame: element {element(x)!r} covered twice"
         seen.add(x)
-
-    seen = set()
-    for p, pm in zip(s.pairs, s.differences()):
-        for v in pm:
-            if v in in_h:
-                yield f"frame: difference {v!r} lies in the subgroup (pair {p!r})"
-            elif v in seen:
-                yield f"frame: difference {v!r} duplicated (pair {p!r})"
-            seen.add(v)
-
-    seen = set()
-    sums = s.sums()
-    for p, t in zip(s.pairs, sums):
-        if t in in_h:
-            yield f"strong: sum {t!r} lies in the subgroup (pair {p!r})"
-        elif t in seen:
-            yield f"strong: sum {t!r} duplicated (pair {p!r})"
-        seen.add(t)
+    yield from partition("frame", "difference", (diffs, neg_diffs))
+    yield from partition("strong", "sum", (sums,))
 
     # A self-negative sum contributes one value twice, which the duplicate
     # check flags, so no separate 2t = 0 test is needed.
     seen = set()
-    for p, t in zip(s.pairs, sums):
-        for v in (t, s.group.neg(t)):
+    for p, vs in zip(pairs, zip(sums, neg_sums)):
+        for v in vs:
             if v in seen and v not in in_h:
-                yield f"skew: sum value {v!r} duplicated (pair {p!r})"
+                yield f"skew: sum value {element(v)!r} duplicated (pair {p!r})"
             seen.add(v)
 
 

@@ -39,8 +39,7 @@ def test_verify_exit_codes(corpus_file, tmp_path, capsys):
     non_frame = tmp_path / "non-frame-z7.json"
     non_frame.write_text('{"group": {"factors": [7]}, "subgroup": '
                          '{"order": 1}, "pairs": [[1, 2], [3, 5], [4, 6]]}')
-    witnesses = verify_skew(serialize.load_starter(non_frame),
-                            verbose=True).witnesses
+    witnesses = verify_skew(serialize.load_starter(non_frame)).witnesses
     assert len(witnesses) >= 2
     capsys.readouterr()
     assert main(["verify", str(non_frame), "--verbose"]) == 1
@@ -73,10 +72,22 @@ def test_verify_exit_codes(corpus_file, tmp_path, capsys):
     assert main(["verify", str(huge)]) == 2
 
 
-def test_verify_json_output(corpus_file, capsys):
+def test_verify_json_output(corpus_file, tmp_path, capsys):
     assert main(["verify", corpus_file("example-1"), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["is_skew"] is True
+
+    # the four report keys always; "witnesses" only under --verbose, and
+    # only when there is one
+    non_frame = tmp_path / "non-frame-z7.json"
+    non_frame.write_text('{"group": {"factors": [7]}, "subgroup": '
+                         '{"order": 1}, "pairs": [[1, 2], [3, 5], [4, 6]]}')
+    report_keys = ["is_frame", "is_strong", "is_skew", "witness"]
+    for path, verbose_keys in ((str(non_frame), report_keys + ["witnesses"]),
+                               (corpus_file("example-2"), report_keys)):
+        for flags, keys in (([], report_keys), (["--verbose"], verbose_keys)):
+            main(["verify", path, "--json", *flags])
+            assert list(json.loads(capsys.readouterr().out)) == keys
 
 
 def test_certify_exit_codes(capsys):

@@ -104,7 +104,8 @@ def test_found_starters_are_verified():
 
 def test_unverified_candidate_raises(monkeypatch):
     # the verifier is the last word: a candidate it rejects is an engine bug
-    failing = VerificationReport(False, False, False, witness="frame: planted")
+    failing = VerificationReport(False, False, False,
+                                 witnesses=("frame: planted",))
     monkeypatch.setattr(search_mod, "verify_skew", lambda s: failing)
     with pytest.raises(RuntimeError, match="planted"):
         search(cfg(2, 5))
@@ -115,7 +116,7 @@ def test_search_formats_no_witness(monkeypatch):
     # skew; the search reads only holds(level), so no witness is formatted.
     starters_mod = importlib.import_module("framestarters.starters")
 
-    def formatted(s):
+    def formatted(*columns):
         raise AssertionError("a witness was formatted on the search path")
 
     monkeypatch.setattr(starters_mod, "_violations", formatted)
@@ -125,8 +126,7 @@ def test_search_formats_no_witness(monkeypatch):
     sample = [s for s in out.starters[::50] if not verify_skew(s).is_skew]
     assert len(sample) > 50
     for s in sample:
-        assert verify_skew(s).witness == \
-            verify_skew(s, verbose=True).witnesses[0]
+        assert verify_skew(s).witness == verify_skew(s).witnesses[0]
 
 
 def test_starters_of_one_search_share_pairs():

@@ -11,10 +11,12 @@ from framestarters import (
     UnsupportedOperationError,
     complement,
     cyclic_subgroup,
+    generated_subgroup,
     half_set,
     make_starter,
     negate_starter,
     quadratic_sum_check,
+    serialize,
     trivial_subgroup,
     type_census,
     verify_orthogonal,
@@ -111,7 +113,7 @@ def test_verify_skew_examples(corpus_by_id):
 
 def test_example_2_sums_by_hand(corpus_by_id):
     s = corpus_by_id["example-2"].starter
-    sums = sorted(e.coords[0] for e in s.sums())
+    sums = sorted(s.group.add(p.first, p.second).coords[0] for p in s.pairs)
     assert sums == [3, 5, 6]  # +-{3,5,6} = {3,4,5,6,2,1} = Z_7 minus {0}
 
 
@@ -128,18 +130,20 @@ def test_implication_chain(corpus_by_id):
 def test_partition_property(corpus_entries):
     for entry in corpus_entries:
         s = entry.starter
-        members = list(s.members())
+        members = [x for p in s.pairs for x in (p.first, p.second)]
         expected = set(complement(s.group, s.subgroup))
         assert len(members) == len(expected)
         assert set(members) == expected
-        diffs = [v for couple in s.differences() for v in couple]
+        diffs = [v for p in s.pairs
+                 for v in (s.group.sub(p.second, p.first),
+                           s.group.sub(p.first, p.second))]
         assert len(diffs) == len(expected)
         assert set(diffs) == expected
 
 
 def test_verbose_collects_all_witnesses():
     bad = make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)])
-    report = verify_skew(bad, verbose=True)
+    report = verify_skew(bad)
     assert len(report.witnesses) >= 2
     assert report.witness == report.witnesses[0]
 
@@ -225,10 +229,7 @@ def test_witness_text_is_pinned(strong_3_7):
         report = verify_skew(s)
         assert (report.is_frame, report.is_strong, report.is_skew) == flags
         assert report.witness == witnesses[0]
-        assert report.witnesses == ()
-        verbose = verify_skew(s, verbose=True)
-        assert verbose.witness == witnesses[0]
-        assert verbose.witnesses == witnesses
+        assert report.witnesses == witnesses
 
 
 def test_orthogonal_with_negation(corpus_by_id):
@@ -280,6 +281,29 @@ def test_orthogonal_not_comparable():
         verify_orthogonal(patterned_starter(Z7, Z7_TRIV), other)
 
 
+def test_subgroup_compares_by_its_elements():
+    # {0, 5, 10} in Z_15, given by its order and by the generator 10
+    z15 = GroupSpec((15,))
+    by_order = cyclic_subgroup(z15, 3)
+    by_generator = generated_subgroup(z15, [z15.element(10)])
+    assert by_order.generators != by_generator.generators
+    assert by_order == by_generator
+    assert hash(by_order) == hash(by_generator)
+    assert (patterned_starter(z15, by_order)
+            == patterned_starter(z15, by_generator))
+    pairs_1 = [[1, 2], [3, 6], [4, 13], [7, 14], [8, 12], [9, 11]]
+    pairs_2 = [[1, 7], [2, 3], [4, 8], [6, 14], [9, 12], [11, 13]]
+    ok, adder = verify_orthogonal(make_starter(z15, by_order, pairs_1),
+                                  make_starter(z15, by_generator, pairs_2))
+    assert ok and adder.subgroup == by_order
+    # the same starter read from JSON naming H either way
+    by_order_obj, by_generator_obj = (
+        {"group": {"factors": [15]}, "subgroup": sub, "pairs": pairs_1}
+        for sub in ({"order": 3}, {"generators": [10]}))
+    assert (serialize.starter_from_obj(by_order_obj)
+            == serialize.starter_from_obj(by_generator_obj))
+
+
 def test_orthogonal_patterned_matches_adder_closed_form(corpus_entries,
                                                         strong_3_7):
     # a strong starter is orthogonal to the patterned starter through the
@@ -323,7 +347,8 @@ def test_type_census_example_1_mod5(corpus_by_id):
 
 def test_quadratic_sum_check(corpus_by_id):
     s2 = corpus_by_id["example-2"].starter
-    assert sum(e.coords[0] ** 2 for e in s2.sums()) == 70  # 5^2 + 6^2 + 3^2
+    sums = [s2.group.add(p.first, p.second) for p in s2.pairs]
+    assert sum(e.coords[0] ** 2 for e in sums) == 70  # 5^2 + 6^2 + 3^2
     assert quadratic_sum_check(s2) == 0
     assert quadratic_sum_check(corpus_by_id["example-26"].starter) == 0
     assert quadratic_sum_check(corpus_by_id["example-28"].starter) == 0

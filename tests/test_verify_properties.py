@@ -21,6 +21,7 @@ from framestarters import (
     trivial_subgroup,
     verify_skew,
 )
+from framestarters.starters import LEVELS
 
 CYCLIC = [(t.group(), t.subgroup())
           for h in range(1, 13) for u in range(2, 25)
@@ -109,3 +110,10 @@ def test_verify_skew_matches_definitions(drawn):
     assert (report.is_frame, report.is_strong, report.is_skew) == \
         _definitions(group.factors, h_set, pairs)
     assert (report.witness is None) == report.is_skew
+    # every witness names a failing level, the first the weakest one; the
+    # witness text is decoded from the verifier's element codes
+    failing = [level for level in LEVELS if not report.holds(level)]
+    assert report.witness == (report.witnesses[0] if failing else None)
+    if failing:
+        assert report.witness.split(":")[0] == failing[0]
+    assert {w.split(":")[0] for w in report.witnesses} <= set(failing)
