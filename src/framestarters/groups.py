@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InvalidHomomorphismError,
@@ -47,6 +47,8 @@ class GroupSpec:
 
     factors: tuple[int, ...]
     order: int = field(init=False, compare=False)
+    _pair_codes: dict = field(default_factory=dict, init=False,
+                              compare=False, repr=False)
 
     def __post_init__(self):
         factors = tuple(int(m) for m in self.factors)
@@ -59,6 +61,9 @@ class GroupSpec:
             raise StructureError(f"group order {order} exceeds cap {MAX_ORDER}")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "order", order)
+
+    def __reduce__(self):  # a copy starts with no pair codes
+        return GroupSpec, (self.factors,)
 
     @property
     def is_cyclic(self) -> bool:
@@ -101,6 +106,25 @@ class GroupSpec:
                 raise StructureError(
                     f"{a!r} has coordinate {a.coords[i]} outside [0, {m})")
 
+    def pair_codes(self, pairs: Sequence) -> list[tuple[int, ...]]:
+        """Per pair (a, b): the mixed-radix codes (coordinate 0 leading) of a,
+        b, d = b - a, -d, t = a + b and -t, checked and encoded on first sight."""
+        table = self._pair_codes
+        try:
+            return list(map(table.__getitem__, pairs))
+        except KeyError:
+            new = list(itertools.filterfalse(table.__contains__, pairs))
+            self._check(*itertools.chain.from_iterable(new))
+            codes = [[0] * len(new)] * 6
+            for xs, ys, m in zip(zip(*[a.coords for a, _ in new]),
+                                 zip(*[b.coords for _, b in new]), self.factors):
+                d = [(y - x) % m for x, y in zip(xs, ys)]
+                t = [(x + y) % m for x, y in zip(xs, ys)]
+                codes = [[c * m + v for c, v in zip(high, low)] for high, low in zip(
+                    codes, (xs, ys, d, [-v % m for v in d], t, [-v % m for v in t]))]
+            table.update(zip(new, zip(*codes)))
+            return list(map(table.__getitem__, pairs))
+
     def add(self, a: Element, b: Element) -> Element:
         self._check(a, b)
         return Element(
@@ -141,9 +165,16 @@ class SubgroupSpec:
     generators: tuple[Element, ...] = field(compare=False)
     elements: frozenset[Element]
     order: int = field(init=False, compare=False)
+    #: The elements' codes, as `GroupSpec.pair_codes` writes them.
+    codes: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "order", len(self.elements))
+        codes = [0] * self.order
+        for col, m in zip(zip(*[x.coords for x in self.elements]),
+                          self.group.factors):
+            codes = [c * m + v for c, v in zip(codes, col)]
+        object.__setattr__(self, "codes", frozenset(codes))
         if self.group.identity not in self.elements:
             raise StructureError("subgroup is missing the identity")
         if self.group.order % self.order != 0:

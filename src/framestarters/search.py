@@ -41,7 +41,8 @@ oracle.  `SearchOutcome.kernel` says which one ran.
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports, from one shared Pair per placement, and checks it once
 with the independent verifier, in the calling process; the acceleration
-structures are never trusted.
+structures are never trusted.  The search's one group checks and encodes
+each distinct Pair once, so a starter costs a sort and a few set sizes.
 `search` says when several workers split the tree, and why every worker
 count reports what the serial run reports.
 
@@ -449,8 +450,9 @@ def _verified_starters(t: StarterType, level: str,
                        ) -> tuple[FrameStarter, ...]:
     """Build each raw pairing into a starter and verify it once.
 
-    The starters share one Element per residue of Z_g and one Pair per
-    placement (lo, hi); each starter still runs its construction checks.
+    The starters share one group, one Element per residue of Z_g and one
+    Pair per placement (lo, hi), so the group checks and encodes each Pair
+    once (`GroupSpec.pair_codes`); every starter still runs its checks.
     """
     if not raw_pairings:
         return ()

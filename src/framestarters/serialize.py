@@ -55,7 +55,12 @@ def group_from_obj(obj: Any, location: str = "$.group") -> GroupSpec:
 def subgroup_to_obj(sub: SubgroupSpec) -> dict:
     if sub.group.is_cyclic:
         return {"order": sub.order}
-    return {"generators": [list(x.coords) for x in sub.generators]}
+    # Canonical: each element, in order, that those kept do not generate.
+    gens = []
+    for x in sorted(sub.elements - {sub.group.identity}):
+        if not gens or x not in generated_subgroup(sub.group, gens):
+            gens.append(x)
+    return {"generators": [list(x.coords) for x in gens or [sub.group.identity]]}
 
 
 def subgroup_from_obj(group: GroupSpec, obj: Any,

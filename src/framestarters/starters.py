@@ -3,41 +3,36 @@
 A frame starter over G \\ H is a set of (g-h)/2 unordered pairs whose
 members partition G \\ H and whose +- differences partition G \\ H again.
 "Strong" adds distinct pair sums outside H, "skew" requires the +- sums
-to partition G \\ H.  Verification never throws on a bad starter; it
-reports which properties hold and every violation, formatted when read.
+to partition G \\ H.  Construction and verification read each pair's
+integer codes from its group, which checks and encodes a pair once.
+Verification never throws on a bad starter; it reports which properties
+hold and every violation, formatted when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Iterator, Mapping
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import NotComparableError, StructureError, UnsupportedOperationError
 from .groups import Element, GroupSpec, SubgroupSpec, reduce_mod
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Pair:
-    """An unordered pair stored with members in lexicographic coordinate order."""
+class Pair(NamedTuple("Pair", [("first", Element), ("second", Element)])):
+    """An unordered pair stored with members in lexicographic coordinate
+    order; a named tuple, so it hashes, compares and sorts as a tuple."""
 
-    first: Element
-    second: Element
+    __slots__ = ()
+    _make = classmethod(lambda cls, members: cls(*members))  # _replace too
 
-    def __post_init__(self):
-        if self.first == self.second:
-            raise StructureError(f"degenerate pair {{{self.first}, {self.first}}}")
-        if self.second < self.first:
-            first, second = self.second, self.first
-            object.__setattr__(self, "first", first)
-            object.__setattr__(self, "second", second)
+    def __new__(cls, a: Element, b: Element):
+        if a == b:
+            raise StructureError(f"degenerate pair {{{a}, {a}}}")
+        return tuple.__new__(cls, (a, b) if a < b else (b, a))
 
     def __repr__(self) -> str:
         return f"Pair({self.first!r}, {self.second!r})"
-
-
-#: Pair's own ordering, as a key of built-in tuple comparisons.
-_PAIR_ORDER = attrgetter("first", "second")
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +40,8 @@ class FrameStarter:
     """Candidate frame starter; cheap structural checks run at construction.
 
     Construction guarantees the pair count is (g-h)/2 and every member is
-    a canonical element of G \\ H.  The partition properties are the
-    verifier's job.
+    a canonical element of G \\ H, the group checking each distinct Pair
+    once (`GroupSpec.pair_codes`).  Partitions are the verifier's job.
     """
 
     group: GroupSpec
@@ -59,16 +54,16 @@ class FrameStarter:
         g, h = self.group.order, self.subgroup.order
         if (g - h) % 2 != 0:
             raise StructureError(f"g - h = {g - h} is odd; no pairing exists")
-        pairs = tuple(sorted(self.pairs, key=_PAIR_ORDER))
+        pairs = tuple(sorted(self.pairs))
         if len(pairs) != (g - h) // 2:
             raise StructureError(
                 f"expected {(g - h) // 2} pairs for type {h}^{g // h}, "
                 f"got {len(pairs)}"
             )
-        members = [x for p in pairs for x in (p.first, p.second)]
-        self.group._check(*members)
-        if not self.subgroup.elements.isdisjoint(members):
-            x = next(x for x in members if x in self.subgroup.elements)
+        codes, in_h = self.group.pair_codes(pairs), self.subgroup.codes
+        if not (in_h.isdisjoint(map(itemgetter(0), codes))
+                and in_h.isdisjoint(map(itemgetter(1), codes))):
+            x = next(x for p in pairs for x in p if x in self.subgroup)
             raise StructureError(f"pair member {x!r} lies in the subgroup")
         object.__setattr__(self, "pairs", pairs)
 
@@ -82,15 +77,12 @@ class FrameStarter:
 
 
 def make_starter(group: GroupSpec, subgroup: SubgroupSpec, raw_pairs) -> FrameStarter:
-    """Build a starter from pairs.  A `Pair` is taken as it is; in a raw pair
-    of values, ints (cyclic) and coordinate tuples are reduced and elements
-    are taken as they are.  Construction rejects a member that is not
-    canonical."""
-    def element(v):
-        return v if isinstance(v, Element) else group.element(v)
-
+    """Build a starter from pairs.  A `Pair` is taken as it is; a raw pair
+    of values goes through `GroupSpec.element`, which reduces ints (cyclic)
+    and coordinate tuples and rejects an element that is not canonical."""
     return FrameStarter(group, subgroup, tuple(
-        p if isinstance(p, Pair) else Pair(*map(element, p)) for p in raw_pairs))
+        p if isinstance(p, Pair) else Pair(*map(group.element, p))
+        for p in raw_pairs))
 
 
 def negate_starter(s: FrameStarter) -> FrameStarter:
@@ -142,24 +134,14 @@ def verify_skew(s: FrameStarter) -> VerificationReport:
     `report.holds(level)` answers for one level; `report.witnesses` lists
     every violation, formatted from the same codes when it is first read.
 
-    The levels are decided by set sizes over integer element indices: the
+    The levels are decided by set sizes over integer element codes: the
     members, d = second - first, -d, t = first + second and -t of every
-    pair are computed one column of residues per factor and folded into
-    mixed-radix codes, so one code path serves every group.
+    pair, read from the group (`GroupSpec.pair_codes`, which computes an
+    entry it lacks), so one code path serves every group.
     """
-    factors, n = s.group.factors, len(s.pairs)
-    codes = in_h = None
-    for xs, ys, m in zip(zip(*[p.first.coords for p in s.pairs]),
-                         zip(*[p.second.coords for p in s.pairs]), factors):
-        d = [(y - x) % m for x, y in zip(xs, ys)]
-        t = [(x + y) % m for x, y in zip(xs, ys)]
-        cols = (xs + ys, d, [-v % m for v in d], t, [-v % m for v in t])
-        codes = cols if codes is None else [
-            [c * m + v for c, v in zip(a, col)] for a, col in zip(codes, cols)]
-    for col, m in zip(zip(*[x.coords for x in s.subgroup.elements]), factors):
-        in_h = col if in_h is None else [c * m + v for c, v in zip(in_h, col)]
-    members, diffs, neg_diffs, sums, neg_sums = codes or ((),) * 5
-    in_h = set(in_h)
+    n, in_h = len(s.pairs), s.subgroup.codes
+    firsts, seconds, *codes = list(zip(*s.group.pair_codes(s.pairs))) or [()] * 6
+    (diffs, neg_diffs, sums, neg_sums), members = codes, firsts + seconds
 
     # Construction pins the pair count and membership in G \ H, so the
     # members partition G \ H exactly when no element repeats.  H is closed
@@ -171,7 +153,7 @@ def verify_skew(s: FrameStarter) -> VerificationReport:
     if is_skew:
         return VerificationReport(True, True, True)
     return VerificationReport(is_frame, is_strong, False, lambda: tuple(
-        _violations(factors, in_h, *codes)))
+        _violations(s.group.factors, in_h, members, *codes)))
 
 
 def _violations(factors, in_h, members, diffs, neg_diffs, sums, neg_sums,

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from framestarters import GroupSpec, SchemaError, SearchConfig, StarterType, search
+from framestarters import (GroupSpec, SchemaError, SearchConfig, StarterType,
+                           generated_subgroup, make_starter, search)
 from framestarters import serialize
 
 
@@ -20,8 +21,28 @@ def test_starter_roundtrip_product(corpus_by_id):
     s = corpus_by_id["example-3"].starter
     obj = serialize.starter_to_obj(s)
     assert obj["group"] == {"factors": [4, 4]}
-    assert "generators" in obj["subgroup"]
+    assert obj["subgroup"] == {"generators": [[0, 2], [2, 0]]}
     assert serialize.starter_from_obj(obj) == s
+
+
+def test_equal_subgroups_write_equal_generators():
+    # {00, 11, 22} in Z_3 x Z_3, generated by (1, 1) and by (2, 2)
+    z3z3 = GroupSpec((3, 3))
+    subs = [generated_subgroup(z3z3, [x]) for x in ((1, 1), (2, 2))]
+    assert subs[0] == subs[1]
+    objs = [serialize.subgroup_to_obj(sub) for sub in subs]
+    assert objs[0] == objs[1] == {"generators": [[1, 1]]}
+    pairs = [((0, 1), (0, 2)), ((1, 0), (2, 0)), ((1, 2), (2, 1))]
+    starters = [make_starter(z3z3, sub, pairs) for sub in subs]
+    round_trips = [serialize.starter_from_obj(serialize.starter_to_obj(s))
+                   for s in starters]
+    assert round_trips[0] == round_trips[1] == starters[0] == starters[1]
+    # H = G and the trivial subgroup still write generators that parse
+    for gens, written in (([(0, 1), (1, 0), (1, 1)], [[0, 1], [1, 0]]),
+                          ([(0, 0)], [[0, 0]])):
+        sub = generated_subgroup(z3z3, gens)
+        assert serialize.subgroup_to_obj(sub) == {"generators": written}
+        assert serialize.subgroup_from_obj(z3z3, {"generators": written}) == sub
 
 
 def test_file_roundtrip(tmp_path, corpus_by_id):

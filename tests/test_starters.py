@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from framestarters import (
@@ -37,6 +39,18 @@ def test_pair_canonical_order():
     assert (p.first, p.second) == (Z7.element(2), Z7.element(5))
     with pytest.raises(StructureError):
         Pair(Z7.element(3), Z7.element(3))
+    q = Pair(p.second, p.first)
+    assert q == p and hash(q) == hash(p)
+    assert p._replace(first=Z7.element(6)) == Pair(Z7.element(5), Z7.element(6))
+    with pytest.raises(StructureError):
+        p._replace(second=p.first)
+    assert repr(p) == "Pair(Element(2), Element(5))"
+    # sorting Pairs is sorting by (first, second)
+    z3z3 = GroupSpec((3, 3))
+    elements = list(z3z3.elements())
+    pairs = [Pair(x, y) for x in elements for y in elements if x != y]
+    assert sorted(pairs) == sorted(pairs, key=lambda p: (p.first, p.second))
+    assert all(p.first < p.second for p in pairs)
 
 
 def test_construction_guards():
@@ -379,3 +393,67 @@ def test_starters_are_sorted_and_hashable(corpus_by_id):
     assert list(s.pairs) == sorted(s.pairs)
     assert s == FrameStarter(s.group, s.subgroup, tuple(reversed(s.pairs)))
     hash(s.pairs[0])
+
+
+def test_empty_starter_is_skew():
+    # H = G leaves G \ H empty: zero pairs, every level holds vacuously
+    z3z3 = GroupSpec((3, 3))
+    for group, sub in ((Z7, cyclic_subgroup(Z7, 7)),
+                       (z3z3, generated_subgroup(z3z3, [(1, 0), (0, 1)]))):
+        s = make_starter(group, sub, [])
+        assert s.pairs == ()
+        report = verify_skew(s)
+        assert (report.is_frame, report.is_strong, report.is_skew) == \
+            (True, True, True)
+        assert report.witnesses == () and report.witness is None
+
+
+def test_pair_codes_never_skip_a_check(monkeypatch):
+    def pairs(*xy):
+        return [Pair(Element((x,)), Element((y,))) for x, y in xy]
+
+    good = pairs((1, 2), (3, 5), (4, 6))
+    # 8 is 1 in Z_7: rejected on its pair's first sight and again after the
+    # canonical pair {1, 2} is in the group's table
+    for group in (GroupSpec((7,)), Z7):
+        with pytest.raises(StructureError, match="outside"):
+            FrameStarter(group, trivial_subgroup(group),
+                         tuple(pairs((8, 2), (3, 5), (4, 6))))
+        make_starter(group, trivial_subgroup(group), good)
+        with pytest.raises(StructureError, match="outside"):
+            FrameStarter(group, trivial_subgroup(group),
+                         tuple(pairs((8, 2), (3, 5), (4, 6))))
+    # a Pair already in the table is checked against each starter's own H
+    z15 = GroupSpec((15,))
+    known = pairs((1, 5), (2, 4), (3, 7), (6, 14), (8, 12), (9, 10), (11, 13))
+    make_starter(z15, trivial_subgroup(z15), known)
+    with pytest.raises(StructureError,
+                       match=r"pair member Element\(5\) lies in the subgroup"):
+        make_starter(z15, cyclic_subgroup(z15, 3), known[:6])
+    # an equal but distinct group checks the Pairs that Z7 already knows
+    checked = []
+    check = GroupSpec._check
+
+    def spy(self, *elements):
+        checked.append(self)
+        check(self, *elements)
+
+    monkeypatch.setattr(GroupSpec, "_check", spy)
+    other = GroupSpec((7,))
+    assert other == Z7 and other is not Z7
+    make_starter(other, trivial_subgroup(other), good)
+    assert any(g is other for g in checked)
+
+
+def test_verify_reads_no_stale_codes(strong_3_7, corpus_entries):
+    # a pickled starter's group starts with an empty table: the copy
+    # verifies as the original does, and refills the table
+    cases = [s for s, _, _ in _witness_cases(strong_3_7)]
+    cases += [e.starter for e in corpus_entries]
+    for s in cases:
+        copy = pickle.loads(pickle.dumps(s))
+        assert s.group._pair_codes and not copy.group._pair_codes
+        a, b = verify_skew(s), verify_skew(copy)
+        assert (a.is_frame, a.is_strong, a.is_skew, a.witnesses) == \
+            (b.is_frame, b.is_strong, b.is_skew, b.witnesses)
+        assert copy == s and set(copy.pairs) <= set(copy.group._pair_codes)
