@@ -40,7 +40,6 @@ from .theory import (
     census_certificate,
     census_identities,
     certify,
-    exhaustion_certificate,
     half_set,
     patterned_starter,
     residue_class_sizes,

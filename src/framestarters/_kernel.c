@@ -1,8 +1,10 @@
 /* Native kernel of search.Engine: the per-node loop of Engine.run and
- * Engine.branch over uint64_t masks, for g <= 64.
+ * Engine.branch over uint64_t masks, for g <= 64; native.stepper drives it.
  *
  * The Python Engine owns every rule of the search and hands this file
- * only masks of length g, in the Engine's own layout:
+ * only masks of length g, in its own layout, as fs_init(state, g, full,
+ * sum_bits, cls_mask, partners, classes, nroots, roots) takes them:
+ *   full                          the elements of G \ H;
  *   sum_bits[s]                   what a pair of sum s adds to the used
  *                                 sums (0 at the frame level);
  *   cls_mask                      the difference classes d a starter
@@ -11,12 +13,12 @@
  *   classes[k * g + d]            points x of class d's feasible pairs
  *                                 {x, x+d} below root k
  *                                 (Engine.root_masks);
- * and the root placements.  A placement (x, y), x < y, adds the
- * differences 1 << y-x | 1 << g-y+x.  The kernel only walks the tree the
- * masks define, in Engine.run's order, so it visits the same nodes and
- * reaches the same leaves.  It is compiled for the host CPU where the
- * compiler allows (-march=native: hardware popcount, tzcnt and BMI2
- * shifts).
+ *   roots[2 * k], roots[2 * k + 1]  root placement k, lo then hi.
+ * A placement (x, y), x < y, adds the differences 1 << y-x | 1 << g-y+x.
+ * The kernel only walks the tree the masks define, in Engine.run's order,
+ * so it visits the same nodes and reaches the same leaves.  It is
+ * compiled for the host CPU where the compiler allows (-march=native:
+ * hardware popcount, tzcnt and BMI2 shifts).
  *
  * fs_step runs until the tree is exhausted (FS_DONE), a placement
  * completes a pairing (FS_LEAF), or a node is about to be visited while
@@ -47,13 +49,12 @@ struct fs {
 
 size_t fs_size(void) { return sizeof(struct fs); }
 
-void fs_init(struct fs *s, int g, uint64_t full, uint64_t mask_g,
-             const uint64_t *sum_bits, uint64_t cls_mask,
-             const uint64_t *partners, const uint64_t *classes, int nroots,
-             const uint8_t *roots)
+void fs_init(struct fs *s, int g, uint64_t full, const uint64_t *sum_bits,
+             uint64_t cls_mask, const uint64_t *partners,
+             const uint64_t *classes, int nroots, const uint8_t *roots)
 {
     memset(s, 0, sizeof *s);
-    s->g = g; s->full = full; s->mask_g = mask_g;
+    s->g = g; s->full = full; s->mask_g = ~0ULL >> (64 - g);
     s->sum_bits = sum_bits; s->cls_mask = cls_mask;
     s->partners = partners; s->classes = classes;
     for (int k = 0; k < nroots; k++) {

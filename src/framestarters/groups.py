@@ -5,6 +5,10 @@ equality and hashing are plain tuple operations.  `GroupSpec.element`
 reduces ints and coordinate tuples; an `Element` handed to the group's
 operations or to starter construction must already be canonical, and one
 with a coordinate outside [0, m_i) raises StructureError.
+
+Element codes are this module's alone: `GroupSpec.encode` writes an
+element's mixed-radix code, coordinate 0 leading (its index in
+`elements()`; x in Z_g), and `GroupSpec.decode` reads it back.
 """
 
 from __future__ import annotations
@@ -107,8 +111,9 @@ class GroupSpec:
                     f"{a!r} has coordinate {a.coords[i]} outside [0, {m})")
 
     def pair_codes(self, pairs: Sequence) -> list[tuple[int, ...]]:
-        """Per pair (a, b): the mixed-radix codes (coordinate 0 leading) of a,
-        b, d = b - a, -d, t = a + b and -t, checked and encoded on first sight."""
+        """Per pair (a, b): the codes (`encode`) of a, b, d = b - a, -d,
+        t = a + b and -t, checked and encoded on first sight: a batch of new
+        pairs a factor at a time, which is faster than `encode` per member."""
         table = self._pair_codes
         try:
             return list(map(table.__getitem__, pairs))
@@ -124,6 +129,21 @@ class GroupSpec:
                     codes, (xs, ys, d, [-v % m for v in d], t, [-v % m for v in t]))]
             table.update(zip(new, zip(*codes)))
             return list(map(table.__getitem__, pairs))
+
+    def encode(self, a: Element) -> int:
+        """The code of a canonical element: its index in `elements()`."""
+        code = 0
+        for c, m in zip(a.coords, self.factors):
+            code = code * m + c
+        return code
+
+    def decode(self, code: int) -> Element:
+        """The element of a code in [0, order); `encode`'s inverse."""
+        coords = []
+        for m in reversed(self.factors):
+            code, c = divmod(code, m)
+            coords.append(c)
+        return Element(tuple(reversed(coords)))
 
     def add(self, a: Element, b: Element) -> Element:
         self._check(a, b)
@@ -159,22 +179,18 @@ class GroupSpec:
 
 @dataclass(frozen=True, slots=True)
 class SubgroupSpec:
-    """A subgroup given by generators; equal specs have equal element sets."""
+    """A subgroup, given by its element set."""
 
     group: GroupSpec
-    generators: tuple[Element, ...] = field(compare=False)
     elements: frozenset[Element]
     order: int = field(init=False, compare=False)
-    #: The elements' codes, as `GroupSpec.pair_codes` writes them.
+    #: The elements' codes (`GroupSpec.encode`).
     codes: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "order", len(self.elements))
-        codes = [0] * self.order
-        for col, m in zip(zip(*[x.coords for x in self.elements]),
-                          self.group.factors):
-            codes = [c * m + v for c, v in zip(codes, col)]
-        object.__setattr__(self, "codes", frozenset(codes))
+        object.__setattr__(self, "codes",
+                           frozenset(map(self.group.encode, self.elements)))
         if self.group.identity not in self.elements:
             raise StructureError("subgroup is missing the identity")
         if self.group.order % self.order != 0:
@@ -195,7 +211,7 @@ def cyclic_subgroup(spec: GroupSpec, h: int) -> SubgroupSpec:
         raise InvalidTypeError(f"subgroup order {h} does not divide {g}")
     r = g // h
     members = frozenset(Element((i * r % g,)) for i in range(h))
-    return SubgroupSpec(spec, (spec.element(r % g),), members)
+    return SubgroupSpec(spec, members)
 
 
 def generated_subgroup(spec: GroupSpec, gens: Iterable[Element]) -> SubgroupSpec:
@@ -212,11 +228,11 @@ def generated_subgroup(spec: GroupSpec, gens: Iterable[Element]) -> SubgroupSpec
             if b not in closure:
                 closure.add(b)
                 frontier.append(b)
-    return SubgroupSpec(spec, gens, frozenset(closure))
+    return SubgroupSpec(spec, frozenset(closure))
 
 
 def trivial_subgroup(spec: GroupSpec) -> SubgroupSpec:
-    return SubgroupSpec(spec, (spec.identity,), frozenset({spec.identity}))
+    return SubgroupSpec(spec, frozenset({spec.identity}))
 
 
 def reduce_mod(spec: GroupSpec, a: Element, m: int) -> int:

@@ -1,9 +1,9 @@
-"""Build and load the native search kernel, `_kernel.c`.
+"""Build, load and drive the native search kernel, `_kernel.c`.
 
 `search` imports this module on its first call, so importing the package
 compiles and runs none of it.  `load_kernel` compiles the C file with the
-system C compiler on its first call and loads it through ctypes;
-`search.Engine.run(..., native=True)` drives it.
+system C compiler on its first call and loads it through ctypes; `stepper`,
+the kernel's one caller, drives it over an `Engine`'s masks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ import platform
 import subprocess
 import tempfile
 import zlib
+from array import array
 from pathlib import Path
+
+from .search import _LEAF
+
+#: The largest g the kernel takes: a state is one uint64 mask (MAXG).
+MAX_ORDER = 64
 
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 #: Compiler commands for the kernel, tried in order: tuned for the host CPU
@@ -44,6 +50,39 @@ def load_kernel() -> ctypes.CDLL | None:
     return _kernel_lib or None
 
 
+def stepper(engine, roots: list[tuple[int, int]]):
+    """`fs_step` over the engine's masks below the roots, with the contract
+    of `Engine._python_step`; a leaf's pairs are decoded from lo | hi << 8."""
+    g = engine.g
+    if g > MAX_ORDER:
+        raise ValueError(f"the native kernel takes g <= {MAX_ORDER}")
+    lib = load_kernel()
+    if lib is None:
+        raise RuntimeError("the native search kernel is not available")
+    per_root = engine.root_masks(roots)
+    arrays = (array("Q", engine.sum_bits),
+              array("Q", [m for p, _ in per_root for m in p]),
+              array("Q", [m for _, c in per_root for m in c]),
+              array("B", [v for pair in roots for v in pair]),
+              array("B", bytes(lib.fs_size())))
+    sum_bits, partners, classes, root_pairs, state = (
+        a.buffer_info()[0] for a in arrays)
+    out = array("Q", bytes(8 * (2 + g // 2 + 1)))
+    out_p = out.buffer_info()[0]
+    lib.fs_init(state, g, engine.full, sum_bits, engine.class_mask, partners,
+                classes, len(roots), root_pairs)
+
+    # The kernel keeps pointers into the arrays: the step holds them.
+    def step(pause_at: int, _arrays=arrays):
+        status = lib.fs_step(state, pause_at, out_p)
+        depth = out[1]
+        leaf = (tuple((v & 255, v >> 8) for v in out[2:3 + depth])
+                if status == _LEAF else None)
+        return status, out[0], depth, leaf
+
+    return step
+
+
 def _host_cpu() -> bytes:
     """The CPU feature-flag line of /proc/cpuinfo where there is one (Linux
     x86 "flags", arm64 "Features"), else the machine name."""
@@ -71,7 +110,7 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     p, u64, c_int = ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int
     lib.fs_size.argtypes = []
     lib.fs_size.restype = ctypes.c_size_t
-    lib.fs_init.argtypes = [p, c_int, u64, u64, p, u64, p, p, c_int, p]
+    lib.fs_init.argtypes = [p, c_int, u64, p, u64, p, p, c_int, p]
     lib.fs_init.restype = None
     lib.fs_step.argtypes = [p, u64, p]
     lib.fs_step.restype = c_int

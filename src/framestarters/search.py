@@ -28,10 +28,11 @@ exactly once and exhaustive counts are exact.
 the progress interval and the stop-early rule.  It drives a stepper with
 the contract of `fs_step` in `_kernel.c`: walk to a leaf, the end of the
 tree or a given node count, and return (status, nodes, depth, leaf).
-For g <= NATIVE_MAX_ORDER (64) `search` picks `fs_step` itself, which
-`native.py` compiles on first use and loads through ctypes; otherwise,
-or when it cannot be built, the Python stepper, a loop over explicit
-frames that mirrors `fs_step` line for line and calls `Engine.branch`.
+For g <= native.MAX_ORDER (64) `search` picks `fs_step` itself, which
+`native.py` compiles on first use, loads through ctypes and drives
+(`native.stepper`); otherwise, or when it cannot be built, the Python
+stepper, a loop over explicit frames that mirrors `fs_step` line for
+line and calls `Engine.branch`.
 Both walk only the masks the Engine hands them, `sum_bits` and each
 root's `root_masks`, so every rule of the search, the pair rules and the
 symmetry reduction alike, is written once, here.  Both visit the same
@@ -59,7 +60,6 @@ off.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass, replace
 from functools import partial
 from math import gcd
@@ -68,7 +68,7 @@ from typing import Callable, Sequence
 
 from .errors import InvalidTypeError
 from .starters import LEVELS, FrameStarter, Pair, make_starter, verify_skew
-from .theory import NonexistenceCertificate, StarterType, exhaustion_certificate
+from .theory import NonexistenceCertificate, StarterType, starter_kind
 
 MODES = ("find_first", "exhaustive_count", "prove_nonexistence")
 
@@ -80,10 +80,6 @@ BUDGET_FREE_MAX_ORDER = 60
 #: engine's masks takes O(g^2) time before the first node, whatever the
 #: budget (their memory is O(g) per root).
 MAX_SEARCH_ORDER = 200
-
-#: Searches with g up to this order run on the native kernel (one uint64
-#: mask per state) when it builds; larger ones run the Python stepper.
-NATIVE_MAX_ORDER = 64
 
 
 def check_budget(node_budget: int | None) -> None:
@@ -142,13 +138,19 @@ class SearchOutcome:
 
     @property
     def certificate(self) -> NonexistenceCertificate | None:
-        """The certificate of an exhausted_none outcome; None otherwise."""
+        """The certificate of an exhausted_none outcome; None otherwise.  It
+        names the symmetry reduction, which sets the node count, and the
+        kernel that walked the tree."""
         if self.result != "exhausted_none":
             return None
-        cfg = self.config
-        return exhaustion_certificate(cfg.target_type, cfg.property,
-                                      self.nodes_visited, self.kernel,
-                                      cfg.symmetry_reduction)
+        cfg, t = self.config, self.config.target_type
+        reduction = (f"with symmetry reduction by the units of Z_{t.g}"
+                     if cfg.symmetry_reduction else "without symmetry reduction")
+        return NonexistenceCertificate(
+            t, cfg.property, "search-exhaustion",
+            f"exhaustive backtracking over type {t} {reduction} on the "
+            f"{self.kernel} kernel visited {self.nodes_visited} nodes and "
+            f"found no {starter_kind(cfg.property)}")
 
 
 class Engine:
@@ -168,8 +170,8 @@ class Engine:
     1 << hi-lo | 1 << g-hi+lo.  For an admissible type no difference or
     sum outside H is its own negative (for even g, g/2 = (h/2)u lies in
     H), so difference and skew sum masks always have two bits.  The masks
-    are lists of ints, since above g = 64 a mask outgrows 64 bits; the
-    native stepper copies them into uint64 arrays.  `symmetry` says
+    are lists of ints, since above g = 64 a mask outgrows 64 bits;
+    `native.stepper` copies them into uint64 arrays.  `symmetry` says
     whether the search is symmetry-reduced: `roots` and `root_masks` read
     it.
     """
@@ -327,13 +329,17 @@ class Engine:
             progress: Callable[[int, int, float], None] | None = None, *,
             native: bool = False):
         """Explore the subtrees under the given root pairs, on the native
-        stepper (g <= NATIVE_MAX_ORDER) or the Python one; both return the
+        stepper (`native.stepper`) or the Python one; both return the
         same (raw_pairings, nodes, cut), where cut says the node budget
         stopped the walk.  The stepper pauses before the node that would
         pass the budget, before each progress node and at least every
         _CHUNK nodes, so budgets, progress and Ctrl-C behave alike.
         """
-        step = self._native_step(roots) if native else self._python_step(roots)
+        if native:
+            from .native import stepper
+            step = stepper(self, roots)
+        else:
+            step = self._python_step(roots)
         budget = cfg.node_budget
         interval = cfg.progress_interval if progress is not None else 0
         stop_early = cfg.mode != "exhaustive_count"
@@ -400,40 +406,6 @@ class Engine:
 
         return step
 
-    def _native_step(self, roots: list[tuple[int, int]]):
-        """`fs_step` on the native kernel, with the step contract of
-        `_python_step`."""
-        g = self.g
-        if g > NATIVE_MAX_ORDER:  # the kernel's masks and arrays hold 64
-            raise ValueError(f"the native kernel takes g <= {NATIVE_MAX_ORDER}")
-        from .native import load_kernel
-        lib = load_kernel()
-        if lib is None:
-            raise RuntimeError("the native search kernel is not available")
-        per_root = self.root_masks(roots)
-        arrays = (array("Q", self.sum_bits),
-                  array("Q", [m for p, _ in per_root for m in p]),
-                  array("Q", [m for _, c in per_root for m in c]),
-                  array("B", [v for pair in roots for v in pair]),
-                  array("B", bytes(lib.fs_size())))
-        sum_bits, partners, classes, root_pairs, state = (
-            a.buffer_info()[0] for a in arrays)
-        out = array("Q", bytes(8 * (2 + g // 2 + 1)))
-        out_p = out.buffer_info()[0]
-        lib.fs_init(state, g, self.full, self.mask_g, sum_bits,
-                    self.class_mask, partners, classes, len(roots),
-                    root_pairs)
-
-        # The kernel keeps pointers into the arrays: the step holds them.
-        def step(pause_at: int, _arrays=arrays):
-            status = lib.fs_step(state, pause_at, out_p)
-            depth = out[1]
-            leaf = (tuple((v & 255, v >> 8) for v in out[2:3 + depth])
-                    if status == _LEAF else None)
-            return status, out[0], depth, leaf
-
-        return step
-
 
 #: fs_step's return codes (see _kernel.c) and the most nodes a stepper
 #: visits before handing control back to `Engine.run`.
@@ -450,16 +422,16 @@ def _verified_starters(t: StarterType, level: str,
                        ) -> tuple[FrameStarter, ...]:
     """Build each raw pairing into a starter and verify it once.
 
-    The starters share one group, one Element per residue of Z_g and one
-    Pair per placement (lo, hi), so the group checks and encodes each Pair
-    once (`GroupSpec.pair_codes`); every starter still runs its checks.
+    The engine's integers are Z_g's element codes.  The starters share one
+    group and one Pair per placement (lo, hi), so the group checks and
+    encodes each Pair once (`GroupSpec.pair_codes`); every starter still
+    runs its checks.
     """
     if not raw_pairings:
         return ()
     group = t.group()
     sub = t.subgroup(group)
-    residues = list(group.elements())
-    pairs = {(x, y): Pair(residues[x], residues[y])
+    pairs = {(x, y): Pair(group.decode(x), group.decode(y))
              for x, y in set().union(*raw_pairings)}
     starters = []
     for raw in raw_pairings:
@@ -496,8 +468,8 @@ def search(cfg: SearchConfig,
     engine = Engine(t, cfg.property, cfg.symmetry_reduction)
     roots = engine.roots()
     # Chosen once here, so every worker slice runs the same kernel.
-    from .native import load_kernel  # here, so importing the package skips it
-    native = t.g <= NATIVE_MAX_ORDER and load_kernel() is not None
+    from .native import MAX_ORDER, load_kernel  # importing the package skips it
+    native = t.g <= MAX_ORDER and load_kernel() is not None
     run = partial(engine.run, native=native)
     k = min(cfg.worker_count, len(roots))  # 1 whenever there is a budget
     results = [run(replace(cfg, node_budget=_HEAD_START) if k > 1 else cfg,

@@ -6,7 +6,8 @@ members partition G \\ H and whose +- differences partition G \\ H again.
 to partition G \\ H.  Construction and verification read each pair's
 integer codes from its group, which checks and encodes a pair once.
 Verification never throws on a bad starter; it reports which properties
-hold and every violation, formatted when read.
+hold and every violation, formatted when read from the same codes, which
+the group decodes (`GroupSpec.decode`).
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ def verify_skew(s: FrameStarter) -> VerificationReport:
     entry it lacks), so one code path serves every group.
     """
     n, in_h = len(s.pairs), s.subgroup.codes
-    firsts, seconds, *codes = list(zip(*s.group.pair_codes(s.pairs))) or [()] * 6
-    (diffs, neg_diffs, sums, neg_sums), members = codes, firsts + seconds
+    firsts, seconds, diffs, neg_diffs, sums, neg_sums = (
+        list(zip(*s.group.pair_codes(s.pairs))) or [()] * 6)
+    members = firsts + seconds
 
     # Construction pins the pair count and membership in G \ H, so the
     # members partition G \ H exactly when no element repeats.  H is closed
@@ -152,47 +154,39 @@ def verify_skew(s: FrameStarter) -> VerificationReport:
     is_skew = is_strong and len(set(sums + neg_sums)) == 2 * n
     if is_skew:
         return VerificationReport(True, True, True)
-    return VerificationReport(is_frame, is_strong, False, lambda: tuple(
-        _violations(s.group.factors, in_h, members, *codes)))
+    return VerificationReport(is_frame, is_strong, False,
+                              lambda: tuple(_violations(s)))
 
 
-def _violations(factors, in_h, members, diffs, neg_diffs, sums, neg_sums,
-                ) -> Iterator[str]:
+def _violations(s: FrameStarter) -> Iterator[str]:
     """Every violation, formatted in report order: members, differences,
-    sums, then +-sums, each in pair order.  The arguments are
-    `verify_skew`'s: the codes of H and its five columns of codes."""
-    def element(code):
-        coords = []
-        for m in reversed(factors):
-            code, v = divmod(code, m)
-            coords.append(v)
-        return Element(tuple(reversed(coords)))
+    sums, then +-sums, each in pair order, from the codes `verify_skew`
+    reads."""
+    in_h, element = s.subgroup.codes, s.group.decode
+    rows = list(zip(s.pairs, s.group.pair_codes(s.pairs)))
 
     def partition(level, what, columns):
         seen = set()
-        for p, vs in zip(pairs, zip(*columns)):
-            for v in vs:
+        for p, codes in rows:
+            for v in codes[columns]:
                 if v in in_h or v in seen:
                     how = "lies in the subgroup" if v in in_h else "duplicated"
                     yield f"{level}: {what} {element(v)!r} {how} (pair {p!r})"
                 seen.add(v)
 
-    # members holds every pair's first member, then every second member.
-    firsts, seconds = members[:len(sums)], members[len(sums):]
-    pairs = [Pair(element(x), element(y)) for x, y in zip(firsts, seconds)]
     seen = set()
-    for x in (x for xy in zip(firsts, seconds) for x in xy):
+    for x in (x for p in s.pairs for x in p):
         if x in seen:
-            yield f"frame: element {element(x)!r} covered twice"
+            yield f"frame: element {x!r} covered twice"
         seen.add(x)
-    yield from partition("frame", "difference", (diffs, neg_diffs))
-    yield from partition("strong", "sum", (sums,))
+    yield from partition("frame", "difference", slice(2, 4))
+    yield from partition("strong", "sum", slice(4, 5))
 
     # A self-negative sum contributes one value twice, which the duplicate
     # check flags, so no separate 2t = 0 test is needed.
     seen = set()
-    for p, vs in zip(pairs, zip(sums, neg_sums)):
-        for v in vs:
+    for p, codes in rows:
+        for v in codes[4:]:
             if v in seen and v not in in_h:
                 yield f"skew: sum value {element(v)!r} duplicated (pair {p!r})"
             seen.add(v)

@@ -20,12 +20,13 @@ from .serialize import format_pairs, starter_to_obj
 from .theory import NonexistenceCertificate, StarterType, certify
 
 #: Default per-cell search budget in nodes.  The g <= 57 table decides 89
-#: cells at this budget; each open cell spends it in a few seconds.
+#: cells at this budget; the native kernel spends it in ~20 ms per open cell.
 DEFAULT_CELL_BUDGET = 400_000
 
 #: Cells that only an exhaustive search of millions of nodes or more
 #: decides (4^8 is 1.0M nodes, 0.05 s on the native kernel); skipped unless
-#: deep mode is requested, which searches them within the per-cell budget.
+#: deep mode is requested, which searches them within the per-cell budget
+#: (too small for any of them by default); a skipped row names its search.
 DEEP_CELLS = frozenset({(2, 16), (4, 8), (4, 9), (4, 10)})
 
 
@@ -53,8 +54,8 @@ def build_row(t: StarterType, *, deep: bool, budget: int, workers: int = 1) -> T
         return TableRow(t, "no", "theorem",
                         f"{cert.theorem}: {cert.statement}", certificate=cert)
     if (t.h, t.u) in DEEP_CELLS and not deep:
-        return TableRow(t, "?", "none",
-                        "deep cell skipped; rerun with --deep to search it")
+        return TableRow(t, "?", "none", "deep cell skipped; decide it with "
+                        f"framestarters search --type {t} --mode prove_nonexistence")
     out = search(SearchConfig(t, node_budget=budget))  # skew, find_first
     cert, n = out.certificate, out.nodes_visited
     existence = {"found": "yes", "exhausted_none": "no"}.get(out.result, "?")

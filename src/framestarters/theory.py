@@ -203,21 +203,6 @@ def starter_kind(level: str) -> str:
     return "frame starter" if level == "frame" else f"{level} frame starter"
 
 
-def exhaustion_certificate(t: StarterType, level: str, nodes: int,
-                           kernel: str, symmetry: bool,
-                           ) -> NonexistenceCertificate:
-    """Certificate wrapping a completed exhaustive search that found nothing;
-    it names the symmetry reduction, which sets the node count, and the
-    kernel ("native" or "python") that traversed the tree."""
-    reduction = (f"with symmetry reduction by the units of Z_{t.g}"
-                 if symmetry else "without symmetry reduction")
-    return NonexistenceCertificate(
-        t, level, "search-exhaustion",
-        f"exhaustive backtracking over type {t} {reduction} on the {kernel} "
-        f"kernel visited {nodes} nodes and found no {starter_kind(level)}",
-    )
-
-
 # ---------------------------------------------------------------------------
 # Patterned starter and the strong-starter <-> adder correspondence.
 
@@ -227,16 +212,8 @@ def patterned_starter(group: GroupSpec, sub: SubgroupSpec) -> FrameStarter:
         raise UnsupportedOperationError(
             "patterned starter needs odd group order (x = -x must not occur)"
         )
-    pairs = []
-    seen: set[Element] = set()
-    for x in complement(group, sub):
-        if x in seen:
-            continue
-        nx = group.neg(x)
-        seen.add(x)
-        seen.add(nx)
-        pairs.append(Pair(x, nx))
-    return FrameStarter(group, sub, tuple(pairs))
+    return FrameStarter(group, sub, tuple(
+        {Pair(x, group.neg(x)) for x in complement(group, sub)}))
 
 
 def strong_to_adder(s: FrameStarter) -> Adder:

@@ -152,3 +152,10 @@ def test_dense_index_roundtrip():
         elems = list(spec.elements())
         assert len(set(elems)) == len(elems) == spec.order
         assert elems == sorted(elems)
+        # an element's code is its index here and decodes back to it
+        assert [spec.encode(e) for e in elems] == list(range(spec.order))
+        assert all(spec.decode(spec.encode(e)) == e for e in elems)
+        for sub in (trivial_subgroup(spec),
+                    *(generated_subgroup(spec, [a]) for a in elems[1::5])):
+            assert sub.codes == {spec.encode(e) for e in sub.elements} \
+                == {i for i, e in enumerate(elems) if e in sub}

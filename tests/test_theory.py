@@ -5,6 +5,8 @@ import pytest
 from framestarters import (
     GroupSpec,
     InvalidTypeError,
+    SearchConfig,
+    SearchOutcome,
     StarterType,
     StructureError,
     UnsupportedOperationError,
@@ -14,7 +16,6 @@ from framestarters import (
     census_identities,
     certify,
     cyclic_subgroup,
-    exhaustion_certificate,
     generated_subgroup,
     half_set,
     patterned_starter,
@@ -137,10 +138,14 @@ def test_exhaustion_certificate_names_its_kernel():
     for symmetry, nodes, reduction in (
             (True, 46995, "with symmetry reduction by the units of Z_28"),
             (False, 315450, "without symmetry reduction")):
+        cfg = SearchConfig(StarterType(4, 7), mode="prove_nonexistence",
+                           symmetry_reduction=symmetry)
         for kernel in ("native", "python"):
-            cert = exhaustion_certificate(StarterType(4, 7), "skew", nodes,
-                                          kernel, symmetry)
+            cert = SearchOutcome("exhausted_none", (), nodes, 0.0, cfg,
+                                 kernel).certificate
             assert cert.theorem == "search-exhaustion"
+            assert (cert.starter_type, cert.level) == (StarterType(4, 7),
+                                                       "skew")
             assert cert.statement == (
                 f"exhaustive backtracking over type 4^7 {reduction} on the "
                 f"{kernel} kernel visited {nodes} nodes and found no skew "
