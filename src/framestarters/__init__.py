@@ -1,5 +1,7 @@
 """Frame starters in finite abelian groups: verification, search, certificates."""
 
+__version__ = "0.1.0"  # set first: search certificates name it
+
 from .errors import (
     FrameStarterError,
     InvalidHomomorphismError,
@@ -55,5 +57,3 @@ from .search import (
     naive_enumerate,
     search,
 )
-
-__version__ = "0.1.0"

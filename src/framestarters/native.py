@@ -15,9 +15,8 @@ import subprocess
 import tempfile
 import zlib
 from array import array
+from functools import cache
 from pathlib import Path
-
-from .search import _LEAF
 
 #: The largest g the kernel takes: a state is one uint64 mask (MAXG).
 MAX_ORDER = 64
@@ -28,6 +27,9 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 #: that rejects -march=native.
 _CC_COMMANDS = (("cc", "-O2", "-march=native"), ("cc", "-O2"))
 _kernel_lib = None  # the loaded kernel, False once its build failed
+#: The most leaves one `fs_leaves` call returns to a walk that does not stop
+#: at its first leaf.
+_BATCH = 512
 
 
 def load_kernel() -> ctypes.CDLL | None:
@@ -50,9 +52,11 @@ def load_kernel() -> ctypes.CDLL | None:
     return _kernel_lib or None
 
 
-def stepper(engine, roots: list[tuple[int, int]]):
-    """`fs_step` over the engine's masks below the roots, with the contract
-    of `Engine._python_step`; a leaf's pairs are decoded from lo | hi << 8."""
+def stepper(engine, roots: list[tuple[int, int]], stop_early: bool):
+    """`fs_leaves` over the engine's masks below the roots, with the contract
+    of `Engine._python_step`: each step returns the leaves since the last,
+    one at most when the walk stops early and up to _BATCH otherwise, each
+    leaf's pairs decoded from lo | hi << 8 (`_placements`)."""
     g = engine.g
     if g > MAX_ORDER:
         raise ValueError(f"the native kernel takes g <= {MAX_ORDER}")
@@ -67,20 +71,29 @@ def stepper(engine, roots: list[tuple[int, int]]):
               array("B", bytes(lib.fs_size())))
     sum_bits, partners, classes, root_pairs, state = (
         a.buffer_info()[0] for a in arrays)
-    out = array("Q", bytes(8 * (2 + g // 2 + 1)))
+    cap = 1 if stop_early else _BATCH
+    width = engine.full.bit_count() // 2  # the pairs of a leaf
+    out = array("Q", bytes(8 * (3 + cap * width)))
     out_p = out.buffer_info()[0]
     lib.fs_init(state, g, engine.full, sum_bits, engine.class_mask, partners,
                 classes, len(roots), root_pairs)
+    fs_leaves, placement = lib.fs_leaves, _placements().__getitem__
 
     # The kernel keeps pointers into the arrays: the step holds them.
     def step(pause_at: int, _arrays=arrays):
-        status = lib.fs_step(state, pause_at, out_p)
-        depth = out[1]
-        leaf = (tuple((v & 255, v >> 8) for v in out[2:3 + depth])
-                if status == _LEAF else None)
-        return status, out[0], depth, leaf
+        status = fs_leaves(state, pause_at, cap, out_p)
+        nodes, depth, k = out[:3]
+        pairs = map(placement, out[3:3 + k * width])
+        return status, nodes, depth, list(zip(*[pairs] * width))
 
     return step
+
+
+@cache
+def _placements() -> dict[int, tuple[int, int]]:
+    """Every placement (lo, hi), lo < hi < MAX_ORDER, by its code lo | hi << 8,
+    built on first use: the leaves of every search share one tuple each."""
+    return {lo | hi << 8: (lo, hi) for hi in range(MAX_ORDER) for lo in range(hi)}
 
 
 def _host_cpu() -> bytes:
@@ -112,8 +125,8 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     lib.fs_size.restype = ctypes.c_size_t
     lib.fs_init.argtypes = [p, c_int, u64, p, u64, p, p, c_int, p]
     lib.fs_init.restype = None
-    lib.fs_step.argtypes = [p, u64, p]
-    lib.fs_step.restype = c_int
+    lib.fs_leaves.argtypes = [p, u64, c_int, p]
+    lib.fs_leaves.restype = c_int
     return lib
 
 

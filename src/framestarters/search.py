@@ -26,13 +26,15 @@ exactly once and exhaustive counts are exact.
 
 `Engine.run` is the one driver of the walk: it alone reads the budget,
 the progress interval and the stop-early rule.  It drives a stepper with
-the contract of `fs_step` in `_kernel.c`: walk to a leaf, the end of the
-tree or a given node count, and return (status, nodes, depth, leaf).
-For g <= native.MAX_ORDER (64) `search` picks `fs_step` itself, which
-`native.py` compiles on first use, loads through ctypes and drives
-(`native.stepper`); otherwise, or when it cannot be built, the Python
-stepper, a loop over explicit frames that mirrors `fs_step` line for
-line and calls `Engine.branch`.
+the contract of `fs_leaves` in `_kernel.c`: walk until a given node
+count or the end of the tree, or until enough leaves are in, and return
+(status, nodes, depth, the leaves since the last call).  For
+g <= native.MAX_ORDER (64) `search` picks the C kernel, which `native.py`
+compiles on first use, loads through ctypes and drives
+(`native.stepper`): it returns up to native._BATCH leaves per call, or
+one when the walk stops at its first.  Otherwise, or when it cannot be
+built, the Python stepper runs: a loop over explicit frames that mirrors
+`fs_step` line for line, calls `Engine.branch` and returns at each leaf.
 Both walk only the masks the Engine hands them, `sum_bits` and each
 root's `root_masks`, so every rule of the search, the pair rules and the
 symmetry reduction alike, is written once, here.  Both visit the same
@@ -66,6 +68,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Callable, Sequence
 
+from . import __version__
 from .errors import InvalidTypeError
 from .starters import LEVELS, FrameStarter, Pair, make_starter, verify_skew
 from .theory import NonexistenceCertificate, StarterType, starter_kind
@@ -139,8 +142,9 @@ class SearchOutcome:
     @property
     def certificate(self) -> NonexistenceCertificate | None:
         """The certificate of an exhausted_none outcome; None otherwise.  It
-        names the symmetry reduction, which sets the node count, and the
-        kernel that walked the tree."""
+        names the symmetry reduction, which sets the node count, the
+        kernel that walked the tree, and the search mode and package
+        version that reproduce the search."""
         if self.result != "exhausted_none":
             return None
         cfg, t = self.config, self.config.target_type
@@ -150,7 +154,8 @@ class SearchOutcome:
             t, cfg.property, "search-exhaustion",
             f"exhaustive backtracking over type {t} {reduction} on the "
             f"{self.kernel} kernel visited {self.nodes_visited} nodes and "
-            f"found no {starter_kind(cfg.property)}")
+            f"found no {starter_kind(cfg.property)} (mode {cfg.mode}, "
+            f"framestarters {__version__})")
 
 
 class Engine:
@@ -331,18 +336,21 @@ class Engine:
         """Explore the subtrees under the given root pairs, on the native
         stepper (`native.stepper`) or the Python one; both return the
         same (raw_pairings, nodes, cut), where cut says the node budget
-        stopped the walk.  The stepper pauses before the node that would
-        pass the budget, before each progress node and at least every
-        _CHUNK nodes, so budgets, progress and Ctrl-C behave alike.
+        stopped the walk.  Each step returns the leaves reached since the
+        last; the walk stops at the first leaf unless it counts, and the
+        native stepper then returns one leaf per step, not a batch.  The
+        stepper pauses before the node that would pass the budget, before
+        each progress node and at least every _CHUNK nodes, so budgets,
+        progress and Ctrl-C behave alike.
         """
+        stop_early = cfg.mode != "exhaustive_count"
         if native:
             from .native import stepper
-            step = stepper(self, roots)
+            step = stepper(self, roots, stop_early)
         else:
             step = self._python_step(roots)
         budget = cfg.node_budget
         interval = cfg.progress_interval if progress is not None else 0
-        stop_early = cfg.mode != "exhaustive_count"
         next_event = interval
         nodes = 0
         solutions: list[tuple[tuple[int, int], ...]] = []
@@ -353,24 +361,24 @@ class Engine:
                 pause = min(pause, budget)
             if interval:
                 pause = min(pause, next_event - 1)
-            status, nodes, depth, leaf = step(pause)
-            if status == _LEAF:
-                solutions.append(leaf)
-                if stop_early:
-                    return solutions, nodes, False
-            elif status == _PAUSE:
+            status, nodes, depth, leaves = step(pause)
+            solutions += leaves
+            if leaves and stop_early:
+                return solutions, nodes, False
+            if status == _PAUSE:
                 if nodes == budget:  # the next node would pass the budget
                     return solutions, nodes, True
                 if nodes + 1 == next_event:
                     progress(next_event, depth, time.perf_counter() - started)
                     next_event += interval
-            else:
+            elif status == _DONE:
                 return solutions, nodes, False
 
     def _python_step(self, roots: list[tuple[int, int]]):
         """`fs_step` (see _kernel.c) in Python, over a stack of frames
         [used, used_diff, used_sum, placements, next index], reading the
-        current root's `root_masks`."""
+        current root's `root_masks`; its leaves come as a list, of one leaf
+        at a leaf and empty otherwise."""
         g, full, branch = self.g, self.full, self.branch
         sum_bits = self.sum_bits
         per_root = self.root_masks(roots)
@@ -385,11 +393,11 @@ class Engine:
                 used, ud, us, placements, i = fr
                 if i == len(placements):
                     if len(frames) == 1:
-                        return _DONE, nodes, 0, None
+                        return _DONE, nodes, 0, []
                     frames.pop()
                     continue
                 if nodes == pause_at:
-                    return _PAUSE, nodes, len(frames) - 1, None
+                    return _PAUSE, nodes, len(frames) - 1, []
                 nodes += 1
                 x, y = placements[i]
                 fr[4] = i + 1
@@ -400,7 +408,7 @@ class Engine:
                 us |= sum_bits[(x + y) % g]
                 if used == full:
                     return (_LEAF, nodes, len(frames) - 1,
-                            tuple(f[3][f[4] - 1] for f in frames))
+                            [tuple(f[3][f[4] - 1] for f in frames)])
                 if placements := branch(used, ud, us, masks):
                     frames.append([used, ud, us, placements, 0])
 
@@ -424,8 +432,8 @@ def _verified_starters(t: StarterType, level: str,
 
     The engine's integers are Z_g's element codes.  The starters share one
     group and one Pair per placement (lo, hi), so the group checks and
-    encodes each Pair once (`GroupSpec.pair_codes`); every starter still
-    runs its checks.
+    encodes every Pair once, in one batch, before the first starter
+    (`GroupSpec.pair_codes`); every starter still runs its checks.
     """
     if not raw_pairings:
         return ()
@@ -433,6 +441,7 @@ def _verified_starters(t: StarterType, level: str,
     sub = t.subgroup(group)
     pairs = {(x, y): Pair(group.decode(x), group.decode(y))
              for x, y in set().union(*raw_pairings)}
+    group.pair_codes(list(pairs.values()))
     starters = []
     for raw in raw_pairings:
         starter = make_starter(group, sub, map(pairs.__getitem__, raw))

@@ -13,6 +13,7 @@ the group decodes (`GroupSpec.decode`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple
 
@@ -50,7 +51,8 @@ class FrameStarter:
     pairs: tuple[Pair, ...]
 
     def __post_init__(self):
-        if self.subgroup.group != self.group:
+        if self.subgroup.group is not self.group \
+                and self.subgroup.group != self.group:
             raise StructureError("subgroup belongs to a different group")
         g, h = self.group.order, self.subgroup.order
         if (g - h) % 2 != 0:
@@ -78,12 +80,16 @@ class FrameStarter:
 
 
 def make_starter(group: GroupSpec, subgroup: SubgroupSpec, raw_pairs) -> FrameStarter:
-    """Build a starter from pairs.  A `Pair` is taken as it is; a raw pair
-    of values goes through `GroupSpec.element`, which reduces ints (cyclic)
-    and coordinate tuples and rejects an element that is not canonical."""
-    return FrameStarter(group, subgroup, tuple(
-        p if isinstance(p, Pair) else Pair(*map(group.element, p))
-        for p in raw_pairs))
+    """Build a starter from pairs, read once.  A `Pair` is taken as it is,
+    so pairs that are all `Pair`s go to the constructor as one tuple; a raw
+    pair of values goes through `GroupSpec.element`, which reduces ints
+    (cyclic) and coordinate tuples and rejects an element that is not
+    canonical."""
+    pairs = tuple(raw_pairs)
+    if not all(map(isinstance, pairs, repeat(Pair))):
+        pairs = tuple(p if isinstance(p, Pair) else Pair(*map(group.element, p))
+                      for p in pairs)
+    return FrameStarter(group, subgroup, pairs)
 
 
 def negate_starter(s: FrameStarter) -> FrameStarter:

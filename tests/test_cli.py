@@ -140,6 +140,8 @@ def test_search_command(tmp_path, capsys):
     assert f"on the {obj['kernel']} kernel" in obj["certificate"]["statement"]
     assert "with symmetry reduction by the units of Z_16" \
         in obj["certificate"]["statement"]
+    assert obj["certificate"]["statement"].endswith(
+        f"(mode prove_nonexistence, framestarters {framestarters.__version__})")
     assert main(["search", "--type", "2^8", "--mode", "prove_nonexistence",
                  "--no-symmetry", "--json"]) == 0
     unreduced = json.loads(capsys.readouterr().out)

@@ -585,6 +585,48 @@ def test_pause_and_resume_every_few_nodes(native, monkeypatch):
         assert whole[0][1], c.target_type  # progress events were compared
 
 
+def test_native_parity_across_leaf_batches(native, monkeypatch):
+    # A batch of 3 leaves puts batch ends all through every count, so budget
+    # cuts, progress pauses and the tree's end fall inside a batch.
+    monkeypatch.setattr(native_mod, "_BATCH", 3)
+    for t in (StarterType(h, u) for h in range(1, 17) for u in range(2, 17)):
+        if t.g > 16 or not t.admissible:
+            continue
+        for level in LEVELS:
+            c = SearchConfig(t, property=level, mode="exhaustive_count")
+            engine = search_mod.Engine(t, level, False)
+            py, nat = _both_kernels(engine, c, engine.roots())
+            assert py == nat, (str(t), level)
+    # 1^11's 4 skew starters come as a batch of 3, then 1 with the tree's end
+    c = cfg(1, 11, mode="exhaustive_count")
+    engine = search_mod.Engine(c.target_type, "skew", False)
+    step = native_mod.stepper(engine, engine.roots(), False)
+    batches = [step(1 << 40) for _ in range(2)]
+    assert [(status, len(leaves)) for status, _, _, leaves in batches] == \
+        [(search_mod._LEAF, 3), (search_mod._DONE, 1)]
+    for budget in (1, 20, 40, 67, 68, 69):
+        c = cfg(1, 11, mode="exhaustive_count", node_budget=budget)
+        py, nat = _both_kernels(engine, c, engine.roots())
+        assert py == nat, budget
+    for interval in (1, 10, 30):
+        c = cfg(1, 11, mode="exhaustive_count", progress_interval=interval)
+        runs = []
+        for kernel in (False, True):
+            events = []
+            result = engine.run(
+                c, engine.roots(),
+                lambda nodes, depth, _: events.append((nodes, depth)),
+                native=kernel)
+            runs.append((result, events))
+        assert runs[0] == runs[1] and runs[0][1], interval
+    # at g = 64 every frame starter holds a pair of hi = 63
+    c = cfg(2, 32, "frame", mode="exhaustive_count", node_budget=5_000)
+    engine = search_mod.Engine(c.target_type, "frame", False)
+    py, nat = _both_kernels(engine, c, engine.roots())
+    assert py == nat and py[2] and len(py[0]) > 30  # over ten batches
+    assert all(max(hi for _, hi in leaf) == 63 for leaf in py[0])
+
+
 def test_orders_above_64_run_the_python_kernel():
     c = cfg(1, 65, node_budget=200)
     out = search(c)

@@ -97,6 +97,28 @@ def test_construction_rejects_non_canonical_elements():
         Pair(Z7.element(1), Z7.element(2))
 
 
+def test_make_starter_mixes_pairs_and_raw_values():
+    def pair(x, y):
+        return Pair(Z7.element(x), Z7.element(y))
+
+    want = (pair(1, 2), pair(3, 6), pair(4, 5))
+    raw = [(4, 5), (8, 2), (3, 6)]  # 8 reduces to 1
+    for pairs in (raw, [pair(4, 5), (8, 2), pair(3, 6)],
+                  [(4, 5), pair(1, 2), (3, 6)], list(want)):
+        assert make_starter(Z7, Z7_TRIV, pairs).pairs == want, pairs
+        # a one-shot iterator is read once, in its order
+        seen = []
+        starter = make_starter(Z7, Z7_TRIV,
+                               (seen.append(p) or p for p in pairs))
+        assert starter.pairs == want and seen == pairs, pairs
+    # a non-canonical Element in a raw pair is rejected, next to a Pair too
+    for pairs in ([(Element((9,)), 2), (3, 6), (4, 5)],
+                  [(Element((9,)), 2), pair(3, 6), pair(4, 5)]):
+        with pytest.raises(StructureError) as err:
+            make_starter(Z7, Z7_TRIV, pairs)
+        assert str(err.value) == "Element(9) has coordinate 9 outside [0, 7)"
+
+
 def test_verify_frame_examples(corpus_by_id):
     assert verify_skew(corpus_by_id["example-1"].starter).is_frame
 

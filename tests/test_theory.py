@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+import framestarters
 from framestarters import (
     GroupSpec,
     InvalidTypeError,
@@ -149,7 +150,14 @@ def test_exhaustion_certificate_names_its_kernel():
             assert cert.statement == (
                 f"exhaustive backtracking over type 4^7 {reduction} on the "
                 f"{kernel} kernel visited {nodes} nodes and found no skew "
-                "frame starter")
+                f"frame starter (mode prove_nonexistence, framestarters "
+                f"{framestarters.__version__})")
+    # the mode and the package version reproduce the search
+    count = SearchConfig(StarterType(4, 7), mode="exhaustive_count")
+    cert = SearchOutcome("exhausted_none", (), 315450, 0.0, count,
+                         "native").certificate
+    assert cert.statement.endswith(
+        f"(mode exhaustive_count, framestarters {framestarters.__version__})")
 
 
 def test_certificate_rules_out_levels():
