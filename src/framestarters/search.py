@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -533,16 +533,23 @@ def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
     """All starters of the type at the given level, by unpruned enumeration."""
     if not t.admissible:
         raise InvalidTypeError(f"type {t} admits no pairing")
-    g, r = t.g, t.u
-    idx = LEVELS.index(level)
+    hits = _naive_pairings(t.g, t.u)[LEVELS.index(level)]
+    return list(_verified_starters(t, level, hits))
+
+
+@cache
+def _naive_pairings(g: int, r: int) -> tuple[tuple, tuple, tuple]:
+    """The frame, strong and skew pairings of Z_g \\ H, H the multiples of r,
+    from one walk over every perfect pairing, each in walk order."""
     elements = [v for v in range(1, g) if v % r]
-    hits: list[tuple[tuple[int, int], ...]] = []
+    hits: tuple[list, list, list] = ([], [], [])
     pairs: list[tuple[int, int]] = []
 
     def rec(remaining: list[int]):
         if not remaining:
-            if _pairing_properties(g, r, pairs)[idx]:
-                hits.append(tuple(pairs))
+            for found, holds in zip(hits, _pairing_properties(g, r, pairs)):
+                if holds:
+                    found.append(tuple(pairs))
             return
         x = remaining[0]
         for i in range(1, len(remaining)):
@@ -552,4 +559,4 @@ def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
             pairs.pop()
 
     rec(elements)
-    return list(_verified_starters(t, level, hits))
+    return tuple(map(tuple, hits))

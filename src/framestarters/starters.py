@@ -3,16 +3,17 @@
 A frame starter over G \\ H is a set of (g-h)/2 unordered pairs whose
 members partition G \\ H and whose +- differences partition G \\ H again.
 "Strong" adds distinct pair sums outside H, "skew" requires the +- sums
-to partition G \\ H.  Construction and verification read each pair's
-integer codes from its group, which checks and encodes a pair once.
-Verification never throws on a bad starter; it reports which properties
-hold and every violation, formatted when read from the same codes, which
-the group decodes (`GroupSpec.decode`).
+to partition G \\ H.  Construction reads each pair's integer codes from
+its group, which checks and encodes a pair once, and the starter keeps
+them; verification reads the starter alone.  It never throws on a bad
+starter; it reports which properties hold and every violation, formatted
+when read from the same codes, which the group decodes (`GroupSpec.decode`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple
@@ -43,12 +44,15 @@ class FrameStarter:
 
     Construction guarantees the pair count is (g-h)/2 and every member is
     a canonical element of G \\ H, the group checking each distinct Pair
-    once (`GroupSpec.pair_codes`).  Partitions are the verifier's job.
+    once (`GroupSpec.pair_codes`), and keeps each pair's code row in `codes`
+    (`pairs` order; not compared, hashed or shown).  Partitions are the
+    verifier's job.
     """
 
     group: GroupSpec
     subgroup: SubgroupSpec
     pairs: tuple[Pair, ...]
+    codes: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.subgroup.group is not self.group \
@@ -63,12 +67,13 @@ class FrameStarter:
                 f"expected {(g - h) // 2} pairs for type {h}^{g // h}, "
                 f"got {len(pairs)}"
             )
-        codes, in_h = self.group.pair_codes(pairs), self.subgroup.codes
+        codes, in_h = tuple(self.group.pair_codes(pairs)), self.subgroup.codes
         if not (in_h.isdisjoint(map(itemgetter(0), codes))
                 and in_h.isdisjoint(map(itemgetter(1), codes))):
             x = next(x for p in pairs for x in p if x in self.subgroup)
             raise StructureError(f"pair member {x!r} lies in the subgroup")
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def h(self) -> int:
@@ -143,12 +148,12 @@ def verify_skew(s: FrameStarter) -> VerificationReport:
 
     The levels are decided by set sizes over integer element codes: the
     members, d = second - first, -d, t = first + second and -t of every
-    pair, read from the group (`GroupSpec.pair_codes`, which computes an
-    entry it lacks), so one code path serves every group.
+    pair, which the starter keeps (`FrameStarter.codes`), so one code path
+    serves every group and the group's table is never read.
     """
     n, in_h = len(s.pairs), s.subgroup.codes
     firsts, seconds, diffs, neg_diffs, sums, neg_sums = (
-        list(zip(*s.group.pair_codes(s.pairs))) or [()] * 6)
+        list(zip(*s.codes)) or [()] * 6)
     members = firsts + seconds
 
     # Construction pins the pair count and membership in G \ H, so the
@@ -166,10 +171,10 @@ def verify_skew(s: FrameStarter) -> VerificationReport:
 
 def _violations(s: FrameStarter) -> Iterator[str]:
     """Every violation, formatted in report order: members, differences,
-    sums, then +-sums, each in pair order, from the codes `verify_skew`
-    reads."""
+    sums, then +-sums, each in pair order, from the starter's codes, which
+    `verify_skew` reads too; the group only decodes them."""
     in_h, element = s.subgroup.codes, s.group.decode
-    rows = list(zip(s.pairs, s.group.pair_codes(s.pairs)))
+    rows = list(zip(s.pairs, s.codes))
 
     def partition(level, what, columns):
         seen = set()
@@ -263,13 +268,8 @@ class TypeCensus:
 
 def type_census(s: FrameStarter, m: int) -> TypeCensus:
     """Count pairs by the residues of their members under x -> x mod m."""
-    counts: dict[tuple[int, int], int] = {}
-    for p in s.pairs:
-        i = reduce_mod(s.group, p.first, m)
-        j = reduce_mod(s.group, p.second, m)
-        key = (min(i, j), max(i, j))
-        counts[key] = counts.get(key, 0) + 1
-    return TypeCensus(m, counts)
+    return TypeCensus(m, dict(Counter(
+        tuple(sorted(reduce_mod(s.group, x, m) for x in p)) for p in s.pairs)))
 
 
 def quadratic_sum_check(s: FrameStarter) -> int:

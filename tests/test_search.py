@@ -1,4 +1,5 @@
 import concurrent.futures
+import functools
 import importlib
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 import framestarters
 from framestarters import (
     FrameStarterError,
+    GroupSpec,
     InvalidTypeError,
     SearchConfig,
     StarterType,
@@ -137,6 +139,48 @@ def test_starters_of_one_search_share_pairs():
     assert shared and all(p is q for p, q in shared)
     assert {s.pairs for s in out.starters} == \
         {s.pairs for s in naive_enumerate(t, "frame")}
+
+
+def test_frame_count_reads_the_table_once_per_starter(monkeypatch):
+    # one batch before the first starter, then one read per constructor;
+    # the verifier reads each starter's own codes, the group's shared rows
+    calls = []
+    pair_codes = GroupSpec.pair_codes
+
+    def spy(self, pairs):
+        calls.append(len(pairs))
+        return pair_codes(self, pairs)
+
+    monkeypatch.setattr(GroupSpec, "pair_codes", spy)
+    out = search(cfg(2, 9, "frame", "exhaustive_count"))
+    assert (out.nodes_visited, len(out.starters)) == (35127, 4800)
+    assert len(calls) == 4801
+    a, b = out.starters[:2]
+    shared = [(x, y) for p, x in zip(a.pairs, a.codes)
+              for q, y in zip(b.pairs, b.codes) if p == q]
+    assert shared and all(x is y for x, y in shared)
+
+
+def test_naive_enumerate_walks_each_type_once(monkeypatch):
+    # with a cache of its own, 1^9 walks its 7!! = 105 pairings once, each
+    # tested once for all three levels
+    tested = []
+    properties = search_mod._pairing_properties
+
+    def spy(g, r, pairs):
+        tested.append(tuple(pairs))
+        return properties(g, r, pairs)
+
+    monkeypatch.setattr(search_mod, "_pairing_properties", spy)
+    monkeypatch.setattr(search_mod, "_naive_pairings",
+                        functools.cache(search_mod._naive_pairings.__wrapped__))
+    t = StarterType(1, 9)
+    found = {level: naive_enumerate(t, level) for level in LEVELS}
+    assert len(tested) == len(set(tested)) == 105
+    assert found == {level: naive_enumerate(t, level) for level in LEVELS}
+    assert len(tested) == 105
+    frame, strong, skew = ({s.pairs for s in found[level]} for level in LEVELS)
+    assert skew <= strong <= frame and frame
 
 
 def test_oracle_equivalence_small_sample():

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -466,15 +468,31 @@ def test_pair_codes_never_skip_a_check(monkeypatch):
     assert any(g is other for g in checked)
 
 
-def test_verify_reads_no_stale_codes(strong_3_7, corpus_entries):
-    # a pickled starter's group starts with an empty table: the copy
-    # verifies as the original does, and refills the table
+def test_verify_reads_no_stale_codes(strong_3_7, corpus_entries, monkeypatch):
+    # a pickled, a deep-copied and a replaced starter each carry the codes a
+    # fresh group gives, and verify as the original does with the group's
+    # table out of reach: the verifier reads the starter alone
     cases = [s for s, _, _ in _witness_cases(strong_3_7)]
     cases += [e.starter for e in corpus_entries]
+    checked = []
     for s in cases:
-        copy = pickle.loads(pickle.dumps(s))
-        assert s.group._pair_codes and not copy.group._pair_codes
-        a, b = verify_skew(s), verify_skew(copy)
-        assert (a.is_frame, a.is_strong, a.is_skew, a.witnesses) == \
-            (b.is_frame, b.is_strong, b.is_skew, b.witnesses)
-        assert copy == s and set(copy.pairs) <= set(copy.group._pair_codes)
+        fresh = tuple(GroupSpec(s.group.factors).pair_codes(s.pairs))
+        report = verify_skew(s)
+        want = (report.is_frame, report.is_strong, report.is_skew,
+                report.witnesses)
+        copies = (pickle.loads(pickle.dumps(s)), copy.deepcopy(s),
+                  dataclasses.replace(s))
+        for c in copies:
+            assert c == s and hash(c) == hash(s) and "codes" not in repr(c)
+            assert c.codes == fresh
+        checked.append((want, copies))
+
+    def refuse(self, pairs):
+        raise AssertionError("the verifier read the group's table")
+
+    monkeypatch.setattr(GroupSpec, "pair_codes", refuse)
+    for want, copies in checked:
+        for c in copies:
+            report = verify_skew(c)
+            assert (report.is_frame, report.is_strong, report.is_skew,
+                    report.witnesses) == want
