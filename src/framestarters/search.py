@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import lru_cache, partial
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -537,7 +537,7 @@ def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
     return list(_verified_starters(t, level, hits))
 
 
-@cache
+@lru_cache(maxsize=1)
 def _naive_pairings(g: int, r: int) -> tuple[tuple, tuple, tuple]:
     """The frame, strong and skew pairings of Z_g \\ H, H the multiples of r,
     from one walk over every perfect pairing, each in walk order."""

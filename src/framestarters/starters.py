@@ -12,7 +12,6 @@ when read from the same codes, which the group decodes (`GroupSpec.decode`).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -268,8 +267,13 @@ class TypeCensus:
 
 def type_census(s: FrameStarter, m: int) -> TypeCensus:
     """Count pairs by the residues of their members under x -> x mod m."""
-    return TypeCensus(m, dict(Counter(
-        tuple(sorted(reduce_mod(s.group, x, m) for x in p)) for p in s.pairs)))
+    counts: dict[tuple[int, int], int] = {}
+    for p in s.pairs:
+        i = reduce_mod(s.group, p.first, m)
+        j = reduce_mod(s.group, p.second, m)
+        key = (min(i, j), max(i, j))
+        counts[key] = counts.get(key, 0) + 1
+    return TypeCensus(m, counts)
 
 
 def quadratic_sum_check(s: FrameStarter) -> int:

@@ -173,7 +173,8 @@ def test_naive_enumerate_walks_each_type_once(monkeypatch):
 
     monkeypatch.setattr(search_mod, "_pairing_properties", spy)
     monkeypatch.setattr(search_mod, "_naive_pairings",
-                        functools.cache(search_mod._naive_pairings.__wrapped__))
+                        functools.lru_cache(maxsize=1)(
+                            search_mod._naive_pairings.__wrapped__))
     t = StarterType(1, 9)
     found = {level: naive_enumerate(t, level) for level in LEVELS}
     assert len(tested) == len(set(tested)) == 105

@@ -482,6 +482,9 @@ def test_verify_reads_no_stale_codes(strong_3_7, corpus_entries, monkeypatch):
                 report.witnesses)
         copies = (pickle.loads(pickle.dumps(s)), copy.deepcopy(s),
                   dataclasses.replace(s))
+        # a pickled or deep-copied group starts with an empty table
+        for c in copies[:2]:
+            assert s.group._pair_codes and not c.group._pair_codes
         for c in copies:
             assert c == s and hash(c) == hash(s) and "codes" not in repr(c)
             assert c.codes == fresh
