@@ -181,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="processes for a search without --budget")
     p.add_argument("--no-symmetry", action="store_true",
-                   help="disable the symmetry reduction (negation and unit "
-                        "multipliers)")
+                   help="disable the symmetry reduction (the maps x -> ax + c, "
+                        "a a unit of Z_g and c a translation in H)")
     p.add_argument("--out", metavar="FILE",
                    help="write the first found starter as JSON")
     p.add_argument("--progress", type=int, default=0, metavar="NODES",

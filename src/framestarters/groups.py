@@ -201,6 +201,13 @@ class SubgroupSpec:
     def __contains__(self, a: Element) -> bool:
         return a in self.elements
 
+    def __repr__(self) -> str:
+        # sorted: a frozenset's order depends on how it was built, and
+        # equal subgroups print alike
+        elements = ", ".join(map(repr, sorted(self.elements)))
+        return (f"SubgroupSpec(group={self.group!r}, "
+                f"elements=frozenset({{{elements}}}), order={self.order})")
+
 
 def cyclic_subgroup(spec: GroupSpec, h: int) -> SubgroupSpec:
     """The unique subgroup {0, r, 2r, ...} of order h in a cyclic group, r = g/h."""

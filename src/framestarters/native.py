@@ -18,6 +18,8 @@ from array import array
 from functools import cache
 from pathlib import Path
 
+from .search import _DONE
+
 #: The largest g the kernel takes: a state is one uint64 mask (MAXG).
 MAX_ORDER = 64
 
@@ -56,7 +58,10 @@ def stepper(engine, roots: list[tuple[int, int]], stop_early: bool):
     """`fs_leaves` over the engine's masks below the roots, with the contract
     of `Engine._python_step`: each step returns the leaves since the last,
     one at most when the walk stops early and up to _BATCH otherwise, each
-    leaf's pairs decoded from lo | hi << 8 (`_placements`)."""
+    leaf's pairs decoded from lo | hi << 8 (`_placements`).  The kernel
+    walks one root per `fs_init`, entered when the walk reaches it, with
+    that root's `Engine.root_masks`; the step adds the nodes of the roots
+    before it, and a batch that ends a root goes on into the next."""
     g = engine.g
     if g > MAX_ORDER:
         raise ValueError(f"the native kernel takes g <= {MAX_ORDER}")
@@ -64,27 +69,38 @@ def stepper(engine, roots: list[tuple[int, int]], stop_early: bool):
     if lib is None:
         raise RuntimeError("the native search kernel is not available")
     per_root = engine.root_masks(roots)
-    arrays = (array("Q", engine.sum_bits),
-              array("Q", [m for p, _ in per_root for m in p]),
-              array("Q", [m for _, c in per_root for m in c]),
-              array("B", [v for pair in roots for v in pair]),
-              array("B", bytes(lib.fs_size())))
-    sum_bits, partners, classes, root_pairs, state = (
-        a.buffer_info()[0] for a in arrays)
+    state = array("B", bytes(lib.fs_size()))
+    sum_bits = array("Q", engine.sum_bits)
+    state_p, sum_bits_p = state.buffer_info()[0], sum_bits.buffer_info()[0]
     cap = 1 if stop_early else _BATCH
     width = engine.full.bit_count() // 2  # the pairs of a leaf
     out = array("Q", bytes(8 * (3 + cap * width)))
     out_p = out.buffer_info()[0]
-    lib.fs_init(state, g, engine.full, sum_bits, engine.class_mask, partners,
-                classes, len(roots), root_pairs)
     fs_leaves, placement = lib.fs_leaves, _placements().__getitem__
+    walked = entered = 0  # the nodes of the roots entered before this one
+    masks = rows = None  # the current root's masks and the kernel's copy
+    lib.fs_init(state_p, g, engine.full, sum_bits_p, engine.class_mask,
+                None, None, 0, None)  # no root yet: the first step enters one
 
-    # The kernel keeps pointers into the arrays: the step holds them.
-    def step(pause_at: int, _arrays=arrays):
-        status = fs_leaves(state, pause_at, cap, out_p)
-        nodes, depth, k = out[:3]
-        pairs = map(placement, out[3:3 + k * width])
-        return status, nodes, depth, list(zip(*[pairs] * width))
+    def step(pause_at: int, _held=(state, sum_bits, out)):
+        nonlocal walked, entered, masks, rows
+        leaves = []
+        while True:
+            status = fs_leaves(state_p, pause_at - walked, cap - len(leaves),
+                               out_p)
+            nodes, depth, k = out[:3]
+            if k:
+                pairs = map(placement, out[3:3 + k * width])
+                leaves += zip(*[pairs] * width)
+            if status != _DONE or entered == len(roots):
+                return status, walked + nodes, depth, leaves
+            walked += nodes
+            if (new := next(per_root)) is not masks:  # unreduced roots share
+                masks, rows = new, [array("Q", m) for m in new]
+            part_p, cls_p = (a.buffer_info()[0] for a in rows)
+            lib.fs_init(state_p, g, engine.full, sum_bits_p, engine.class_mask,
+                        part_p, cls_p, 1, bytes(roots[entered]))
+            entered += 1
 
     return step
 

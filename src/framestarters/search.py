@@ -36,8 +36,9 @@ one when the walk stops at its first.  Otherwise, or when it cannot be
 built, the Python stepper runs: a loop over explicit frames that mirrors
 `fs_step` line for line, calls `Engine.branch` and returns at each leaf.
 Both walk only the masks the Engine hands them, `sum_bits` and each
-root's `root_masks`, so every rule of the search, the pair rules and the
-symmetry reduction alike, is written once, here.  Both visit the same
+root's `root_masks`, built as the walk reaches that root, so every rule
+of the search, the pair rules and the symmetry reduction alike, is
+written once, here.  Both visit the same
 nodes in the same order; the Python stepper is the kernel's test
 oracle.  `SearchOutcome.kernel` says which one ran.
 
@@ -49,12 +50,14 @@ each distinct Pair once, so a starter costs a sort and a few set sizes.
 `search` says when several workers split the tree, and why every worker
 count reports what the serial run reports.
 
-Symmetry reduction exploits the units a of Z_g: x -> ax maps a starter
-to a starter of the same kind and fixes H.  Negation (a = -1) sends the
-root pair {x, x+1} to the one of base g-1-x, so only roots x <= (g-1)/2
-are explored.  The other units prune below the root: each root's
-subtree drops the pairs that put some unit multiple of the starter under
-an earlier root (`Engine.root_masks`).  This prunes for existence
+Symmetry reduction exploits the affine maps x -> ax + c, a a unit of Z_g
+and c one of the `translations` (all of H at the frame and strong levels,
+the c in H with 4c = 0 at skew): each maps a starter to a starter of the
+same kind and fixes H.  Negation and the translations act on the root
+pair {x, x+1}, so only the roots whose base is the least of its orbit are
+explored.  The other units prune below the root: each root's subtree
+drops the pairs that put some affine image of the starter under an
+earlier root (`Engine.root_masks`).  This prunes for existence
 questions; an exhaustive count always runs with the reduction switched
 off.
 """
@@ -64,9 +67,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from itertools import repeat
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .errors import InvalidTypeError
@@ -142,13 +146,15 @@ class SearchOutcome:
     @property
     def certificate(self) -> NonexistenceCertificate | None:
         """The certificate of an exhausted_none outcome; None otherwise.  It
-        names the symmetry reduction, which sets the node count, the
+        names the symmetry reduction's maps, which set the node count, the
         kernel that walked the tree, and the search mode and package
         version that reproduce the search."""
         if self.result != "exhausted_none":
             return None
         cfg, t = self.config, self.config.target_type
-        reduction = (f"with symmetry reduction by the units of Z_{t.g}"
+        shifts = ", ".join(map(str, translations(t, cfg.property)))
+        reduction = (f"with symmetry reduction by the units of Z_{t.g} and "
+                     f"the translations by {{{shifts}}}"
                      if cfg.symmetry_reduction else "without symmetry reduction")
         return NonexistenceCertificate(
             t, cfg.property, "search-exhaustion",
@@ -156,6 +162,16 @@ class SearchOutcome:
             f"{self.kernel} kernel visited {self.nodes_visited} nodes and "
             f"found no {starter_kind(cfg.property)} (mode {cfg.mode}, "
             f"framestarters {__version__})")
+
+
+def translations(t: StarterType, level: str) -> range:
+    """The c in H for which x -> x + c maps every starter of the type at the
+    level to one of the same level: all of H at the frame and strong
+    levels, where a translate keeps the differences and moves every sum by
+    2c, and at the skew level only the c with 4c = 0, since s + 2c =
+    -(s' + 2c) exactly when s + s' = -4c.  Either set is a subgroup of H,
+    the multiples of the range's step."""
+    return range(0, t.g, t.g // (gcd(t.h, 4) if level == "skew" else t.h))
 
 
 class Engine:
@@ -178,91 +194,94 @@ class Engine:
     are lists of ints, since above g = 64 a mask outgrows 64 bits;
     `native.stepper` copies them into uint64 arrays.  `symmetry` says
     whether the search is symmetry-reduced: `roots` and `root_masks` read
-    it.
+    it and `step`, the step of the level's `translations`.
     """
 
-    __slots__ = ("g", "mask_g", "full", "symmetry", "sum_bits", "partners",
-                 "classes", "class_mask")
+    __slots__ = ("g", "mask_g", "full", "symmetry", "step", "sum_bits",
+                 "partners", "classes", "class_mask")
 
     def __init__(self, t: StarterType, level: str, symmetry: bool):
         g, r = t.g, t.u
         strongish = level in ("strong", "skew")
-        partners = [0] * g
-        classes = [0] * g
-        class_mask = 0
-        bit = [1 << v for v in range(g)]
-        sum_bits = [(bit[s] | (bit[-s] if level == "skew" else 0))
-                    if strongish and s % r else 0 for s in range(g)]
-        elements = [x for x in range(1, g) if x % r]
-        # One pass per difference class {d, -d}: a feasible pair {x, x+d}
-        # has both members and its difference outside H, and (strong and
-        # skew) its sum too.
+        mask_g = (1 << g) - 1
+        # A pair's feasibility reads residues mod u alone: residue[j] masks
+        # the elements congruent to j, and residue[0] is H.  y partners x
+        # unless y - x lies in H (y in x's residue) or, strong and skew,
+        # x + y does (y in -x's), and x bases a pair {x, x+d} unless x or
+        # x + d lies in H or, strong and skew, 2x + d does.
+        residue = [sum(1 << v for v in range(j, g, r)) for j in range(r)]
+        full = mask_g & ~residue[0]
+        sum_bases = [0] * r  # by d mod u: the x with 2x + d in H
+        for j in range(r if strongish else 0):
+            sum_bases[-2 * j % r] |= residue[j]
+        self.partners = [full & ~residue[x % r]
+                         & ~(residue[-x % r] if strongish else 0)
+                         if x % r else 0 for x in range(g)]
+        self.classes = [0] * g
+        self.class_mask = 0
         for d in range(1, (g - 1) // 2 + 1):
-            if d % r == 0:
-                continue
-            base = 0
-            for x in elements:
-                y = (x + d) % g
-                if y % r == 0 or strongish and not sum_bits[(x + y) % g]:
-                    continue
-                partners[x] |= bit[y]
-                partners[y] |= bit[x]
-                base |= bit[x]
-            classes[d] = base
-            class_mask |= bit[d]
+            if d % r:
+                self.classes[d] = (full & (full >> d | full << g - d)
+                                   & ~sum_bases[d % r])
+                self.class_mask |= 1 << d
+        self.sum_bits = [(1 << s | (1 << -s % g if level == "skew" else 0))
+                         if strongish and s % r else 0 for s in range(g)]
         self.g = g
-        self.mask_g = (1 << g) - 1
-        self.full = sum(1 << v for v in range(1, g) if v % r)
+        self.mask_g = mask_g
+        self.full = full
         self.symmetry = symmetry
-        self.sum_bits = sum_bits
-        self.partners = partners
-        self.classes = classes
-        self.class_mask = class_mask
+        self.step = translations(t, level).step
 
     def roots(self) -> list[tuple[int, int]]:
         """Placements of the difference-class {1, -1} pair, the fixed root item.
 
-        Negation maps the pair {x, x+1} to {g-1-x, g-x}, so with symmetry on
-        only base points x <= (g-1)/2 are kept: one representative per orbit.
+        With symmetry on, only the roots {x, x+1} whose base is its own key
+        (`root_masks`) are kept, x <= (step-1)/2: one per orbit of bases
+        under translation by `translations` and negation.
         """
-        top = (self.g - 1) // 2 if self.symmetry else self.g - 2
+        top = (self.step - 1) // 2 if self.symmetry else self.g - 2
         return [(x, x + 1) for x in range(1, top + 1)
                 if self.classes[1] >> x & 1]
 
     def root_masks(self, roots: list[tuple[int, int]]
-                   ) -> list[tuple[list[int], list[int]]]:
+                   ) -> Iterator[tuple[list[int], list[int]]]:
         """(partners, classes) below each of the root pairs {x, x+1}, which
-        come in ascending order, as `roots` or a stride of it lists them.
+        come in ascending order, as `roots` or a stride of it lists them;
+        each root's are built when they are pulled, so a walk pays only for
+        the roots it reaches.
 
         With symmetry on, the subtree of root x drops every pair {p, p+d}
-        of unit difference d whose key is below x.  That pair is the image
-        under d of the {1, -1} pair {b, b+1} of the starter d^-1 S,
-        b = p/d mod g, whose negation-normalised root base is the key
-        min(b, g-1-b).  A starter holding a pair of key k < x has an orbit
-        member rooted at base k; the orbit member of least root base keeps
-        all of its pairs, so every orbit under Z_g^* keeps a
-        representative.  The pairs of key k are {kd, (k+1)d} and
-        {-(k+1)d, -kd}, so each root drops only the keys from the previous
-        root's base up to its own.  No key lies below 1.
+        of unit difference d whose key is below x.  An affine map
+        z -> d^-1 z + c, c in `translations` (step | g), sends that pair to
+        the {1, -1} pair {b + c, b + c + 1}, b = p/d mod g, and negation
+        sends it on to base g-1-b-c; the key is the least base so reached,
+        min(b mod step, (-1-b) mod step).  A starter holding a pair of key
+        k < x has an orbit member rooted at base k; the orbit member of
+        least root base keeps all of its pairs, so every orbit under the
+        affine maps keeps a representative.  The pairs of key k are
+        {bd, (b+1)d} for b = k or -1-k (mod step), so each root drops only
+        the keys from the previous root's base up to its own.  No key of a
+        feasible pair lies below 1.
         """
         if not self.symmetry:
-            return [(self.partners, self.classes)] * len(roots)
-        g, partners, classes = self.g, self.partners[:], self.classes[:]
+            yield from repeat((self.partners, self.classes), len(roots))
+            return
+        g, step = self.g, self.step
+        partners, classes = self.partners[:], self.classes[:]
         units = [d for d in range(1, (g + 1) // 2) if gcd(d, g) == 1]
-        out = []
         key = 1
         for x, _ in roots:
             for k in range(key, x):
-                for d in units:
-                    for p in (k * d % g, -(k + 1) * d % g):
+                for b in (*range(k, g, step), *range(step - 1 - k, g, step)):
+                    for d in units:
+                        p = b * d % g
                         if classes[d] >> p & 1:
                             q = (p + d) % g
                             classes[d] ^= 1 << p
                             partners[p] ^= 1 << q
                             partners[q] ^= 1 << p
             key = x
-            out.append((partners[:], classes[:]))
-        return out
+            yield partners[:], classes[:]
 
     def branch(self, used: int, used_diff: int, used_sum: int,
                masks: tuple[list[int], list[int]]) -> list[tuple[int, int]]:
@@ -402,7 +421,7 @@ class Engine:
                 x, y = placements[i]
                 fr[4] = i + 1
                 if len(frames) == 1:
-                    masks = per_root[i]
+                    masks = next(per_root)
                 used |= 1 << x | 1 << y
                 ud |= 1 << y - x | 1 << g - y + x
                 us |= sum_bits[(x + y) % g]

@@ -31,6 +31,7 @@ from framestarters import (
     type_census,
     verify_skew,
 )
+from framestarters.starters import make_starter
 from framestarters.table import build_table
 
 search_mod = importlib.import_module("framestarters.search")
@@ -233,21 +234,54 @@ def test_acceptance_7_oracle_equivalence(oracle_sweep):
     _passed(7, "naive oracle equivalence, g <= 16")
 
 
-def test_symmetry_reduction_meets_every_unit_orbit(oracle_sweep):
-    # The whole symmetry-reduced tree (negation roots and each root's
-    # unit-multiplier masks) reaches only starters, and meets every orbit
-    # of the oracle's starters under x -> ax, a a unit of Z_g.
+def test_affine_maps_send_starters_to_starters(oracle_sweep):
+    # The symmetry group apart from the engine: x -> ax + c, a a unit of Z_g
+    # and c one of the search's translations, sends each oracle starter to
+    # a starter of the same level, as the verifier alone judges it.
     for t, level, naive, _, _ in oracle_sweep:
         g = t.g
         units = [a for a in range(1, g) if gcd(a, g) == 1]
+        shifts = search_mod.translations(t, level)
+        for s in naive:
+            codes = [(p.first.coords[0], p.second.coords[0]) for p in s.pairs]
+            for a in units:
+                for c in shifts:
+                    image = make_starter(s.group, s.subgroup,
+                                         [(a * x + c, a * y + c)
+                                          for x, y in codes])
+                    assert verify_skew(image).holds(level), \
+                        (str(t), level, a, c)
+    # Skew needs 4c = 0: a translate moves every sum by 2c, so 3^13's
+    # witness translated by 13 (4 * 13 = 13 in Z_39) stays strong only.
+    t = StarterType(3, 13)
+    assert 13 in search_mod.translations(t, "strong")
+    assert list(search_mod.translations(t, "skew")) == [0]
+    s = search(SearchConfig(t)).starters[0]
+    moved = make_starter(s.group, s.subgroup,
+                         [(p.first.coords[0] + 13, p.second.coords[0] + 13)
+                          for p in s.pairs])
+    report = verify_skew(moved)
+    assert report.is_strong and not report.is_skew
+
+
+def test_symmetry_reduction_meets_every_unit_orbit(oracle_sweep):
+    # The whole symmetry-reduced tree (its roots and each root's masks)
+    # reaches only starters, and meets every orbit of the oracle's starters
+    # under x -> ax + c, a a unit of Z_g and c in H (with 4c = 0 at skew).
+    for t, level, naive, _, _ in oracle_sweep:
+        g = t.g
+        units = [a for a in range(1, g) if gcd(a, g) == 1]
+        shifts = [c for c in range(0, g, t.u)
+                  if level != "skew" or 4 * c % g == 0]
         engine = search_mod.Engine(t, level, True)
         raw, _, _ = engine.run(
             SearchConfig(t, property=level, mode="exhaustive_count"),
             engine.roots())
         reached = {frozenset(map(frozenset, pairs)) for pairs in raw}
-        orbits = {frozenset(frozenset(frozenset((a * p.first.coords[0] % g,
-                                                 a * p.second.coords[0] % g))
-                                      for p in s.pairs) for a in units)
+        orbits = {frozenset(frozenset(frozenset(((a * p.first.coords[0] + c) % g,
+                                                 (a * p.second.coords[0] + c) % g))
+                                      for p in s.pairs)
+                            for a in units for c in shifts)
                   for s in naive}
         assert reached <= set().union(*orbits), (str(t), level)
         for orbit in orbits:

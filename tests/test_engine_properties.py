@@ -5,10 +5,12 @@ range) at every level, every mask the engine builds (`partners`,
 `classes` with `class_mask`, `sum_bits`, the roots and each root's
 `root_masks`) is compared with one computed here from the rules alone: a
 pair {x, y} of Z_g is feasible when its members, its difference and
-(strong and skew) its sum all lie outside H, and with symmetry on the
-subtree of root x drops every pair {p, p+d} of unit difference d whose
-key min(b, g-1-b), b = p/d mod g, is below x.  Only the element set of H
-comes from the package.
+(strong and skew) its sum all lie outside H.  With symmetry on, S is H at
+the frame and strong levels and {c in H : 4c = 0} at skew, the key of a
+base b is the least of (b + c) mod g and (g-1-b-c) mod g over c in S, a
+root {x, x+1} is kept when its key is x, and its subtree drops every pair
+{p, p+d} of unit difference d whose key, b = p/d mod g, is below x.  Only
+the element set of H comes from the package.
 """
 
 import importlib
@@ -47,9 +49,14 @@ def _reference(g, h_set, level):
             sum_bits)
 
 
-def _key_filter(g, partners, classes, base):
+def _key(g, shifts, b):
+    """The least root base that translation by S and negation reach from b."""
+    return min(min((b + c) % g, (g - 1 - b - c) % g) for c in shifts)
+
+
+def _key_filter(g, shifts, partners, classes, base):
     """`partners` and `classes` below the root pair {base, base+1}, without
-    the pairs whose unit-multiplier key is below base."""
+    the pairs whose affine key is below base."""
     partners, classes = partners[:], classes[:]
     for d in range(1, (g + 1) // 2):
         if gcd(d, g) != 1:
@@ -57,7 +64,7 @@ def _key_filter(g, partners, classes, base):
         inv = pow(d, -1, g)
         for p in range(1, g):
             b = inv * p % g
-            if classes[d] >> p & 1 and min(b, g - 1 - b) < base:
+            if classes[d] >> p & 1 and _key(g, shifts, b) < base:
                 q = (p + d) % g
                 classes[d] ^= 1 << p
                 partners[p] ^= 1 << q
@@ -77,13 +84,15 @@ def test_candidate_table_reads_the_pair_rules(t, level):
     assert engine.classes == classes
     assert engine.class_mask == class_mask
     assert engine.sum_bits == sum_bits
-    for symmetry, top in ((True, (g - 1) // 2), (False, g - 2)):
+    shifts = [c for c in h_set if level != "skew" or 4 * c % g == 0]
+    for symmetry in (True, False):
         engine = search_mod.Engine(t, level, symmetry)
         roots = engine.roots()
-        assert roots == [(x, x + 1) for x in range(1, top + 1)
-                         if feasible(x, x + 1)]
+        assert roots == [(x, x + 1) for x in range(1, g - 1)
+                         if feasible(x, x + 1)
+                         and (not symmetry or _key(g, shifts, x) == x)]
         # the whole root list, and a worker's stride of it
         for some in (roots, roots[1::2]):
-            want = [_key_filter(g, partners, classes, x) if symmetry
+            want = [_key_filter(g, shifts, partners, classes, x) if symmetry
                     else (partners, classes) for x, _ in some]
-            assert engine.root_masks(some) == want, (symmetry, some)
+            assert list(engine.root_masks(some)) == want, (symmetry, some)

@@ -251,7 +251,7 @@ def _check_parallel_equivalence():
     seq = search(cfg(4, 7, mode="prove_nonexistence", worker_count=1))
     par = search(cfg(4, 7, mode="prove_nonexistence", worker_count=2))
     assert seq.result == par.result == "exhausted_none"
-    assert seq.nodes_visited == par.nodes_visited == 46995
+    assert seq.nodes_visited == par.nodes_visited == 21703
     assert seq.kernel == par.kernel  # chosen once, for every slice
 
 
@@ -297,7 +297,7 @@ def test_pool_sized_by_root_slices(monkeypatch):
     assert search(cfg(1, 11, **kw, worker_count=3)).result == "found"
     assert sizes == []  # both trees end in the head start: no pool
     monkeypatch.setattr(search_mod, "_HEAD_START", 1)
-    assert search(cfg(2, 5, worker_count=32)).result == "found"  # 2 roots
+    assert search(cfg(1, 7, worker_count=32)).result == "found"  # 2 roots
     assert sizes == [2]
     out = search(cfg(4, 2, mode="prove_nonexistence", worker_count=4))
     assert out.result == "exhausted_none"  # no roots: no pool at all
@@ -316,7 +316,7 @@ def test_head_start_progress_matches_one_worker():
         c = cfg(4, 7, mode="prove_nonexistence", progress_interval=10_000,
                 worker_count=w)
         search(c, lambda nodes, depth, _: seen.append((nodes, depth)))
-    assert [n for n, _ in events[1]] == [10_000, 20_000, 30_000, 40_000]
+    assert [n for n, _ in events[1]] == [10_000, 20_000]
     assert events[2] == events[1]
     # a budget past the head start is walked in order, with every event
     for w in (1, 2):
@@ -401,7 +401,7 @@ def test_canonical_first_branch_walkthrough():
             masks = (1 << x | 1 << y, 1 << d | 1 << -d % 7, 1 << s | 1 << -s % 7)
             for i, mask in enumerate(masks):
                 state[i] |= mask
-        return engine.branch(*state, engine.root_masks([placed[0]])[0])
+        return engine.branch(*state, next(engine.root_masks([placed[0]])))
 
     assert engine.roots() == [(1, 2), (2, 3)]
     assert branch((2, 3)) == [(1, 5)]
@@ -446,7 +446,7 @@ def test_native_parity_oracle_sweep(native):
 
 
 @pytest.mark.parametrize("h, u, mode, nodes", [
-    (4, 7, "prove_nonexistence", 46_995),
+    (4, 7, "prove_nonexistence", 21_703),
     (3, 19, "find_first", 58_407),
     (5, 11, "find_first", 88_053),
 ])
@@ -456,6 +456,33 @@ def test_native_parity_named_cells(native, h, u, mode, nodes):
     py, nat = _both_kernels(engine, c, engine.roots())
     assert py == nat
     assert py[1] == nodes and len(py[0]) == (mode == "find_first")
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+def test_each_roots_masks_built_when_the_walk_reaches_it(kernel, monkeypatch,
+                                                         request):
+    if kernel == "native":
+        request.getfixturevalue("native")
+    pulled = []
+    build = search_mod.Engine.root_masks
+
+    def counted(self, roots):
+        for masks in build(self, roots):
+            pulled.append(masks)
+            yield masks
+
+    monkeypatch.setattr(search_mod.Engine, "root_masks", counted)
+    for h, u, mode, nodes, leaves, reached in (
+            (3, 19, "find_first", 58_407, 1, 1),  # a witness under root 1
+            (5, 11, "find_first", 88_053, 1, 1),
+            (4, 7, "prove_nonexistence", 21_703, 0, 2)):  # every root
+        c = cfg(h, u, mode=mode)
+        engine = search_mod.Engine(c.target_type, "skew", True)
+        roots = engine.roots()
+        assert len(roots) >= 2
+        pulled.clear()
+        raw, n, _ = engine.run(c, roots, native=kernel == "native")
+        assert (n, len(raw), len(pulled)) == (nodes, leaves, reached), (h, u)
 
 
 @pytest.mark.parametrize("h, u, level, budget", [
@@ -524,7 +551,7 @@ def test_search_result_under_each_kernel(kernel, monkeypatch, request):
     for c, result, nodes, leaves in (
             (cfg(3, 19), "found", 58_407, 1),
             (cfg(5, 11), "found", 88_053, 1),
-            (cfg(4, 7, mode="prove_nonexistence"), "exhausted_none", 46_995, 0),
+            (cfg(4, 7, mode="prove_nonexistence"), "exhausted_none", 21_703, 0),
             (cfg(4, 11, node_budget=10_000), "budget_exceeded", 10_000, 0)):
         out = search(c)
         assert (out.result, out.nodes_visited, len(out.starters), out.kernel) \

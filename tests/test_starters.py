@@ -499,3 +499,11 @@ def test_verify_reads_no_stale_codes(strong_3_7, corpus_entries, monkeypatch):
             report = verify_skew(c)
             assert (report.is_frame, report.is_strong, report.is_skew,
                     report.witnesses) == want
+
+
+def test_equal_starters_print_alike(strong_3_7):
+    # H's elements print sorted, not in the order its frozenset was built
+    copied = pickle.loads(pickle.dumps(strong_3_7))
+    assert copied == strong_3_7 and repr(copied) == repr(strong_3_7)
+    assert "elements=frozenset({Element(0), Element(7), Element(14)})" \
+        in repr(copied.subgroup)

@@ -137,7 +137,8 @@ def test_certify_examples():
 def test_exhaustion_certificate_names_its_kernel():
     # the node count depends on the symmetry reduction, so both are named
     for symmetry, nodes, reduction in (
-            (True, 46995, "with symmetry reduction by the units of Z_28"),
+            (True, 21703, "with symmetry reduction by the units of Z_28 and "
+                          "the translations by {0, 7, 14, 21}"),
             (False, 315450, "without symmetry reduction")):
         cfg = SearchConfig(StarterType(4, 7), mode="prove_nonexistence",
                            symmetry_reduction=symmetry)
