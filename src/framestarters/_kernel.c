@@ -3,17 +3,18 @@
  *
  * The Python Engine owns every rule of the search and hands this file
  * only masks of length g, in its own layout, as fs_init(state, g, full,
- * sum_bits, cls_mask, partners, classes, nroots, roots) takes them:
+ * sum_bits, cls_mask, partners, classes, root) takes them:
  *   full                          the elements of G \ H;
  *   sum_bits[s]                   what a pair of sum s adds to the used
  *                                 sums (0 at the frame level);
  *   cls_mask                      the difference classes d a starter
  *                                 must realize;
- *   partners[k * g + x]           the feasible partners of x and the base
- *   classes[k * g + d]            points x of class d's feasible pairs
- *                                 {x, x+d} below root k
+ *   partners[x]                   the feasible partners of x and the base
+ *   classes[d]                    points x of class d's feasible pairs
+ *                                 {x, x+d} below the root
  *                                 (Engine.root_masks);
- *   roots[2 * k], roots[2 * k + 1]  root placement k, lo then hi.
+ *   root[0], root[1]              the root placement, lo then hi; NULL
+ *                                 for none, an empty tree.
  * A placement (x, y), x < y, adds the differences 1 << y-x | 1 << g-y+x.
  * The kernel only walks the tree the masks define, in Engine.run's order,
  * so it visits the same nodes and reaches the same leaves.  It is
@@ -56,8 +57,7 @@ struct frame {            /* one node's state and its open placements */
 struct fs {
     int g, depth;
     uint64_t full, mask_g, cls_mask, nodes;
-    const uint64_t *sum_bits, *partners, *classes;
-    const uint64_t *part, *cls;  /* the current root's rows */
+    const uint64_t *sum_bits, *part, *cls;
     struct frame f[MAXD];
 };
 
@@ -65,17 +65,14 @@ size_t fs_size(void) { return sizeof(struct fs); }
 
 void fs_init(struct fs *s, int g, uint64_t full, const uint64_t *sum_bits,
              uint64_t cls_mask, const uint64_t *partners,
-             const uint64_t *classes, int nroots, const uint8_t *roots)
+             const uint64_t *classes, const uint8_t *root)
 {
     memset(s, 0, sizeof *s);
     s->g = g; s->full = full; s->mask_g = ~0ULL >> (64 - g);
     s->sum_bits = sum_bits; s->cls_mask = cls_mask;
-    s->partners = partners; s->classes = classes;
-    for (int k = 0; k < nroots; k++) {
-        s->f[0].lo[k] = roots[2 * k];
-        s->f[0].hi[k] = roots[2 * k + 1];
-    }
-    s->f[0].n = nroots;
+    s->part = partners; s->cls = classes;
+    s->f[0].n = root != NULL;
+    if (root) { s->f[0].lo[0] = root[0]; s->f[0].hi[0] = root[1]; }
 }
 
 /* Engine.branch: fill fr with the placements of the most constrained open
@@ -142,10 +139,6 @@ int fs_step(struct fs *s, uint64_t pause_at, uint64_t *out)
         }
         if (s->nodes == pause_at) { rc = FS_PAUSE; break; }
         s->nodes++;
-        if (s->depth == 0) {  /* a new root: walk its rows */
-            s->part = s->partners + fr->i * s->g;
-            s->cls = s->classes + fr->i * s->g;
-        }
         int g = s->g, x = fr->lo[fr->i], y = fr->hi[fr->i++];
         next->used = fr->used | 1ULL << x | 1ULL << y;
         next->ud = fr->ud | 1ULL << (y - x) | 1ULL << (g - y + x);

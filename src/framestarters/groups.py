@@ -110,13 +110,13 @@ class GroupSpec:
                 raise StructureError(
                     f"{a!r} has coordinate {a.coords[i]} outside [0, {m})")
 
-    def pair_codes(self, pairs: Sequence) -> list[tuple[int, ...]]:
+    def pair_codes(self, pairs: Sequence) -> tuple[tuple[int, ...], ...]:
         """Per pair (a, b): the codes (`encode`) of a, b, d = b - a, -d,
         t = a + b and -t, checked and encoded on first sight: a batch of new
         pairs a factor at a time, which is faster than `encode` per member."""
         table = self._pair_codes
         try:
-            return list(map(table.__getitem__, pairs))
+            return tuple(map(table.__getitem__, pairs))
         except KeyError:
             new = list(itertools.filterfalse(table.__contains__, pairs))
             self._check(*itertools.chain.from_iterable(new))
@@ -128,7 +128,7 @@ class GroupSpec:
                 codes = [[c * m + v for c, v in zip(high, low)] for high, low in zip(
                     codes, (xs, ys, d, [-v % m for v in d], t, [-v % m for v in t]))]
             table.update(zip(new, zip(*codes)))
-            return list(map(table.__getitem__, pairs))
+            return tuple(map(table.__getitem__, pairs))
 
     def encode(self, a: Element) -> int:
         """The code of a canonical element: its index in `elements()`."""

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import platform
-import subprocess
-import tempfile
 import zlib
 from array import array
 from functools import cache
@@ -49,7 +46,7 @@ def load_kernel() -> ctypes.CDLL | None:
     if _kernel_lib is None:
         try:
             _kernel_lib = _build_kernel(_KERNEL_SOURCE)
-        except (OSError, subprocess.SubprocessError):
+        except OSError:  # _compile raises a failed build as one too
             _kernel_lib = False
     return _kernel_lib or None
 
@@ -80,7 +77,7 @@ def stepper(engine, roots: list[tuple[int, int]], stop_early: bool):
     walked = entered = 0  # the nodes of the roots entered before this one
     masks = rows = None  # the current root's masks and the kernel's copy
     lib.fs_init(state_p, g, engine.full, sum_bits_p, engine.class_mask,
-                None, None, 0, None)  # no root yet: the first step enters one
+                None, None, None)  # no root yet: the first step enters one
 
     def step(pause_at: int, _held=(state, sum_bits, out)):
         nonlocal walked, entered, masks, rows
@@ -99,7 +96,7 @@ def stepper(engine, roots: list[tuple[int, int]], stop_early: bool):
                 masks, rows = new, [array("Q", m) for m in new]
             part_p, cls_p = (a.buffer_info()[0] for a in rows)
             lib.fs_init(state_p, g, engine.full, sum_bits_p, engine.class_mask,
-                        part_p, cls_p, 1, bytes(roots[entered]))
+                        part_p, cls_p, bytes(roots[entered]))
             entered += 1
 
     return step
@@ -122,6 +119,7 @@ def _host_cpu() -> bytes:
                     return line
     except OSError:
         pass
+    import platform  # rarely needed, and slow to import
     return platform.machine().encode()
 
 
@@ -139,7 +137,7 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     p, u64, c_int = ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int
     lib.fs_size.argtypes = []
     lib.fs_size.restype = ctypes.c_size_t
-    lib.fs_init.argtypes = [p, c_int, u64, p, u64, p, p, c_int, p]
+    lib.fs_init.argtypes = [p, c_int, u64, p, u64, p, p, p]
     lib.fs_init.restype = None
     lib.fs_leaves.argtypes = [p, u64, c_int, p]
     lib.fs_leaves.restype = c_int
@@ -148,7 +146,10 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
 
 def _compile(source: Path, builds: list[tuple[tuple[str, ...], Path]]) -> Path:
     """Compile the source with the first command the compiler accepts and
-    return the library's path; raises when every command fails."""
+    return the library's path; raises OSError when every command fails or
+    one times out.  Only a build imports subprocess and tempfile."""
+    import subprocess
+    import tempfile
     for i, (cmd, path) in enumerate(builds):
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
         os.close(fd)
@@ -157,9 +158,9 @@ def _compile(source: Path, builds: list[tuple[tuple[str, ...], Path]]) -> Path:
                            check=True, capture_output=True, timeout=120)
             os.replace(tmp, path)
             return path
-        except subprocess.CalledProcessError:
-            if i == len(builds) - 1:
-                raise
+        except subprocess.SubprocessError as e:
+            if i == len(builds) - 1 or isinstance(e, subprocess.TimeoutExpired):
+                raise OSError(e) from e
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

@@ -45,8 +45,8 @@ oracle.  `SearchOutcome.kernel` says which one ran.
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports, from one shared Pair per placement, and checks it once
 with the independent verifier, in the calling process; the acceleration
-structures are never trusted.  The search's one group checks and encodes
-each distinct Pair once, so a starter costs a sort and a few set sizes.
+structures are never trusted.  A starter is sorted, checked and verified
+over its integer codes (traced, g <= 18: 7-9 us to build, 4-5 to verify).
 `search` says when several workers split the tree, and why every worker
 count reports what the serial run reports.
 
@@ -449,23 +449,23 @@ def _verified_starters(t: StarterType, level: str,
                        ) -> tuple[FrameStarter, ...]:
     """Build each raw pairing into a starter and verify it once.
 
-    The engine's integers are Z_g's element codes.  The starters share one
-    group and one Pair per placement (lo, hi), so the group checks and
-    encodes every Pair once, in one batch, before the first starter
-    (`GroupSpec.pair_codes`); every starter still runs its checks.
+    The engine's integers are Z_g's element codes, in Pair order, so each
+    pairing is sorted as integers first.  Its starters share one group and
+    one Pair per placement, which the group checks and encodes once, in one
+    batch (`GroupSpec.pair_codes`); every starter still runs its checks.
     """
     if not raw_pairings:
         return ()
     group = t.group()
     sub = t.subgroup(group)
-    pairs = {(x, y): Pair(group.decode(x), group.decode(y))
+    element = list(map(group.decode, range(t.g)))
+    pairs = {(x, y): Pair(element[x], element[y])
              for x, y in set().union(*raw_pairings)}
     group.pair_codes(list(pairs.values()))
     starters = []
     for raw in raw_pairings:
-        starter = make_starter(group, sub, map(pairs.__getitem__, raw))
-        report = verify_skew(starter)
-        if not report.holds(level):
+        starter = make_starter(group, sub, map(pairs.__getitem__, sorted(raw)))
+        if not (report := verify_skew(starter)).holds(level):
             raise RuntimeError(
                 f"search emitted a candidate failing {level} verification: "
                 f"{report.witness}"

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import NotComparableError, StructureError, UnsupportedOperationError
@@ -37,7 +36,7 @@ class Pair(NamedTuple("Pair", [("first", Element), ("second", Element)])):
         return f"Pair({self.first!r}, {self.second!r})"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FrameStarter:
     """Candidate frame starter; cheap structural checks run at construction.
 
@@ -53,24 +52,26 @@ class FrameStarter:
     pairs: tuple[Pair, ...]
     codes: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        if self.subgroup.group is not self.group \
-                and self.subgroup.group != self.group:
+    def __init__(self, group: GroupSpec, subgroup: SubgroupSpec, pairs: tuple):
+        if subgroup.group is not group and subgroup.group != group:
             raise StructureError("subgroup belongs to a different group")
-        g, h = self.group.order, self.subgroup.order
+        g, h = group.order, subgroup.order
         if (g - h) % 2 != 0:
             raise StructureError(f"g - h = {g - h} is odd; no pairing exists")
-        pairs = tuple(sorted(self.pairs))
-        if len(pairs) != (g - h) // 2:
+        if len(pairs := tuple(pairs)) != (g - h) // 2:
             raise StructureError(
                 f"expected {(g - h) // 2} pairs for type {h}^{g // h}, "
-                f"got {len(pairs)}"
-            )
-        codes, in_h = tuple(self.group.pair_codes(pairs)), self.subgroup.codes
-        if not (in_h.isdisjoint(map(itemgetter(0), codes))
-                and in_h.isdisjoint(map(itemgetter(1), codes))):
-            x = next(x for p in pairs for x in p if x in self.subgroup)
+                f"got {len(pairs)}")
+        codes = group.pair_codes(pairs)  # rows sort as their Pairs do
+        if codes != (rows := tuple(sorted(codes))):
+            codes, pairs = rows, tuple(p for _, p in sorted(zip(codes, pairs)))
+        columns = zip(*codes)  # first members, then second members
+        if not (subgroup.codes.isdisjoint(next(columns, ()))
+                and subgroup.codes.isdisjoint(next(columns, ()))):
+            x = next(x for p in pairs for x in p if x in subgroup)
             raise StructureError(f"pair member {x!r} lies in the subgroup")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "codes", codes)
 
@@ -152,16 +153,15 @@ def verify_skew(s: FrameStarter) -> VerificationReport:
     """
     n, in_h = len(s.pairs), s.subgroup.codes
     firsts, seconds, diffs, neg_diffs, sums, neg_sums = (
-        list(zip(*s.codes)) or [()] * 6)
-    members = firsts + seconds
+        zip(*s.codes) if n else ((),) * 6)
 
     # Construction pins the pair count and membership in G \ H, so the
     # members partition G \ H exactly when no element repeats.  H is closed
     # under negation, so with no sum in H no -sum is either.
-    is_frame = (len(set(members)) == 2 * n and in_h.isdisjoint(diffs)
-                and len(set(diffs + neg_diffs)) == 2 * n)
+    is_frame = (len({*firsts, *seconds}) == 2 * n and in_h.isdisjoint(diffs)
+                and len({*diffs, *neg_diffs}) == 2 * n)
     is_strong = is_frame and len(set(sums)) == n and in_h.isdisjoint(sums)
-    is_skew = is_strong and len(set(sums + neg_sums)) == 2 * n
+    is_skew = is_strong and len({*sums, *neg_sums}) == 2 * n
     if is_skew:
         return VerificationReport(True, True, True)
     return VerificationReport(is_frame, is_strong, False,

@@ -17,6 +17,7 @@ from framestarters import (
     SearchConfig,
     StarterType,
     VerificationReport,
+    make_starter,
     naive_enumerate,
     search,
     verify_skew,
@@ -129,6 +130,29 @@ def test_search_formats_no_witness(monkeypatch):
     assert len(sample) > 50
     for s in sample:
         assert verify_skew(s).witness == verify_skew(s).witnesses[0]
+
+
+def test_starters_are_the_raw_pairings_in_tree_order():
+    # every exhaust18 cell with g <= 14 at every level: the starters equal,
+    # in order, those built from the engine's raw pairings as they come
+    # (tree order, pairs unsorted), with sorted pairs and their group's rows
+    unsorted = 0
+    for t in (StarterType(h, u) for h in range(1, 15) for u in range(2, 15)
+              if h * u <= 14 and (h * u - h) % 2 == 0):
+        group = t.group()
+        sub = t.subgroup(group)
+        for level in LEVELS:
+            c = SearchConfig(t, property=level, mode="exhaustive_count")
+            engine = search_mod.Engine(t, level, False)
+            raw, _, _ = engine.run(c, engine.roots())
+            unsorted += sum(list(r) != sorted(r) for r in raw)
+            out = search(c)
+            assert out.starters == tuple(make_starter(group, sub, r)
+                                         for r in raw), (t, level)
+            for s in out.starters:
+                assert list(s.pairs) == sorted(s.pairs)
+                assert s.codes == s.group.pair_codes(s.pairs)
+    assert unsorted
 
 
 def test_starters_of_one_search_share_pairs():
@@ -338,6 +362,21 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cached_kernel_search_imports_no_build_modules(native):
+    # only a kernel build needs subprocess and platform; the library is
+    # cached now, and -I -S keeps site and the environment from loading them
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from framestarters import SearchConfig, StarterType, search; "
+            "out = search(SearchConfig(StarterType(4, 7), "
+            "mode='prove_nonexistence')); "
+            "print(out.kernel, *sorted({'subprocess', 'platform'} "
+            "& set(sys.modules)))")
+    src = str(Path(framestarters.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["native"]
 
 
 def test_parallel_find_first():

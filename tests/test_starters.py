@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import random
 
 import pytest
 
@@ -411,11 +412,18 @@ def test_half_set_squares_vanish_for_skew_corpus(corpus_entries):
         assert total % g == 0, entry.entry_id
 
 
-def test_starters_are_sorted_and_hashable(corpus_by_id):
-    s = corpus_by_id["example-1"].starter
-    assert list(s.pairs) == sorted(s.pairs)
-    assert s == FrameStarter(s.group, s.subgroup, tuple(reversed(s.pairs)))
-    hash(s.pairs[0])
+def test_starters_are_sorted_and_hashable(corpus_entries):
+    # the same pairs in any order build an equal starter with the same hash
+    # and the same code rows, cyclic and product groups alike
+    rng = random.Random(5)
+    for s in (e.starter for e in corpus_entries):
+        assert list(s.pairs) == sorted(s.pairs)
+        orders = [s.pairs[::-1], s.pairs[1:] + s.pairs[:1]]
+        orders += [tuple(rng.sample(s.pairs, len(s.pairs))) for _ in range(3)]
+        for pairs in orders:
+            t = FrameStarter(s.group, s.subgroup, pairs)
+            assert t == s and hash(t) == hash(s) and t.pairs == s.pairs
+            assert t.codes == s.codes == s.group.pair_codes(s.pairs)
 
 
 def test_empty_starter_is_skew():
@@ -424,11 +432,37 @@ def test_empty_starter_is_skew():
     for group, sub in ((Z7, cyclic_subgroup(Z7, 7)),
                        (z3z3, generated_subgroup(z3z3, [(1, 0), (0, 1)]))):
         s = make_starter(group, sub, [])
-        assert s.pairs == ()
+        assert s == FrameStarter(group, sub, ())
+        assert s.pairs == () and s.codes == ()
         report = verify_skew(s)
         assert (report.is_frame, report.is_strong, report.is_skew) == \
             (True, True, True)
         assert report.witnesses == () and report.witness is None
+
+
+def test_member_in_h_is_named_as_before():
+    # a member of H is rejected whether it is a pair's first or second
+    # member, and with two, the first in sorted pair order is named
+    z15, z3z3 = GroupSpec((15,)), GroupSpec((3, 3))
+    h15 = cyclic_subgroup(z15, 3)
+    h9 = generated_subgroup(z3z3, [(1, 0)])
+    rest = [(2, 3), (4, 7), (8, 9), (11, 12), (13, 14)]
+    for group, sub, pairs, member in (
+            (z15, h15, [(5, 6)] + rest, "Element(5)"),
+            (z15, h15, [(1, 5), (2, 3), (4, 6), (7, 8), (9, 11), (12, 13)],
+             "Element(5)"),
+            (z15, h15, [(12, 13), (9, 10), (7, 8), (4, 6), (2, 3), (1, 5)],
+             "Element(5)"),
+            (z3z3, h9, [((1, 0), (1, 1)), ((0, 1), (0, 2)), ((2, 1), (2, 2))],
+             "Element(1, 0)"),
+            (z3z3, h9, [((2, 1), (2, 2)), ((0, 2), (1, 1)), ((0, 1), (1, 0))],
+             "Element(1, 0)")):
+        ready = tuple(Pair(*map(group.element, p)) for p in pairs)
+        for build in (lambda: make_starter(group, sub, pairs),
+                      lambda: FrameStarter(group, sub, ready)):
+            with pytest.raises(StructureError) as err:
+                build()
+            assert str(err.value) == f"pair member {member} lies in the subgroup"
 
 
 def test_pair_codes_never_skip_a_check(monkeypatch):
