@@ -1,5 +1,6 @@
 /* Native kernel of search.Engine: the per-node loop of Engine.run and
- * Engine.branch over uint64_t masks, for g <= 64; native.stepper drives it.
+ * Engine.branch over uint64_t masks, for g <= 64; native.stepper drives it
+ * below one root, and Engine.run enters the roots one after another.
  *
  * The Python Engine owns every rule of the search and hands this file
  * only masks of length g, in its own layout, as fs_init(state, g, full,
@@ -13,8 +14,7 @@
  *   classes[d]                    points x of class d's feasible pairs
  *                                 {x, x+d} below the root
  *                                 (Engine.root_masks);
- *   root[0], root[1]              the root placement, lo then hi; NULL
- *                                 for none, an empty tree.
+ *   root[0], root[1]              the root placement, lo then hi.
  * A placement (x, y), x < y, adds the differences 1 << y-x | 1 << g-y+x.
  * The kernel only walks the tree the masks define, in Engine.run's order,
  * so it visits the same nodes and reaches the same leaves.  It is
@@ -71,8 +71,8 @@ void fs_init(struct fs *s, int g, uint64_t full, const uint64_t *sum_bits,
     s->g = g; s->full = full; s->mask_g = ~0ULL >> (64 - g);
     s->sum_bits = sum_bits; s->cls_mask = cls_mask;
     s->part = partners; s->cls = classes;
-    s->f[0].n = root != NULL;
-    if (root) { s->f[0].lo[0] = root[0]; s->f[0].hi[0] = root[1]; }
+    s->f[0].n = 1;
+    s->f[0].lo[0] = root[0]; s->f[0].hi[0] = root[1];
 }
 
 /* Engine.branch: fill fr with the placements of the most constrained open

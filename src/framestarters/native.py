@@ -3,7 +3,7 @@
 `search` imports this module on its first call, so importing the package
 compiles and runs none of it.  `load_kernel` compiles the C file with the
 system C compiler on its first call and loads it through ctypes; `stepper`,
-the kernel's one caller, drives it over an `Engine`'s masks.
+the kernel's one caller, drives it below one root, over that root's masks.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import zlib
 from array import array
 from functools import cache
 from pathlib import Path
-
-from .search import _DONE
 
 #: The largest g the kernel takes: a state is one uint64 mask (MAXG).
 MAX_ORDER = 64
@@ -51,53 +49,37 @@ def load_kernel() -> ctypes.CDLL | None:
     return _kernel_lib or None
 
 
-def stepper(engine, roots: list[tuple[int, int]], stop_early: bool):
-    """`fs_leaves` over the engine's masks below the roots, with the contract
+def stepper(engine, root: tuple[int, int],
+            masks: tuple[list[int], list[int]], stop_early: bool):
+    """`fs_leaves` over the engine's masks below one root, with the contract
     of `Engine._python_step`: each step returns the leaves since the last,
     one at most when the walk stops early and up to _BATCH otherwise, each
-    leaf's pairs decoded from lo | hi << 8 (`_placements`).  The kernel
-    walks one root per `fs_init`, entered when the walk reaches it, with
-    that root's `Engine.root_masks`; the step adds the nodes of the roots
-    before it, and a batch that ends a root goes on into the next."""
+    leaf's pairs decoded from lo | hi << 8 (`_placements`).  The kernel's
+    copy of `sum_bits` and of the root's (partners, classes), `masks`, is
+    made once, with the one `fs_init`; node counts start at 0."""
     g = engine.g
     if g > MAX_ORDER:
         raise ValueError(f"the native kernel takes g <= {MAX_ORDER}")
     lib = load_kernel()
     if lib is None:
         raise RuntimeError("the native search kernel is not available")
-    per_root = engine.root_masks(roots)
-    state = array("B", bytes(lib.fs_size()))
-    sum_bits = array("Q", engine.sum_bits)
-    state_p, sum_bits_p = state.buffer_info()[0], sum_bits.buffer_info()[0]
+    state = array("B", [0]) * lib.fs_size()
+    rows = [array("Q", m) for m in (engine.sum_bits, *masks)]
+    sum_bits_p, part_p, cls_p = (a.buffer_info()[0] for a in rows)
+    state_p = state.buffer_info()[0]
     cap = 1 if stop_early else _BATCH
     width = engine.full.bit_count() // 2  # the pairs of a leaf
-    out = array("Q", bytes(8 * (3 + cap * width)))
+    out = array("Q", [0]) * (3 + cap * width)
     out_p = out.buffer_info()[0]
     fs_leaves, placement = lib.fs_leaves, _placements().__getitem__
-    walked = entered = 0  # the nodes of the roots entered before this one
-    masks = rows = None  # the current root's masks and the kernel's copy
     lib.fs_init(state_p, g, engine.full, sum_bits_p, engine.class_mask,
-                None, None, None)  # no root yet: the first step enters one
+                part_p, cls_p, bytes(root))
 
-    def step(pause_at: int, _held=(state, sum_bits, out)):
-        nonlocal walked, entered, masks, rows
-        leaves = []
-        while True:
-            status = fs_leaves(state_p, pause_at - walked, cap - len(leaves),
-                               out_p)
-            nodes, depth, k = out[:3]
-            if k:
-                pairs = map(placement, out[3:3 + k * width])
-                leaves += zip(*[pairs] * width)
-            if status != _DONE or entered == len(roots):
-                return status, walked + nodes, depth, leaves
-            walked += nodes
-            if (new := next(per_root)) is not masks:  # unreduced roots share
-                masks, rows = new, [array("Q", m) for m in new]
-            part_p, cls_p = (a.buffer_info()[0] for a in rows)
-            lib.fs_init(state_p, g, engine.full, sum_bits_p, engine.class_mask,
-                        part_p, cls_p, bytes(roots[entered]))
-            entered += 1
+    def step(pause_at: int, _held=(state, rows, out)):
+        status = fs_leaves(state_p, pause_at, cap, out_p)
+        nodes, depth, k = out[:3]
+        pairs = map(placement, out[3:3 + k * width])
+        return status, nodes, depth, list(zip(*[pairs] * width))
 
     return step
 

@@ -24,23 +24,23 @@ below the root `branch` is called once per node.  The branch is a
 deterministic function of the state, so every starter is generated
 exactly once and exhaustive counts are exact.
 
-`Engine.run` is the one driver of the walk: it alone reads the budget,
-the progress interval and the stop-early rule.  It drives a stepper with
-the contract of `fs_leaves` in `_kernel.c`: walk until a given node
-count or the end of the tree, or until enough leaves are in, and return
-(status, nodes, depth, the leaves since the last call).  For
-g <= native.MAX_ORDER (64) `search` picks the C kernel, which `native.py`
-compiles on first use, loads through ctypes and drives
-(`native.stepper`): it returns up to native._BATCH leaves per call, or
-one when the walk stops at its first.  Otherwise, or when it cannot be
-built, the Python stepper runs: a loop over explicit frames that mirrors
+`Engine.run` is the one driver of the walk: it alone enters the roots,
+each with its `root_masks`, built as the walk reaches it, and reads the
+budget, the progress interval and the stop-early rule.  Below each root it
+drives a stepper with the contract of `fs_leaves` in `_kernel.c`: walk
+that root's subtree until a given node count or its end, or until enough
+leaves are in, and return (status, nodes, depth, the leaves since the last
+call).  For g <= native.MAX_ORDER (64) `search` picks the C kernel, which
+`native.py` compiles on first use, loads through ctypes and drives
+(`native.stepper`): it returns up to native._BATCH leaves per call, or one
+when the walk stops at its first.  Otherwise, or when it cannot be built,
+the Python stepper runs: a loop over explicit frames that mirrors
 `fs_step` line for line, calls `Engine.branch` and returns at each leaf.
-Both walk only the masks the Engine hands them, `sum_bits` and each
-root's `root_masks`, built as the walk reaches that root, so every rule
-of the search, the pair rules and the symmetry reduction alike, is
-written once, here.  Both visit the same
-nodes in the same order; the Python stepper is the kernel's test
-oracle.  `SearchOutcome.kernel` says which one ran.
+Both walk only the masks the Engine hands them, `sum_bits` and the root's
+`root_masks`, so every rule of the search, the pair rules and the
+symmetry reduction alike, is written once, here.  Both visit the same
+nodes in the same order; the Python stepper is the kernel's test oracle.
+`SearchOutcome.kernel` says which one ran.
 
 The engine returns raw pairings in tree order.  `search` builds each
 starter it reports, from one shared Pair per placement, and checks it once
@@ -352,61 +352,66 @@ class Engine:
     def run(self, cfg: SearchConfig, roots: list[tuple[int, int]],
             progress: Callable[[int, int, float], None] | None = None, *,
             native: bool = False):
-        """Explore the subtrees under the given root pairs, on the native
-        stepper (`native.stepper`) or the Python one; both return the
-        same (raw_pairings, nodes, cut), where cut says the node budget
-        stopped the walk.  Each step returns the leaves reached since the
-        last; the walk stops at the first leaf unless it counts, and the
-        native stepper then returns one leaf per step, not a batch.  The
-        stepper pauses before the node that would pass the budget, before
-        each progress node and at least every _CHUNK nodes, so budgets,
-        progress and Ctrl-C behave alike.
+        """Explore the subtrees under the given root pairs and return
+        (raw_pairings, nodes, cut), where cut says the node budget stopped
+        the walk.  This loop alone enters the roots: it starts a stepper,
+        native (`native.stepper`) or Python, on each root's `root_masks`
+        and adds the nodes of the roots before.  Each step returns the
+        leaves reached since the last; the walk stops at the first leaf
+        unless it counts, and the native stepper then returns one leaf per
+        step, not a batch.  The stepper pauses before the node that would
+        pass the budget, before each progress node and at least every
+        _CHUNK nodes, so budgets, progress and Ctrl-C behave alike.
         """
         stop_early = cfg.mode != "exhaustive_count"
         if native:
             from .native import stepper
-            step = stepper(self, roots, stop_early)
         else:
-            step = self._python_step(roots)
+            stepper = Engine._python_step
         budget = cfg.node_budget
         interval = cfg.progress_interval if progress is not None else 0
         next_event = interval
         nodes = 0
         solutions: list[tuple[tuple[int, int], ...]] = []
         started = time.perf_counter()
-        while True:
-            pause = nodes + _CHUNK
-            if budget is not None:
-                pause = min(pause, budget)
-            if interval:
-                pause = min(pause, next_event - 1)
-            status, nodes, depth, leaves = step(pause)
-            solutions += leaves
-            if leaves and stop_early:
-                return solutions, nodes, False
-            if status == _PAUSE:
-                if nodes == budget:  # the next node would pass the budget
-                    return solutions, nodes, True
-                if nodes + 1 == next_event:
-                    progress(next_event, depth, time.perf_counter() - started)
-                    next_event += interval
-            elif status == _DONE:
-                return solutions, nodes, False
+        for root, masks in zip(roots, self.root_masks(roots)):
+            step = stepper(self, root, masks, stop_early)
+            walked = nodes  # the nodes of the roots before this one
+            while True:
+                pause = nodes + _CHUNK
+                if budget is not None:
+                    pause = min(pause, budget)
+                if interval:
+                    pause = min(pause, next_event - 1)
+                status, nodes, depth, leaves = step(pause - walked)
+                nodes += walked
+                solutions += leaves
+                if leaves and stop_early:
+                    return solutions, nodes, False
+                if status == _PAUSE:
+                    if nodes == budget:  # the next node would pass the budget
+                        return solutions, nodes, True
+                    if nodes + 1 == next_event:
+                        progress(next_event, depth,
+                                 time.perf_counter() - started)
+                        next_event += interval
+                elif status == _DONE:
+                    break
+        return solutions, nodes, False
 
-    def _python_step(self, roots: list[tuple[int, int]]):
-        """`fs_step` (see _kernel.c) in Python, over a stack of frames
-        [used, used_diff, used_sum, placements, next index], reading the
-        current root's `root_masks`; its leaves come as a list, of one leaf
-        at a leaf and empty otherwise."""
+    def _python_step(self, root: tuple[int, int],
+                     masks: tuple[list[int], list[int]], stop_early: bool):
+        """`fs_step` (see _kernel.c) in Python below one root, over a stack
+        of frames [used, used_diff, used_sum, placements, next index] and
+        the root's `root_masks`; its leaves come as a list, of one leaf at
+        a leaf and empty otherwise, so stop_early changes nothing."""
         g, full, branch = self.g, self.full, self.branch
         sum_bits = self.sum_bits
-        per_root = self.root_masks(roots)
-        frames = [[0, 0, 0, roots, 0]]
+        frames = [[0, 0, 0, [root], 0]]
         nodes = 0
-        masks = None
 
         def step(pause_at: int):
-            nonlocal nodes, masks
+            nonlocal nodes
             while True:
                 fr = frames[-1]
                 used, ud, us, placements, i = fr
@@ -420,8 +425,6 @@ class Engine:
                 nodes += 1
                 x, y = placements[i]
                 fr[4] = i + 1
-                if len(frames) == 1:
-                    masks = next(per_root)
                 used |= 1 << x | 1 << y
                 ud |= 1 << y - x | 1 << g - y + x
                 us |= sum_bits[(x + y) % g]

@@ -561,6 +561,50 @@ def test_native_parity_budget_cuts(native):
     assert engine.run(c, engine.roots(), native=True) == ([], 622, True)
 
 
+@pytest.mark.parametrize("h, u, mode", [
+    (3, 7, "prove_nonexistence"),  # with the symmetry reduction
+    (4, 7, "prove_nonexistence"),
+    (1, 11, "exhaustive_count"),  # without it
+])
+def test_walk_across_root_boundaries(native, monkeypatch, h, u, mode):
+    # Engine.run enters each root: a budget, a progress event or a head
+    # start that falls on the end of a root's subtree, or one node either
+    # side of it, must give what it gives inside one.
+    c = cfg(h, u, mode=mode)
+    engine = search_mod.Engine(c.target_type, "skew", c.symmetry_reduction)
+    roots = engine.roots()
+    ends = [engine.run(c, roots[:i])[1] for i in range(1, len(roots) + 1)]
+    total = ends[-1]
+    assert len(ends) >= 2 and ends == sorted(set(ends)), ends
+    for end in ends:
+        for budget in (end - 1, end, end + 1):
+            b = cfg(h, u, mode=mode, node_budget=budget)
+            py, nat = _both_kernels(engine, b, roots)
+            assert py == nat, (budget, ends)
+            assert py[1:] == (min(budget, total), budget < total), budget
+        for interval in (end, end + 1):
+            p = cfg(h, u, mode=mode, progress_interval=interval)
+            runs = []
+            for kernel in (False, True):
+                events = []
+                result = engine.run(
+                    p, roots,
+                    lambda nodes, depth, _: events.append((nodes, depth)),
+                    native=kernel)
+                runs.append((result, events))
+            assert runs[0] == runs[1], (interval, ends)
+            assert [n for n, _ in events] == \
+                list(range(interval, total + 1, interval)), interval
+            if interval == end + 1 <= total:  # before the next root's node
+                assert events[0] == (end + 1, 0), interval
+    seq = search(c)
+    for end in ends:
+        monkeypatch.setattr(search_mod, "_HEAD_START", end)
+        par = search(cfg(h, u, mode=mode, worker_count=2))
+        assert (par.result, par.starters, par.nodes_visited) == \
+            (seq.result, seq.starters, seq.nodes_visited), end
+
+
 def test_native_progress_events(native):
     for interval, budget in ((100, None), (100, 300), (1, None), (7, 100)):
         c = cfg(3, 7, mode="prove_nonexistence", progress_interval=interval,
@@ -708,13 +752,16 @@ def test_native_parity_across_leaf_batches(native, monkeypatch):
             engine = search_mod.Engine(t, level, False)
             py, nat = _both_kernels(engine, c, engine.roots())
             assert py == nat, (str(t), level)
-    # 1^11's 4 skew starters come as a batch of 3, then 1 with the tree's end
-    c = cfg(1, 11, mode="exhaustive_count")
-    engine = search_mod.Engine(c.target_type, "skew", False)
-    step = native_mod.stepper(engine, engine.roots(), False)
+    # a batch stays within its root: 2^8's 4 strong starters below root
+    # (1, 2) come as a batch of 3, then 1 with the root's end
+    engine = search_mod.Engine(StarterType(2, 8), "strong", False)
+    masks = next(engine.root_masks([(1, 2)]))
+    step = native_mod.stepper(engine, (1, 2), masks, False)
     batches = [step(1 << 40) for _ in range(2)]
     assert [(status, len(leaves)) for status, _, _, leaves in batches] == \
         [(search_mod._LEAF, 3), (search_mod._DONE, 1)]
+    c = cfg(1, 11, mode="exhaustive_count")
+    engine = search_mod.Engine(c.target_type, "skew", False)
     for budget in (1, 20, 40, 67, 68, 69):
         c = cfg(1, 11, mode="exhaustive_count", node_budget=budget)
         py, nat = _both_kernels(engine, c, engine.roots())
