@@ -25,10 +25,10 @@ deterministic function of the state, so every starter is generated
 exactly once and exhaustive counts are exact.
 
 `Engine.run` is the one driver of the walk: it alone enters the roots,
-each with its `root_masks`, built as the walk reaches it, and reads the
-budget, the progress interval and the stop-early rule.  Below each root it
-drives a stepper with the contract of `fs_leaves` in `_kernel.c`: walk
-that root's subtree until a given node count or its end, or until enough
+calling `root_masks(x)` as the walk enters root x, and reads the budget,
+the progress interval and the stop-early rule.  Below each root it drives
+a stepper with the contract of `fs_leaves` in `_kernel.c`: walk that
+root's subtree until a given node count or its end, or until enough
 leaves are in, and return (status, nodes, depth, the leaves since the last
 call).  For g <= native.MAX_ORDER (64) `search` picks the C kernel, which
 `native.py` compiles on first use, loads through ctypes and drives
@@ -67,10 +67,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from itertools import repeat
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .errors import InvalidTypeError
@@ -243,12 +242,8 @@ class Engine:
         return [(x, x + 1) for x in range(1, top + 1)
                 if self.classes[1] >> x & 1]
 
-    def root_masks(self, roots: list[tuple[int, int]]
-                   ) -> Iterator[tuple[list[int], list[int]]]:
-        """(partners, classes) below each of the root pairs {x, x+1}, which
-        come in ascending order, as `roots` or a stride of it lists them;
-        each root's are built when they are pulled, so a walk pays only for
-        the roots it reaches.
+    def root_masks(self, x: int) -> tuple[list[int], list[int]]:
+        """(partners, classes) below the root pair {x, x+1}.
 
         With symmetry on, the subtree of root x drops every pair {p, p+d}
         of unit difference d whose key is below x.  An affine map
@@ -259,29 +254,25 @@ class Engine:
         k < x has an orbit member rooted at base k; the orbit member of
         least root base keeps all of its pairs, so every orbit under the
         affine maps keeps a representative.  The pairs of key k are
-        {bd, (b+1)d} for b = k or -1-k (mod step), so each root drops only
-        the keys from the previous root's base up to its own.  No key of a
-        feasible pair lies below 1.
+        {bd, (b+1)d} for b = k or -1-k (mod step), and no key of a feasible
+        pair lies below 1, so the root drops the keys 1 .. x-1 from copies
+        of the engine's masks.  With symmetry off they are the engine's own.
         """
         if not self.symmetry:
-            yield from repeat((self.partners, self.classes), len(roots))
-            return
+            return self.partners, self.classes
         g, step = self.g, self.step
         partners, classes = self.partners[:], self.classes[:]
         units = [d for d in range(1, (g + 1) // 2) if gcd(d, g) == 1]
-        key = 1
-        for x, _ in roots:
-            for k in range(key, x):
-                for b in (*range(k, g, step), *range(step - 1 - k, g, step)):
-                    for d in units:
-                        p = b * d % g
-                        if classes[d] >> p & 1:
-                            q = (p + d) % g
-                            classes[d] ^= 1 << p
-                            partners[p] ^= 1 << q
-                            partners[q] ^= 1 << p
-            key = x
-            yield partners[:], classes[:]
+        for k in range(1, x):
+            for b in (*range(k, g, step), *range(step - 1 - k, g, step)):
+                for d in units:
+                    p = b * d % g
+                    if classes[d] >> p & 1:
+                        q = (p + d) % g
+                        classes[d] ^= 1 << p
+                        partners[p] ^= 1 << q
+                        partners[q] ^= 1 << p
+        return partners, classes
 
     def branch(self, used: int, used_diff: int, used_sum: int,
                masks: tuple[list[int], list[int]]) -> list[tuple[int, int]]:
@@ -354,14 +345,15 @@ class Engine:
             native: bool = False):
         """Explore the subtrees under the given root pairs and return
         (raw_pairings, nodes, cut), where cut says the node budget stopped
-        the walk.  This loop alone enters the roots: it starts a stepper,
-        native (`native.stepper`) or Python, on each root's `root_masks`
-        and adds the nodes of the roots before.  Each step returns the
-        leaves reached since the last; the walk stops at the first leaf
-        unless it counts, and the native stepper then returns one leaf per
-        step, not a batch.  The stepper pauses before the node that would
-        pass the budget, before each progress node and at least every
-        _CHUNK nodes, so budgets, progress and Ctrl-C behave alike.
+        the walk.  This loop alone enters the roots: as it enters root x it
+        calls `root_masks(x)`, starts a stepper, native (`native.stepper`)
+        or Python, on them and adds the nodes of the roots before.  Each
+        step returns the leaves reached since the last; the walk stops at
+        the first leaf unless it counts, and the native stepper then
+        returns one leaf per step, not a batch.  The stepper pauses before
+        the node that would pass the budget, before each progress node and
+        at least every _CHUNK nodes, so budgets, progress and Ctrl-C behave
+        alike.
         """
         stop_early = cfg.mode != "exhaustive_count"
         if native:
@@ -374,8 +366,8 @@ class Engine:
         nodes = 0
         solutions: list[tuple[tuple[int, int], ...]] = []
         started = time.perf_counter()
-        for root, masks in zip(roots, self.root_masks(roots)):
-            step = stepper(self, root, masks, stop_early)
+        for root in roots:
+            step = stepper(self, root, self.root_masks(root[0]), stop_early)
             walked = nodes  # the nodes of the roots before this one
             while True:
                 pause = nodes + _CHUNK
@@ -495,12 +487,12 @@ def search(cfg: SearchConfig,
     Each reported starter is built and verified once, here.
     """
     t = cfg.target_type
+    # Chosen once, for every worker slice, and not timed as the search.
+    from .native import MAX_ORDER, load_kernel  # importing the package skips it
+    native = t.g <= MAX_ORDER and load_kernel() is not None
     started = time.perf_counter()
     engine = Engine(t, cfg.property, cfg.symmetry_reduction)
     roots = engine.roots()
-    # Chosen once here, so every worker slice runs the same kernel.
-    from .native import MAX_ORDER, load_kernel  # importing the package skips it
-    native = t.g <= MAX_ORDER and load_kernel() is not None
     run = partial(engine.run, native=native)
     k = min(cfg.worker_count, len(roots))  # 1 whenever there is a budget
     results = [run(replace(cfg, node_budget=_HEAD_START) if k > 1 else cfg,

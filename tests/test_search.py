@@ -4,6 +4,7 @@ import importlib
 import os
 import subprocess
 import sys
+import time
 import zlib
 from pathlib import Path
 
@@ -440,7 +441,7 @@ def test_canonical_first_branch_walkthrough():
             masks = (1 << x | 1 << y, 1 << d | 1 << -d % 7, 1 << s | 1 << -s % 7)
             for i, mask in enumerate(masks):
                 state[i] |= mask
-        return engine.branch(*state, next(engine.root_masks([placed[0]])))
+        return engine.branch(*state, engine.root_masks(placed[0][0]))
 
     assert engine.roots() == [(1, 2), (2, 3)]
     assert branch((2, 3)) == [(1, 5)]
@@ -457,6 +458,19 @@ def test_wall_time_and_config_echo():
     out = search(cfg(2, 5))
     assert out.wall_time >= 0
     assert out.config.target_type == StarterType(2, 5)
+
+
+def test_wall_time_leaves_out_the_kernel_load(monkeypatch):
+    # a first search's one-time kernel load or build is not the search's
+    # time; the first call of load_kernel pays it, later calls are cached
+    load, delays = native_mod.load_kernel, iter([0.05])
+
+    def slow_first_load():
+        time.sleep(next(delays, 0))
+        return load()
+
+    monkeypatch.setattr(native_mod, "load_kernel", slow_first_load)
+    assert search(cfg(2, 5)).wall_time < 0.05
 
 
 def test_naive_enumerate_guards():
@@ -502,26 +516,25 @@ def test_each_roots_masks_built_when_the_walk_reaches_it(kernel, monkeypatch,
                                                          request):
     if kernel == "native":
         request.getfixturevalue("native")
-    pulled = []
+    called = []
     build = search_mod.Engine.root_masks
 
-    def counted(self, roots):
-        for masks in build(self, roots):
-            pulled.append(masks)
-            yield masks
+    def spy(self, x):
+        called.append(x)
+        return build(self, x)
 
-    monkeypatch.setattr(search_mod.Engine, "root_masks", counted)
+    monkeypatch.setattr(search_mod.Engine, "root_masks", spy)
     for h, u, mode, nodes, leaves, reached in (
-            (3, 19, "find_first", 58_407, 1, 1),  # a witness under root 1
-            (5, 11, "find_first", 88_053, 1, 1),
-            (4, 7, "prove_nonexistence", 21_703, 0, 2)):  # every root
+            (3, 19, "find_first", 58_407, 1, [1]),  # a witness under root 1
+            (5, 11, "find_first", 88_053, 1, [1]),
+            (4, 7, "prove_nonexistence", 21_703, 0, [1, 2])):  # every root
         c = cfg(h, u, mode=mode)
         engine = search_mod.Engine(c.target_type, "skew", True)
         roots = engine.roots()
         assert len(roots) >= 2
-        pulled.clear()
+        called.clear()
         raw, n, _ = engine.run(c, roots, native=kernel == "native")
-        assert (n, len(raw), len(pulled)) == (nodes, leaves, reached), (h, u)
+        assert (n, len(raw), called) == (nodes, leaves, reached), (h, u)
 
 
 @pytest.mark.parametrize("h, u, level, budget", [
@@ -755,7 +768,7 @@ def test_native_parity_across_leaf_batches(native, monkeypatch):
     # a batch stays within its root: 2^8's 4 strong starters below root
     # (1, 2) come as a batch of 3, then 1 with the root's end
     engine = search_mod.Engine(StarterType(2, 8), "strong", False)
-    masks = next(engine.root_masks([(1, 2)]))
+    masks = engine.root_masks(1)
     step = native_mod.stepper(engine, (1, 2), masks, False)
     batches = [step(1 << 40) for _ in range(2)]
     assert [(status, len(leaves)) for status, _, _, leaves in batches] == \
