@@ -23,30 +23,27 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 #: (hardware popcount, tzcnt, BMI2 shifts), then portable, for a compiler
 #: that rejects -march=native.
 _CC_COMMANDS = (("cc", "-O2", "-march=native"), ("cc", "-O2"))
-_kernel_lib = None  # the loaded kernel, False once its build failed
 #: The most leaves one `fs_leaves` call returns to a walk that does not stop
 #: at its first leaf.
 _BATCH = 512
 
 
+@cache
 def load_kernel() -> ctypes.CDLL | None:
     """The native kernel, compiled on first use; None when it cannot be
-    built (no C compiler, an unwritable cache directory).
+    built (no C compiler, an unwritable cache directory).  Cached, so a
+    process loads or fails to build it once.
 
     The library is cached next to the compiled bytecode under a name keyed
-    by the source, the compile command and the host CPU's feature flags,
-    so a checkout shared between machines builds a library for each
-    instead of loading one its CPU cannot run.  It is compiled to a
-    temporary file and renamed into place, so processes that build it at
-    once never see half a file.
+    by the source and the host CPU's feature flags, so a checkout shared
+    between machines builds a library for each instead of loading one its
+    CPU cannot run.  It is compiled to a temporary file and renamed into
+    place, so processes that build it at once never see half a file.
     """
-    global _kernel_lib
-    if _kernel_lib is None:
-        try:
-            _kernel_lib = _build_kernel(_KERNEL_SOURCE)
-        except OSError:  # _compile raises a failed build as one too
-            _kernel_lib = False
-    return _kernel_lib or None
+    try:
+        return _build_kernel(_KERNEL_SOURCE)
+    except OSError:  # _compile raises a failed build as one too
+        return None
 
 
 def stepper(engine, root: tuple[int, int],
@@ -106,15 +103,11 @@ def _host_cpu() -> bytes:
 
 
 def _build_kernel(source: Path) -> ctypes.CDLL:
-    key = source.read_bytes() + _host_cpu()
-    cache = source.parent / "__pycache__"
-    builds = [(cmd, cache / f"{source.stem}-"
-               f"{zlib.crc32(key + ' '.join(cmd).encode()):08x}.so")
-              for cmd in _CC_COMMANDS]
-    path = next((path for _, path in builds if path.exists()), None)
-    if path is None:
-        cache.mkdir(exist_ok=True)
-        path = _compile(source, builds)
+    key = zlib.crc32(source.read_bytes() + _host_cpu())
+    path = source.parent / "__pycache__" / f"{source.stem}-{key:08x}.so"
+    if not path.exists():
+        path.parent.mkdir(exist_ok=True)
+        _compile(source, path)
     lib = ctypes.CDLL(str(path))
     p, u64, c_int = ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int
     lib.fs_size.argtypes = []
@@ -126,22 +119,22 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     return lib
 
 
-def _compile(source: Path, builds: list[tuple[tuple[str, ...], Path]]) -> Path:
-    """Compile the source with the first command the compiler accepts and
-    return the library's path; raises OSError when every command fails or
-    one times out.  Only a build imports subprocess and tempfile."""
+def _compile(source: Path, path: Path) -> None:
+    """Compile the source into the library at path with the first command
+    the compiler accepts; raises OSError when every command fails or one
+    times out.  Only a build imports subprocess and tempfile."""
     import subprocess
     import tempfile
-    for i, (cmd, path) in enumerate(builds):
+    for cmd in _CC_COMMANDS:
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
         os.close(fd)
         try:
             subprocess.run([*cmd, "-shared", "-fPIC", "-o", tmp, str(source)],
                            check=True, capture_output=True, timeout=120)
             os.replace(tmp, path)
-            return path
+            return
         except subprocess.SubprocessError as e:
-            if i == len(builds) - 1 or isinstance(e, subprocess.TimeoutExpired):
+            if cmd is _CC_COMMANDS[-1] or isinstance(e, subprocess.TimeoutExpired):
                 raise OSError(e) from e
         finally:
             if os.path.exists(tmp):

@@ -17,9 +17,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .errors import FrameStarterError, SchemaError
+from .errors import FrameStarterError, SchemaError, StructureError
 from .groups import Element, GroupSpec, SubgroupSpec, cyclic_subgroup, generated_subgroup
-from .starters import FrameStarter, VerificationReport, make_starter
+from .starters import FrameStarter, Pair, VerificationReport, make_starter
 from .theory import NonexistenceCertificate
 from .search import SearchConfig, SearchOutcome
 
@@ -127,16 +127,19 @@ def starter_from_obj(obj: Any, location: str = "$") -> FrameStarter:
             f"{-(-group.order // 4)} pairs, got {len(pairs_obj)}",
             f"{location}.pairs")
     sub = subgroup_from_obj(group, obj.get("subgroup"), f"{location}.subgroup")
-    raw = []
+    pairs = []
     for i, entry in enumerate(pairs_obj):
         loc = f"{location}.pairs[{i}]"
         entry = _expect(entry, list, loc)
         if len(entry) != 2:
             raise SchemaError("a pair needs exactly two elements", loc)
-        raw.append((_element_from_obj(group, entry[0], f"{loc}[0]"),
-                    _element_from_obj(group, entry[1], f"{loc}[1]")))
+        try:
+            pairs.append(Pair(_element_from_obj(group, entry[0], f"{loc}[0]"),
+                              _element_from_obj(group, entry[1], f"{loc}[1]")))
+        except StructureError as exc:  # a degenerate pair
+            raise SchemaError(str(exc), loc) from exc
     try:
-        return make_starter(group, sub, raw)
+        return make_starter(group, sub, pairs)
     except FrameStarterError as exc:
         raise SchemaError(str(exc), f"{location}.pairs") from exc
 

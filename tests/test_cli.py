@@ -281,6 +281,18 @@ def test_deep_cells_skipped_by_default():
     assert (2, 16) in DEEP_CELLS
 
 
+def test_deep_cell_decided_by_search():
+    # 4^8 is a deep cell: --deep searches it, within the cell budget
+    row = build_row(StarterType(4, 8), deep=True, budget=600_000)
+    assert (row.existence, row.authority) == ("no", "search")
+    assert row.outcome.nodes_visited == 512_027
+    assert row.certificate.theorem == "search-exhaustion"
+    row = build_row(StarterType(4, 8), deep=True, budget=400_000)
+    assert (row.existence, row.authority) == ("?", "none")
+    assert row.detail == "budget exceeded after 400000 nodes"
+    assert row.outcome is not None and row.certificate is None
+
+
 def test_budget_exhausted_cell_prints_question_mark():
     row = build_row(StarterType(6, 9), deep=False, budget=2000, workers=1)
     assert row.existence == "?"

@@ -294,7 +294,7 @@ def test_parallel_equivalence_past_head_start(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(search_mod, "_HEAD_START", 3)
+    monkeypatch.setattr(search_mod, "_CHUNK", 3)
     _check_parallel_equivalence()
     assert len(started) == 13  # every W > 1 search above fanned out
 
@@ -321,7 +321,7 @@ def test_pool_sized_by_root_slices(monkeypatch):
     assert search(cfg(2, 5, worker_count=32)).result == "found"
     assert search(cfg(1, 11, **kw, worker_count=3)).result == "found"
     assert sizes == []  # both trees end in the head start: no pool
-    monkeypatch.setattr(search_mod, "_HEAD_START", 1)
+    monkeypatch.setattr(search_mod, "_CHUNK", 1)
     assert search(cfg(1, 7, worker_count=32)).result == "found"  # 2 roots
     assert sizes == [2]
     out = search(cfg(4, 2, mode="prove_nonexistence", worker_count=4))
@@ -399,7 +399,7 @@ def test_budget_exceeded(monkeypatch):
     # A budget past the head start cuts the serial walk at every worker
     # count; a pool given 1/W of the budget each found a starter here
     # that the serial walk reaches only past the budget.
-    monkeypatch.setattr(search_mod, "_HEAD_START", 16)
+    monkeypatch.setattr(search_mod, "_CHUNK", 16)
     for budget in (1722, 2871, 4020, 5168):
         seq, par = (search(cfg(3, 13, node_budget=budget, worker_count=w))
                     for w in (1, 2))
@@ -612,7 +612,7 @@ def test_walk_across_root_boundaries(native, monkeypatch, h, u, mode):
                 assert events[0] == (end + 1, 0), interval
     seq = search(c)
     for end in ends:
-        monkeypatch.setattr(search_mod, "_HEAD_START", end)
+        monkeypatch.setattr(search_mod, "_CHUNK", end)
         par = search(cfg(h, u, mode=mode, worker_count=2))
         assert (par.result, par.starters, par.nodes_visited) == \
             (seq.result, seq.starters, seq.nodes_visited), end
@@ -659,7 +659,8 @@ def test_failed_kernel_build_falls_back_to_python(monkeypatch, tmp_path):
     broken = tmp_path / "_kernel.c"
     broken.write_text("#error this kernel does not compile\n")
     monkeypatch.setattr(native_mod, "_KERNEL_SOURCE", broken)
-    monkeypatch.setattr(native_mod, "_kernel_lib", None)
+    monkeypatch.setattr(native_mod, "load_kernel",
+                        functools.cache(native_mod.load_kernel.__wrapped__))
     after = search(cfg(5, 7))
     assert after.kernel == "python"
     assert (after.result, after.nodes_visited, after.starters) == \
@@ -668,8 +669,8 @@ def test_failed_kernel_build_falls_back_to_python(monkeypatch, tmp_path):
     assert native_mod.load_kernel() is None  # the failure is remembered
 
 
-def _library_name(source, cmd):
-    key = source.read_bytes() + native_mod._host_cpu() + " ".join(cmd).encode()
+def _library_name(source):
+    key = source.read_bytes() + native_mod._host_cpu()
     return f"_kernel-{zlib.crc32(key):08x}.so"
 
 
@@ -679,8 +680,7 @@ def test_kernel_builds_into_a_fresh_cache(native, tmp_path, monkeypatch):
     cache = tmp_path / "__pycache__"
     lib = native_mod._build_kernel(source)
     assert lib.fs_size() > 0
-    assert [p.name for p in cache.iterdir()] == \
-        [_library_name(source, native_mod._CC_COMMANDS[0])]
+    assert [p.name for p in cache.iterdir()] == [_library_name(source)]
     native_mod._build_kernel(source)  # a second load reuses the library
     assert len(list(cache.iterdir())) == 1
     # a checkout shared with another kind of CPU builds a library for it
@@ -693,13 +693,12 @@ def test_rejected_host_flag_still_builds_a_native_kernel(native, tmp_path,
                                                          monkeypatch):
     source = tmp_path / "_kernel.c"
     source.write_bytes(native_mod._KERNEL_SOURCE.read_bytes())
-    plain = ("cc", "-O2")
     monkeypatch.setattr(native_mod, "_CC_COMMANDS",
-                        (("cc", "-O2", "-march=no-such-cpu"), plain))
-    monkeypatch.setattr(native_mod, "_kernel_lib",
-                        native_mod._build_kernel(source))
+                        (("cc", "-O2", "-march=no-such-cpu"), ("cc", "-O2")))
+    lib = native_mod._build_kernel(source)
+    monkeypatch.setattr(native_mod, "load_kernel", lambda: lib)
     assert [p.name for p in (tmp_path / "__pycache__").iterdir()] == \
-        [_library_name(source, plain)]  # and no temporary file left
+        [_library_name(source)]  # and no temporary file left
     for h, u in ((4, 7), (3, 7)):
         c = cfg(h, u, mode="prove_nonexistence")
         engine = search_mod.Engine(c.target_type, "skew", True)
@@ -725,7 +724,8 @@ def test_progress_exception_propagates_from_each_kernel(kernel, monkeypatch,
 
 
 def test_pause_and_resume_every_few_nodes(native, monkeypatch):
-    # No tier-1 tree reaches _CHUNK nodes; at 7 every walk below pauses and
+    # None of these trees reaches _CHUNK (2^18) nodes, which only 6^9's
+    # 300k and 400k budgets above cross; at 7 every walk below pauses and
     # resumes many times, and must return what one uninterrupted walk does.
     def walk(c):
         engine = search_mod.Engine(c.target_type, "skew", c.symmetry_reduction)

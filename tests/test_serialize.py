@@ -73,6 +73,9 @@ def test_file_roundtrip(tmp_path, corpus_by_id):
     (lambda o: o.update(group={"factors": [1]}), "$.group.factors: "),
     (lambda o: o.update(subgroup={"generators": []}),
      "$.subgroup.generators: "),
+    (lambda o: o.update(group={"factors": [10]}, subgroup={"order": 2},
+                        pairs=[[3, 4], [7, 9], [8, 8], [2, 6]]),
+     "$.pairs[2]: degenerate pair"),
 ])
 def test_schema_errors_carry_location(corpus_by_id, mutate, fragment):
     obj = serialize.starter_to_obj(corpus_by_id["example-1"].starter)
