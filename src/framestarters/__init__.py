@@ -1,6 +1,6 @@
 """Frame starters in finite abelian groups: verification, search, certificates."""
 
-__version__ = "0.1.0"  # set first: search certificates name it
+__version__ = "0.2.0"  # set first: search certificates name it
 
 from .errors import (
     FrameStarterError,

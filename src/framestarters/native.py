@@ -2,8 +2,9 @@
 
 `search` imports this module on its first call, so importing the package
 compiles and runs none of it.  `load_kernel` compiles the C file with the
-system C compiler on its first call and loads it through ctypes; `stepper`,
-the kernel's one caller, drives it below one root, over that root's masks.
+system C compiler on its first call and loads it through ctypes; `walker`,
+the kernel's one caller, drives it below each root of a search, over that
+root's masks.
 """
 
 from __future__ import annotations
@@ -46,39 +47,48 @@ def load_kernel() -> ctypes.CDLL | None:
         return None
 
 
-def stepper(engine, root: tuple[int, int],
-            masks: tuple[list[int], list[int]], stop_early: bool):
-    """`fs_leaves` over the engine's masks below one root, with the contract
-    of `Engine._python_step`: each step returns the leaves since the last,
-    one at most when the walk stops early and up to _BATCH otherwise, each
-    leaf's pairs decoded from lo | hi << 8 (`_placements`).  The kernel's
-    copy of `sum_bits` and of the root's (partners, classes), `masks`, is
-    made once, with the one `fs_init`; node counts start at 0."""
+def walker(engine, stop_early: bool):
+    """The kernel's walk of one search: returns `stepper(root, masks)`, which
+    starts `fs_leaves` below one root over that root's (partners, classes,
+    sums), `masks`, with the contract of `Engine._python_step`: each step
+    returns the leaves since the last, one at most when the walk stops early
+    and up to _BATCH otherwise, each leaf's pairs decoded from lo | hi << 8
+    (`_placements`).  The search's own arrays, `sum_bits` and the leaf
+    buffer, are made here once; each root gets its state and a copy of its
+    masks, with the one `fs_init`, and its node count starts at 0."""
     g = engine.g
     if g > MAX_ORDER:
         raise ValueError(f"the native kernel takes g <= {MAX_ORDER}")
     lib = load_kernel()
     if lib is None:
         raise RuntimeError("the native search kernel is not available")
-    state = array("B", [0]) * lib.fs_size()
-    rows = [array("Q", m) for m in (engine.sum_bits, *masks)]
-    sum_bits_p, part_p, cls_p = (a.buffer_info()[0] for a in rows)
-    state_p = state.buffer_info()[0]
+    sum_bits = array("Q", engine.sum_bits)
+    sum_bits_p = sum_bits.buffer_info()[0]
     cap = 1 if stop_early else _BATCH
     width = engine.full.bit_count() // 2  # the pairs of a leaf
     out = array("Q", [0]) * (3 + cap * width)
     out_p = out.buffer_info()[0]
     fs_leaves, placement = lib.fs_leaves, _placements().__getitem__
-    lib.fs_init(state_p, g, engine.full, sum_bits_p, engine.class_mask,
-                part_p, cls_p, bytes(root))
+    size = lib.fs_size()
 
-    def step(pause_at: int, _held=(state, rows, out)):
-        status = fs_leaves(state_p, pause_at, cap, out_p)
-        nodes, depth, k = out[:3]
-        pairs = map(placement, out[3:3 + k * width])
-        return status, nodes, depth, list(zip(*[pairs] * width))
+    def stepper(root: tuple[int, int],
+                masks: tuple[list[int], list[int], list[int]]):
+        state = array("B", [0]) * size
+        rows = [array("Q", m) for m in masks]
+        state_p = state.buffer_info()[0]
+        lib.fs_init(state_p, g, engine.full, sum_bits_p,
+                    engine.class_mask, engine.sum_mask,
+                    *(a.buffer_info()[0] for a in rows), bytes(root))
 
-    return step
+        def step(pause_at: int, _held=(state, rows, sum_bits, out)):
+            status = fs_leaves(state_p, pause_at, cap, out_p)
+            nodes, depth, k = out[:3]
+            pairs = map(placement, out[3:3 + k * width])
+            return status, nodes, depth, list(zip(*[pairs] * width))
+
+        return step
+
+    return stepper
 
 
 @cache
@@ -112,7 +122,7 @@ def _build_kernel(source: Path) -> ctypes.CDLL:
     p, u64, c_int = ctypes.c_void_p, ctypes.c_uint64, ctypes.c_int
     lib.fs_size.argtypes = []
     lib.fs_size.restype = ctypes.c_size_t
-    lib.fs_init.argtypes = [p, c_int, u64, p, u64, p, p, p]
+    lib.fs_init.argtypes = [p, c_int, u64, p, u64, u64, p, p, p, p]
     lib.fs_init.restype = None
     lib.fs_leaves.argtypes = [p, u64, c_int, p]
     lib.fs_leaves.restype = c_int

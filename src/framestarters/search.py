@@ -7,16 +7,17 @@ a budget when g > BUDGET_FREE_MAX_ORDER), so every config can run.
 One `Engine` holds what a search over Z_g \\ H at one property level needs,
 built once from the starter type and the level: the feasible pairs as
 masks of length g (`partners` by element, `classes` by difference
-class), the sum masks `sum_bits`, `full` (the elements of G \\ H) and
-`mask_g` (the elements of Z_g), all as bitmasks over the dense integers
-0..g-1.  A search state is three occupancy masks: members,
+class, `sums` by sum), the sum masks `sum_bits`, `full` (the elements of
+G \\ H) and `mask_g` (the elements of Z_g), all as bitmasks over the
+dense integers 0..g-1.  A search state is three occupancy masks: members,
 +-differences and +-sums.  One engine step expands a state: `branch`
 returns the feasible placements of the most constrained open
-requirement (an uncovered element that must be paired, or an unused
-difference class that must be realized) in ascending order.  A
-requirement with no placement left empties the list and prunes the node;
-this fail-first order is what makes witnesses in groups of order ~50
-reachable in seconds.
+requirement (an uncovered element that must be paired, an unused
+difference class that must be realized or, at the skew level, an unhit
+sum class {t, -t}, since a skew starter's +-sums partition G \\ H) in
+ascending order.  A requirement with no placement left empties the list
+and prunes the node; this fail-first order is what makes witnesses in
+groups of order ~50 reachable in seconds.
 
 The search tree is canonical.  The root places the pair realizing the
 difference class {1, -1} (every frame starter contains exactly one), and
@@ -32,13 +33,13 @@ root's subtree until a given node count or its end, or until enough
 leaves are in, and return (status, nodes, depth, the leaves since the last
 call).  For g <= native.MAX_ORDER (64) `search` picks the C kernel, which
 `native.py` compiles on first use, loads through ctypes and drives
-(`native.stepper`): it returns up to native._BATCH leaves per call, or one
+(`native.walker`): it returns up to native._BATCH leaves per call, or one
 when the walk stops at its first.  Otherwise, or when it cannot be built,
 the Python stepper runs: a loop over explicit frames that mirrors
 `fs_step` line for line, calls `Engine.branch` and returns at each leaf.
-Both walk only the masks the Engine hands them, `sum_bits` and the root's
-`root_masks`, so every rule of the search, the pair rules and the
-symmetry reduction alike, is written once, here.  Both visit the same
+Both walk only the masks the Engine hands them, `sum_bits`, `sum_mask` and
+the root's `root_masks`, so every rule of the search, the pair rules and
+the symmetry reduction alike, is written once, here.  Both visit the same
 nodes in the same order; the Python stepper is the kernel's test oracle.
 `SearchOutcome.kernel` says which one ran.
 
@@ -184,20 +185,25 @@ class Engine:
     partners of x.  classes[d] masks the base points x whose pair {x, x+d}
     is feasible, for each difference class d in class_mask (the
     representatives 1 <= d <= (g-1)/2 outside H), and is 0 for every other
-    d.  sum_bits[s] is what a pair of sum s adds to the used sums: {s} when
-    strong, {s, -s} when skew, 0 at the frame level.  A placement is a
+    d.  sums[v] masks the x whose pair {x, v-x} is feasible, so it holds
+    each feasible pair of sum v twice, once by each member.  sum_mask holds
+    the sum classes {t, -t} a skew starter must hit, each exactly once
+    since its +-sums partition G \\ H, by the same representatives as
+    class_mask; it is 0 at the frame and strong levels.  sum_bits[s] is
+    what a pair of sum s adds to the used sums: {s} when strong, {s, -s}
+    when skew, 0 at the frame level.  A placement is a
     pair (lo, hi) with lo < hi; it adds the differences
     1 << hi-lo | 1 << g-hi+lo.  For an admissible type no difference or
     sum outside H is its own negative (for even g, g/2 = (h/2)u lies in
     H), so difference and skew sum masks always have two bits.  The masks
     are lists of ints, since above g = 64 a mask outgrows 64 bits;
-    `native.stepper` copies them into uint64 arrays.  `symmetry` says
+    `native.walker` copies them into uint64 arrays.  `symmetry` says
     whether the search is symmetry-reduced: `roots` and `root_masks` read
     it and `step`, the step of the level's `translations`.
     """
 
     __slots__ = ("g", "mask_g", "full", "symmetry", "step", "sum_bits",
-                 "partners", "classes", "class_mask")
+                 "partners", "classes", "class_mask", "sums", "sum_mask")
 
     def __init__(self, t: StarterType, level: str, symmetry: bool):
         g, r = t.g, t.u
@@ -210,9 +216,9 @@ class Engine:
         # x + d lies in H or, strong and skew, 2x + d does.
         residue = [sum(1 << v for v in range(j, g, r)) for j in range(r)]
         full = mask_g & ~residue[0]
-        sum_bases = [0] * r  # by d mod u: the x with 2x + d in H
-        for j in range(r if strongish else 0):
-            sum_bases[-2 * j % r] |= residue[j]
+        twice = [0] * r  # by k mod u: the x with 2x + k in H
+        for j in range(r):
+            twice[-2 * j % r] |= residue[j]
         self.partners = [full & ~residue[x % r]
                          & ~(residue[-x % r] if strongish else 0)
                          if x % r else 0 for x in range(g)]
@@ -221,8 +227,13 @@ class Engine:
         for d in range(1, (g - 1) // 2 + 1):
             if d % r:
                 self.classes[d] = (full & (full >> d | full << g - d)
-                                   & ~sum_bases[d % r])
+                                   & ~(twice[d % r] if strongish else 0))
                 self.class_mask |= 1 << d
+        # x pairs with v - x unless either lies in H, their difference
+        # v - 2x does or, strong and skew, their sum v does.
+        self.sums = [full & ~residue[v % r] & ~twice[-v % r]
+                     if v % r or not strongish else 0 for v in range(g)]
+        self.sum_mask = self.class_mask if level == "skew" else 0
         self.sum_bits = [(1 << s | (1 << -s % g if level == "skew" else 0))
                          if strongish and s % r else 0 for s in range(g)]
         self.g = g
@@ -242,8 +253,8 @@ class Engine:
         return [(x, x + 1) for x in range(1, top + 1)
                 if self.classes[1] >> x & 1]
 
-    def root_masks(self, x: int) -> tuple[list[int], list[int]]:
-        """(partners, classes) below the root pair {x, x+1}.
+    def root_masks(self, x: int) -> tuple[list[int], list[int], list[int]]:
+        """(partners, classes, sums) below the root pair {x, x+1}.
 
         With symmetry on, the subtree of root x drops every pair {p, p+d}
         of unit difference d whose key is below x.  An affine map
@@ -259,9 +270,10 @@ class Engine:
         of the engine's masks.  With symmetry off they are the engine's own.
         """
         if not self.symmetry:
-            return self.partners, self.classes
+            return self.partners, self.classes, self.sums
         g, step = self.g, self.step
         partners, classes = self.partners[:], self.classes[:]
+        sums = self.sums[:]
         units = [d for d in range(1, (g + 1) // 2) if gcd(d, g) == 1]
         for k in range(1, x):
             for b in (*range(k, g, step), *range(step - 1 - k, g, step)):
@@ -272,30 +284,40 @@ class Engine:
                         classes[d] ^= 1 << p
                         partners[p] ^= 1 << q
                         partners[q] ^= 1 << p
-        return partners, classes
+                        sums[(p + q) % g] ^= 1 << p | 1 << q
+        return partners, classes, sums
 
     def branch(self, used: int, used_diff: int, used_sum: int,
-               masks: tuple[list[int], list[int]]) -> list[tuple[int, int]]:
+               masks: tuple[list[int], list[int], list[int]],
+               ) -> list[tuple[int, int]]:
         """Feasible placements of the most constrained open requirement,
         ascending; empty when the state is complete or provably dead.
 
         Element requirements carry an exact mask of feasible partners.  A
         class requirement's mask is exact in members and difference but
         not in the sum, so each of its placements is checked against the
-        used sums before it is returned.  The scan stops early at a
-        single-option requirement; any zero-option requirement it skipped
-        then surfaces one level deeper, which costs little in practice.
-        `masks` are the current root's (partners, classes), `root_masks`.
+        used sums before it is returned.  At the skew level, when the
+        tightest of these has more than _SUM_SCAN_ABOVE placements, the open
+        sum classes {t, -t} are scanned too, ascending by t: a class's
+        placements are the pairs {x, y} of the element masks with
+        x + y = +-t, an exact count.  A sum class replaces the choice only
+        with strictly fewer placements, which it returns sorted by (lo, hi).
+        Each scan stops early at a single-option requirement; any
+        zero-option requirement it skipped then surfaces one level deeper,
+        which costs little in practice.  `masks` are the current root's
+        (partners, classes, sums), `root_masks`; the kernel counts a sum
+        class from `sums`, and this loop, its test oracle, does not.
         """
         g = self.g
         mask_g = self.mask_g
         free = self.full & ~used
         notdiff = ~used_diff & mask_g
         notsum = ~used_sum & mask_g
-        partners, classes = masks
+        partners, classes, _ = masks
         best_n = g + 1
         key = opts = 0
         by_class = False
+        element_masks = []  # (x, the feasible partners of x), x free
         scan = free
         while scan:
             xb = scan & -scan
@@ -307,6 +329,7 @@ class Engine:
             n = m.bit_count()
             if n == 0:
                 return []
+            element_masks.append((x, m))
             if n < best_n:
                 best_n, key, opts = n, x, m
                 if n == 1:
@@ -326,6 +349,24 @@ class Engine:
                     best_n, key, opts, by_class = n, d, pl, True
                     if n == 1:
                         break
+        if best_n > _SUM_SCAN_ABOVE:
+            chosen = None
+            scan = notsum & self.sum_mask
+            while scan:
+                tb = scan & -scan
+                scan ^= tb
+                t = tb.bit_length() - 1
+                pl = [(x, y) for x, m in element_masks
+                      for y in ((t - x) % g, (-t - x) % g)
+                      if x < y and m >> y & 1]
+                if not pl:
+                    return []
+                if len(pl) < best_n:
+                    best_n, chosen = len(pl), pl
+                    if best_n == 1:
+                        break
+            if chosen is not None:
+                return sorted(chosen)
         sum_bits = self.sum_bits
         out = []
         while opts:
@@ -346,8 +387,9 @@ class Engine:
         """Explore the subtrees under the given root pairs and return
         (raw_pairings, nodes, cut), where cut says the node budget stopped
         the walk.  This loop alone enters the roots: as it enters root x it
-        calls `root_masks(x)`, starts a stepper, native (`native.stepper`)
-        or Python, on them and adds the nodes of the roots before.  Each
+        calls `root_masks(x)`, starts a stepper, native (from
+        `native.walker`, which copies the search's own arrays once) or
+        Python, on them and adds the nodes of the roots before.  Each
         step returns the leaves reached since the last; the walk stops at
         the first leaf unless it counts, and the native stepper then
         returns one leaf per step, not a batch.  The stepper pauses before
@@ -357,9 +399,10 @@ class Engine:
         """
         stop_early = cfg.mode != "exhaustive_count"
         if native:
-            from .native import stepper
+            from .native import walker
+            stepper = walker(self, stop_early)
         else:
-            stepper = Engine._python_step
+            stepper = self._python_step
         budget = cfg.node_budget
         interval = cfg.progress_interval if progress is not None else 0
         next_event = interval
@@ -367,7 +410,7 @@ class Engine:
         solutions: list[tuple[tuple[int, int], ...]] = []
         started = time.perf_counter()
         for root in roots:
-            step = stepper(self, root, self.root_masks(root[0]), stop_early)
+            step = stepper(root, self.root_masks(root[0]))
             walked = nodes  # the nodes of the roots before this one
             while True:
                 pause = nodes + _CHUNK
@@ -392,11 +435,12 @@ class Engine:
         return solutions, nodes, False
 
     def _python_step(self, root: tuple[int, int],
-                     masks: tuple[list[int], list[int]], stop_early: bool):
+                     masks: tuple[list[int], list[int], list[int]]):
         """`fs_step` (see _kernel.c) in Python below one root, over a stack
         of frames [used, used_diff, used_sum, placements, next index] and
         the root's `root_masks`; its leaves come as a list, of one leaf at
-        a leaf and empty otherwise, so stop_early changes nothing."""
+        a leaf and empty otherwise, so a walk that stops early needs no
+        other stepper."""
         g, full, branch = self.g, self.full, self.branch
         sum_bits = self.sum_bits
         frames = [[0, 0, 0, [root], 0]]
@@ -435,6 +479,14 @@ class Engine:
 #: kernel, one pool start-up.
 _DONE, _LEAF, _PAUSE = range(3)
 _CHUNK = 1 << 18
+#: `branch` scans the skew sum classes only when the element and class scans
+#: leave more than this many placements (so does `_kernel.c`).  On table57's
+#: five budget-cut cells the native kernel's nodes/s, against a kernel with
+#: no scan, was 0.5x when scanning at every node, 0.87x from more than 1,
+#: 0.95-1.01x from more than 2 and 1.08x from more than 3 (two sweeps),
+#: while 4^7's proof took 8,749, 11,235, 12,566 and 13,940 nodes (21,703
+#: with no scan).
+_SUM_SCAN_ABOVE = 3
 
 
 def _verified_starters(t: StarterType, level: str,

@@ -23,10 +23,10 @@ from .theory import NonexistenceCertificate, StarterType, certify
 #: cells at this budget; the native kernel spends it in ~20 ms per open cell.
 DEFAULT_CELL_BUDGET = 400_000
 
-#: Cells that only an exhaustive search of 512,027 nodes (4^8, 0.03 s on the
+#: Cells that only an exhaustive search of 322,400 nodes (4^8, 0.02 s on the
 #: native kernel) or more decides; skipped unless deep mode is requested,
-#: which searches them within the per-cell budget (too small for any of them
-#: by default); a skipped row names its search.
+#: which searches them within the per-cell budget (at the default, enough for
+#: 4^8 alone); a skipped row names its search.
 DEEP_CELLS = frozenset({(2, 16), (4, 8), (4, 9), (4, 10)})
 
 

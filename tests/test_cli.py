@@ -282,14 +282,15 @@ def test_deep_cells_skipped_by_default():
 
 
 def test_deep_cell_decided_by_search():
-    # 4^8 is a deep cell: --deep searches it, within the cell budget
-    row = build_row(StarterType(4, 8), deep=True, budget=600_000)
-    assert (row.existence, row.authority) == ("no", "search")
-    assert row.outcome.nodes_visited == 512_027
-    assert row.certificate.theorem == "search-exhaustion"
+    # 4^8 is a deep cell: --deep searches it, within the cell budget; its
+    # proof, 322,400 nodes, fits the default budget of 400,000
     row = build_row(StarterType(4, 8), deep=True, budget=400_000)
+    assert (row.existence, row.authority) == ("no", "search")
+    assert row.outcome.nodes_visited == 322_400
+    assert row.certificate.theorem == "search-exhaustion"
+    row = build_row(StarterType(4, 8), deep=True, budget=300_000)
     assert (row.existence, row.authority) == ("?", "none")
-    assert row.detail == "budget exceeded after 400000 nodes"
+    assert row.detail == "budget exceeded after 300000 nodes"
     assert row.outcome is not None and row.certificate is None
 
 

@@ -2,10 +2,12 @@
 
 For random admissible cyclic types with g <= 64 (the native kernel's
 range) at every level, every mask the engine builds (`partners`,
-`classes` with `class_mask`, `sum_bits`, the roots and each root's
-`root_masks`) is compared with one computed here from the rules alone: a
-pair {x, y} of Z_g is feasible when its members, its difference and
-(strong and skew) its sum all lie outside H.  With symmetry on, S is H at
+`classes` with `class_mask`, `sums` with `sum_mask`, `sum_bits`, the roots
+and each root's `root_masks`) is compared with one computed here from the
+rules alone: a pair {x, y} of Z_g is feasible when its members, its
+difference and (strong and skew) its sum all lie outside H, and sums[v]
+holds the x whose pair {x, v-x} is feasible, under the engine's partners
+and under each root's.  With symmetry on, S is H at
 the frame and strong levels and {c in H : 4c = 0} at skew, the key of a
 base b is the least of (b + c) mod g and (g-1-b-c) mod g over c in S, a
 root {x, x+1} is kept when its key is x, and its subtree drops every pair
@@ -16,7 +18,7 @@ the element set of H comes from the package.
 import importlib
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framestarters import StarterType
@@ -72,8 +74,16 @@ def _key_filter(g, shifts, partners, classes, base):
     return partners, classes
 
 
+def _sums(g, partners):
+    """sums[v]: the x whose pair {x, v-x} is feasible under partners."""
+    return [sum(1 << x for x in range(g) if partners[x] >> (v - x) % g & 1)
+            for v in range(g)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(TYPES), st.sampled_from(LEVELS))
+@example(StarterType(3, 9), "skew")  # odd g, several roots
+@example(StarterType(4, 8), "skew")  # even g, several roots
 def test_candidate_table_reads_the_pair_rules(t, level):
     g = t.g
     h_set = {e.coords[0] for e in t.subgroup().elements}
@@ -84,6 +94,8 @@ def test_candidate_table_reads_the_pair_rules(t, level):
     assert engine.classes == classes
     assert engine.class_mask == class_mask
     assert engine.sum_bits == sum_bits
+    assert engine.sums == _sums(g, partners)
+    assert engine.sum_mask == (class_mask if level == "skew" else 0)
     shifts = [c for c in h_set if level != "skew" or 4 * c % g == 0]
     for symmetry in (True, False):
         engine = search_mod.Engine(t, level, symmetry)
@@ -95,4 +107,5 @@ def test_candidate_table_reads_the_pair_rules(t, level):
         for x, _ in reversed(roots):
             want = (_key_filter(g, shifts, partners, classes, x) if symmetry
                     else (partners, classes))
-            assert engine.root_masks(x) == want, (symmetry, x)
+            got = engine.root_masks(x)
+            assert got == (*want, _sums(g, want[0])), (symmetry, x)

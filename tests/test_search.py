@@ -276,7 +276,7 @@ def _check_parallel_equivalence():
     seq = search(cfg(4, 7, mode="prove_nonexistence", worker_count=1))
     par = search(cfg(4, 7, mode="prove_nonexistence", worker_count=2))
     assert seq.result == par.result == "exhausted_none"
-    assert seq.nodes_visited == par.nodes_visited == 21703
+    assert seq.nodes_visited == par.nodes_visited == 13940
     assert seq.kernel == par.kernel  # chosen once, for every slice
 
 
@@ -338,10 +338,10 @@ def test_head_start_progress_matches_one_worker():
     events = {}
     for w in (1, 2):
         seen = events[w] = []
-        c = cfg(4, 7, mode="prove_nonexistence", progress_interval=10_000,
+        c = cfg(4, 7, mode="prove_nonexistence", progress_interval=5_000,
                 worker_count=w)
         search(c, lambda nodes, depth, _: seen.append((nodes, depth)))
-    assert [n for n, _ in events[1]] == [10_000, 20_000]
+    assert [n for n, _ in events[1]] == [5_000, 10_000]
     assert events[2] == events[1]
     # a budget past the head start is walked in order, with every event
     for w in (1, 2):
@@ -434,15 +434,11 @@ def test_canonical_first_branch_walkthrough():
     engine = search_mod.Engine(StarterType(1, 7), "skew", True)
 
     def branch(*placed):
-        # members, +-differences and +-sums of the placed pairs, by the rule
-        state = [0, 0, 0]
-        for x, y in placed:
-            d, s = (y - x) % 7, (x + y) % 7
-            masks = (1 << x | 1 << y, 1 << d | 1 << -d % 7, 1 << s | 1 << -s % 7)
-            for i, mask in enumerate(masks):
-                state[i] |= mask
-        return engine.branch(*state, engine.root_masks(placed[0][0]))
+        return engine.branch(*_skew_state(7, placed),
+                             engine.root_masks(placed[0][0]))
 
+    # no requirement of Z_7 has more than 3 placements, so the sum classes
+    # are never scanned (test_sum_class_branch_on_both_kernels scans them)
     assert engine.roots() == [(1, 2), (2, 3)]
     assert branch((2, 3)) == [(1, 5)]
     assert branch((2, 3), (1, 5)) == [(4, 6)]
@@ -499,9 +495,9 @@ def test_native_parity_oracle_sweep(native):
 
 
 @pytest.mark.parametrize("h, u, mode, nodes", [
-    (4, 7, "prove_nonexistence", 21_703),
-    (3, 19, "find_first", 58_407),
-    (5, 11, "find_first", 88_053),
+    (4, 7, "prove_nonexistence", 13_940),
+    (3, 19, "find_first", 30_590),
+    (5, 11, "find_first", 13_151),
 ])
 def test_native_parity_named_cells(native, h, u, mode, nodes):
     c = cfg(h, u, mode=mode)
@@ -525,9 +521,9 @@ def test_each_roots_masks_built_when_the_walk_reaches_it(kernel, monkeypatch,
 
     monkeypatch.setattr(search_mod.Engine, "root_masks", spy)
     for h, u, mode, nodes, leaves, reached in (
-            (3, 19, "find_first", 58_407, 1, [1]),  # a witness under root 1
-            (5, 11, "find_first", 88_053, 1, [1]),
-            (4, 7, "prove_nonexistence", 21_703, 0, [1, 2])):  # every root
+            (3, 19, "find_first", 30_590, 1, [1]),  # a witness under root 1
+            (5, 11, "find_first", 13_151, 1, [1]),
+            (4, 7, "prove_nonexistence", 13_940, 0, [1, 2])):  # every root
         c = cfg(h, u, mode=mode)
         engine = search_mod.Engine(c.target_type, "skew", True)
         roots = engine.roots()
@@ -557,8 +553,81 @@ def test_native_parity_at_the_widest_masks(native, h, u, level, budget):
         assert py == nat, symmetry
 
 
+def _walk_shape(engine, root, native, limit=None):
+    """The depth of each node below one root, in walk order, and the leaves:
+    the stepper pauses before every node, up to limit nodes."""
+    start = native_mod.walker(engine, False) if native else engine._python_step
+    step = start(root, engine.root_masks(root[0]))
+    depths, leaves = [], []
+    while limit is None or len(depths) < limit:
+        status, _, depth, found = step(len(depths))
+        leaves += found
+        if status == search_mod._DONE:
+            break
+        if status == search_mod._PAUSE:  # before node number len(depths)
+            depths.append(depth)
+    return depths, leaves
+
+
+def _skew_state(g, placed):
+    """The members, +-differences and +-sums of the placed pairs."""
+    state = [0, 0, 0]
+    for x, y in placed:
+        d, s = (y - x) % g, (x + y) % g
+        for i, mask in enumerate((1 << x | 1 << y, 1 << d | 1 << -d % g,
+                                  1 << s | 1 << -s % g)):
+            state[i] |= mask
+    return state
+
+
+def test_sum_class_branch_on_both_kernels(native):
+    # 2^7 below the root {1, 2}: the tightest element, 4, has 4 placements
+    # and the sum class {5, 9} 3, so each kernel opens 3 children, not 4.
+    engine = search_mod.Engine(StarterType(2, 7), "skew", True)
+    state = _skew_state(14, [(1, 2)])
+    for sum_mask, want in ((engine.sum_mask, [(3, 6), (8, 11), (10, 13)]),
+                           (0, [(4, 6), (4, 8), (4, 9), (4, 12)])):
+        engine.sum_mask = sum_mask  # 0: no sum-class scan
+        assert engine.branch(*state, engine.root_masks(1)) == want
+        py, nat = (_walk_shape(engine, (1, 2), kernel)
+                   for kernel in (False, True))
+        assert py == nat and py[0].count(1) == len(want), sum_mask
+    # 2^9 below the root {2, 3}: the sum class {3, 15} has no placement
+    # left, so the root is a dead end; without the scan the walk goes on.
+    engine = search_mod.Engine(StarterType(2, 9), "skew", True)
+    state = _skew_state(18, [(2, 3)])
+    assert engine.branch(*state, engine.root_masks(2)) == []
+    for kernel in (False, True):
+        assert _walk_shape(engine, (2, 3), kernel) == ([0], []), kernel
+    engine.sum_mask = 0
+    assert len(engine.branch(*state, engine.root_masks(2))) == 5
+    assert len(_walk_shape(engine, (2, 3), True)[0]) > 1
+
+
+@pytest.mark.parametrize("h, u, limit", [
+    (3, 9, None),   # odd g = 27, the whole tree
+    (6, 5, None),   # even g = 30
+    (2, 32, 1_000),  # g = 64, the first nodes of each root
+    (8, 8, 1_000),
+])
+def test_native_parity_where_sum_classes_branch(native, h, u, limit):
+    # Node by node, both kernels walk the same tree, and it is not the
+    # tree without the sum-class scan.
+    engine = search_mod.Engine(StarterType(h, u), "skew", True)
+
+    def shapes():
+        py, nat = ([_walk_shape(engine, root, kernel, limit)
+                    for root in engine.roots()] for kernel in (False, True))
+        assert py == nat, engine.sum_mask
+        return py
+
+    scanned = shapes()
+    engine.sum_mask = 0  # no sum-class scan
+    assert shapes() != scanned
+
+
 def test_native_parity_budget_cuts(native):
-    cells = ((3, 7, "prove_nonexistence", (1, 2, 500, 622, 623, 624)),
+    cells = ((3, 7, "prove_nonexistence", (1, 2, 500, 562, 563, 564)),
              (1, 11, "exhaustive_count", (1, 20, 40, 67, 68, 69)),
              (6, 9, "find_first", (1_000, 4_321)))
     for h, u, mode, budgets in cells:
@@ -569,9 +638,9 @@ def test_native_parity_budget_cuts(native):
             py, nat = _both_kernels(engine, c, engine.roots())
             assert py == nat, (h, u, budget)
     # the budget applies at node budget + 1, exactly as in the Python kernel
-    c = cfg(3, 7, mode="prove_nonexistence", node_budget=622)
+    c = cfg(3, 7, mode="prove_nonexistence", node_budget=562)
     engine = search_mod.Engine(c.target_type, "skew", True)
-    assert engine.run(c, engine.roots(), native=True) == ([], 622, True)
+    assert engine.run(c, engine.roots(), native=True) == ([], 562, True)
 
 
 @pytest.mark.parametrize("h, u, mode", [
@@ -635,7 +704,7 @@ def test_native_progress_events(native):
     c = cfg(3, 7, mode="prove_nonexistence", progress_interval=100)
     events = []
     search(c, lambda nodes, depth, _: events.append(nodes))
-    assert events == [100, 200, 300, 400, 500, 600]
+    assert events == [100, 200, 300, 400, 500]
 
 
 @pytest.mark.parametrize("kernel", ["native", "python"])
@@ -645,9 +714,9 @@ def test_search_result_under_each_kernel(kernel, monkeypatch, request):
     else:
         monkeypatch.setattr(native_mod, "load_kernel", lambda: None)
     for c, result, nodes, leaves in (
-            (cfg(3, 19), "found", 58_407, 1),
-            (cfg(5, 11), "found", 88_053, 1),
-            (cfg(4, 7, mode="prove_nonexistence"), "exhausted_none", 21_703, 0),
+            (cfg(3, 19), "found", 30_590, 1),
+            (cfg(5, 11), "found", 13_151, 1),
+            (cfg(4, 7, mode="prove_nonexistence"), "exhausted_none", 13_940, 0),
             (cfg(4, 11, node_budget=10_000), "budget_exceeded", 10_000, 0)):
         out = search(c)
         assert (out.result, out.nodes_visited, len(out.starters), out.kernel) \
@@ -768,8 +837,7 @@ def test_native_parity_across_leaf_batches(native, monkeypatch):
     # a batch stays within its root: 2^8's 4 strong starters below root
     # (1, 2) come as a batch of 3, then 1 with the root's end
     engine = search_mod.Engine(StarterType(2, 8), "strong", False)
-    masks = engine.root_masks(1)
-    step = native_mod.stepper(engine, (1, 2), masks, False)
+    step = native_mod.walker(engine, False)((1, 2), engine.root_masks(1))
     batches = [step(1 << 40) for _ in range(2)]
     assert [(status, len(leaves)) for status, _, _, leaves in batches] == \
         [(search_mod._LEAF, 3), (search_mod._DONE, 1)]

@@ -137,9 +137,9 @@ def test_certify_examples():
 def test_exhaustion_certificate_names_its_kernel():
     # the node count depends on the symmetry reduction, so both are named
     for symmetry, nodes, reduction in (
-            (True, 21703, "with symmetry reduction by the units of Z_28 and "
+            (True, 13940, "with symmetry reduction by the units of Z_28 and "
                           "the translations by {0, 7, 14, 21}"),
-            (False, 315450, "without symmetry reduction")):
+            (False, 191829, "without symmetry reduction")):
         cfg = SearchConfig(StarterType(4, 7), mode="prove_nonexistence",
                            symmetry_reduction=symmetry)
         for kernel in ("native", "python"):
@@ -155,7 +155,7 @@ def test_exhaustion_certificate_names_its_kernel():
                 f"{framestarters.__version__})")
     # the mode and the package version reproduce the search
     count = SearchConfig(StarterType(4, 7), mode="exhaustive_count")
-    cert = SearchOutcome("exhausted_none", (), 315450, 0.0, count,
+    cert = SearchOutcome("exhausted_none", (), 191829, 0.0, count,
                          "native").certificate
     assert cert.statement.endswith(
         f"(mode exhaustive_count, framestarters {framestarters.__version__})")
