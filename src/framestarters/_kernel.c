@@ -36,7 +36,9 @@
  * writes the node count, the depth and the number k of leaves since the
  * last call to out[0..2], then the k leaves' pairs, depth + 1 codes per
  * leaf, from out[3]; every leaf of one search has the same depth, the
- * pair count less one.  out holds 3 + cap * (depth + 1) codes.
+ * pair count less one.  out holds 3 + cap * (depth + 1) codes.  fs_step
+ * writes a leaf in tree order; fs_leaves writes it ascending by (lo, hi),
+ * the order of a starter's pairs, so native.walker sorts no leaf.
  *
  * fs_step's loop is the hot path: every rewrite of it that was measured
  * (a leaf `continue` inside the loop, or the loop moved into a helper,
@@ -262,7 +264,14 @@ int fs_leaves(struct fs *s, uint64_t pause_at, int cap, uint64_t *out)
     uint64_t step[2 + MAXD], *leaf = out + 3;
     int rc, k = 0;
     while ((rc = fs_step(s, pause_at, step)) == FS_LEAF) {
-        memcpy(leaf, step + 2, (step[1] + 1) * sizeof *leaf);
+        /* insertion by lo: no two pairs share a lo, so (lo, hi) order */
+        for (int n = 0; n <= (int)step[1]; n++) {
+            uint64_t code = step[2 + n];
+            int j = n;
+            for (; j > 0 && (leaf[j - 1] & 255) > (code & 255); j--)
+                leaf[j] = leaf[j - 1];
+            leaf[j] = code;
+        }
         leaf += step[1] + 1;
         if (++k == cap)
             break;

@@ -52,10 +52,11 @@ def walker(engine, stop_early: bool):
     starts `fs_leaves` below one root over that root's (partners, classes,
     sums), `masks`, with the contract of `Engine._python_step`: each step
     returns the leaves since the last, one at most when the walk stops early
-    and up to _BATCH otherwise, each leaf's pairs decoded from lo | hi << 8
-    (`_placements`).  The search's own arrays, `sum_bits` and the leaf
-    buffer, are made here once; each root gets its state and a copy of its
-    masks, with the one `fs_init`, and its node count starts at 0."""
+    and up to _BATCH otherwise, each leaf's codes lo | hi << 8, which
+    `fs_leaves` writes in ascending order, mapped through the search's table
+    of Pairs (`engine.pairs`).  The search's own arrays, `sum_bits` and the
+    leaf buffer, are made here once; each root gets its state and a copy of
+    its masks, with the one `fs_init`, and its node count starts at 0."""
     g = engine.g
     if g > MAX_ORDER:
         raise ValueError(f"the native kernel takes g <= {MAX_ORDER}")
@@ -68,7 +69,7 @@ def walker(engine, stop_early: bool):
     width = engine.full.bit_count() // 2  # the pairs of a leaf
     out = array("Q", [0]) * (3 + cap * width)
     out_p = out.buffer_info()[0]
-    fs_leaves, placement = lib.fs_leaves, _placements().__getitem__
+    fs_leaves, pair = lib.fs_leaves, engine.pairs.__getitem__
     size = lib.fs_size()
 
     def stepper(root: tuple[int, int],
@@ -83,19 +84,12 @@ def walker(engine, stop_early: bool):
         def step(pause_at: int, _held=(state, rows, sum_bits, out)):
             status = fs_leaves(state_p, pause_at, cap, out_p)
             nodes, depth, k = out[:3]
-            pairs = map(placement, out[3:3 + k * width])
+            pairs = map(pair, out[3:3 + k * width])
             return status, nodes, depth, list(zip(*[pairs] * width))
 
         return step
 
     return stepper
-
-
-@cache
-def _placements() -> dict[int, tuple[int, int]]:
-    """Every placement (lo, hi), lo < hi < MAX_ORDER, by its code lo | hi << 8,
-    built on first use: the leaves of every search share one tuple each."""
-    return {lo | hi << 8: (lo, hi) for hi in range(MAX_ORDER) for lo in range(hi)}
 
 
 def _host_cpu() -> bytes:

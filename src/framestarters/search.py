@@ -43,13 +43,18 @@ the symmetry reduction alike, is written once, here.  Both visit the same
 nodes in the same order; the Python stepper is the kernel's test oracle.
 `SearchOutcome.kernel` says which one ran.
 
-The engine returns raw pairings in tree order.  `search` builds each
-starter it reports, from one shared Pair per placement, and checks it once
-with the independent verifier, in the calling process; the acceleration
-structures are never trusted.  A starter is sorted, checked and verified
-over its integer codes (traced, g <= 18: 7-9 us to build, 4-5 to verify).
-`search` says when several workers split the tree, and why every worker
-count reports what the serial run reports.
+Both steppers hand each leaf over as a tuple of the search's own Pairs,
+ascending by (lo, hi): `fs_leaves` sorts a leaf's codes and the Python
+stepper its placements, and each maps them through the Engine's table
+(`pairs`), which builds the Pair of a placement the first time a leaf
+holds it.  `Engine.run` returns the leaves by root, in tree order.
+`search` builds each starter it reports from its leaf as it is (the
+constructor still checks the pair count, the members and the order) and
+checks it once with the independent verifier, in the calling process; the
+acceleration structures are never trusted.  A starter is built and
+verified over its integer codes (untraced, g <= 18: about 3.5 us to
+build, 3 to verify).  `search` says when several workers split the tree,
+and why every worker count reports what the serial run reports.
 
 Symmetry reduction exploits the affine maps x -> ax + c, a a unit of Z_g
 and c one of the `translations` (all of H at the frame and strong levels,
@@ -69,11 +74,11 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import gcd
-from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from . import __version__
 from .errors import InvalidTypeError
+from .groups import GroupSpec
 from .starters import LEVELS, FrameStarter, Pair, make_starter, verify_skew
 from .theory import NonexistenceCertificate, StarterType, starter_kind
 
@@ -174,6 +179,23 @@ def translations(t: StarterType, level: str) -> range:
     return range(0, t.g, t.g // (gcd(t.h, 4) if level == "skew" else t.h))
 
 
+class _Pairs(dict):
+    """The one Pair of each placement (lo, hi) of a search, by its code
+    lo | hi << 8 (hi < MAX_SEARCH_ORDER < 256): built on first sight from
+    its two members, which `group` decodes, and shared by every leaf."""
+
+    __slots__ = ("group",)
+
+    def __init__(self, group: GroupSpec):
+        super().__init__()
+        self.group = group
+
+    def __missing__(self, code: int) -> Pair:
+        decode = self.group.decode
+        pair = self[code] = Pair(decode(code & 255), decode(code >> 8))
+        return pair
+
+
 class Engine:
     """Search state for one type and level, built once and shared by every node.
 
@@ -199,11 +221,13 @@ class Engine:
     are lists of ints, since above g = 64 a mask outgrows 64 bits;
     `native.walker` copies them into uint64 arrays.  `symmetry` says
     whether the search is symmetry-reduced: `roots` and `root_masks` read
-    it and `step`, the step of the level's `translations`.
+    it and `step`, the step of the level's `translations`.  `pairs` is the
+    search's table of Pairs, through which both steppers hand over leaves.
     """
 
     __slots__ = ("g", "mask_g", "full", "symmetry", "step", "sum_bits",
-                 "partners", "classes", "class_mask", "sums", "sum_mask")
+                 "partners", "classes", "class_mask", "sums", "sum_mask",
+                 "pairs")
 
     def __init__(self, t: StarterType, level: str, symmetry: bool):
         g, r = t.g, t.u
@@ -241,6 +265,7 @@ class Engine:
         self.full = full
         self.symmetry = symmetry
         self.step = translations(t, level).step
+        self.pairs = _Pairs(t.group())
 
     def roots(self) -> list[tuple[int, int]]:
         """Placements of the difference-class {1, -1} pair, the fixed root item.
@@ -300,8 +325,9 @@ class Engine:
         tightest of these has more than _SUM_SCAN_ABOVE placements, the open
         sum classes {t, -t} are scanned too, ascending by t: a class's
         placements are the pairs {x, y} of the element masks with
-        x + y = +-t, an exact count.  A sum class replaces the choice only
-        with strictly fewer placements, which it returns sorted by (lo, hi).
+        x + y = +-t, an exact count, taken for every class in one pass over
+        those pairs.  A sum class replaces the choice only with strictly
+        fewer placements, and only its pairs are listed, sorted by (lo, hi).
         Each scan stops early at a single-option requirement; any
         zero-option requirement it skipped then surfaces one level deeper,
         which costs little in practice.  `masks` are the current root's
@@ -309,27 +335,27 @@ class Engine:
         class from `sums`, and this loop, its test oracle, does not.
         """
         g = self.g
-        mask_g = self.mask_g
         free = self.full & ~used
-        notdiff = ~used_diff & mask_g
-        notsum = ~used_sum & mask_g
+        notdiff = ~used_diff & self.mask_g
+        notsum = ~used_sum & self.mask_g
+        # doubled, so that one shift rotates: within g bits (here, within
+        # free) m2 >> g - k is m rotated left by k and m2 >> k right
+        notdiff2 = notdiff | notdiff << g
+        notsum2 = notsum | notsum << g
+        free2 = free | free << g
         partners, classes, _ = masks
         best_n = g + 1
         key = opts = 0
         by_class = False
-        element_masks = []  # (x, the feasible partners of x), x free
         scan = free
         while scan:
             xb = scan & -scan
             scan ^= xb
             x = xb.bit_length() - 1
-            m = free & partners[x] & ((notdiff << x | notdiff >> g - x)
-                                      & (notsum >> x | notsum << g - x)
-                                      & mask_g)
+            m = free & partners[x] & notdiff2 >> g - x & notsum2 >> x
             n = m.bit_count()
             if n == 0:
                 return []
-            element_masks.append((x, m))
             if n < best_n:
                 best_n, key, opts = n, x, m
                 if n == 1:
@@ -340,8 +366,7 @@ class Engine:
                 db = scan & -scan
                 scan ^= db
                 d = db.bit_length() - 1
-                pl = free & (((free >> d) | (free << (g - d))) & mask_g) \
-                    & classes[d]
+                pl = free & free2 >> d & classes[d]
                 n = pl.bit_count()
                 if n == 0:
                     return []
@@ -349,24 +374,40 @@ class Engine:
                     best_n, key, opts, by_class = n, d, pl, True
                     if n == 1:
                         break
-        if best_n > _SUM_SCAN_ABOVE:
-            chosen = None
-            scan = notsum & self.sum_mask
+        scan = notsum & self.sum_mask if best_n > _SUM_SCAN_ABOVE else 0
+        if scan:
+            # (x, the feasible partners y > x of x) for each free x, by the
+            # element scan's masks, and the number of those pairs by sum
+            above = []
+            counts = [0] * g
+            xs = free
+            while xs:
+                xb = xs & -xs
+                xs ^= xb
+                x = xb.bit_length() - 1
+                m = free & partners[x] & notdiff2 >> g - x & notsum2 >> x \
+                    & -(xb << 1)
+                above.append((x, m))
+                while m:
+                    yb = m & -m
+                    m ^= yb
+                    counts[(x - 1 + yb.bit_length()) % g] += 1
+            chosen = 0
             while scan:
                 tb = scan & -scan
                 scan ^= tb
                 t = tb.bit_length() - 1
-                pl = [(x, y) for x, m in element_masks
-                      for y in ((t - x) % g, (-t - x) % g)
-                      if x < y and m >> y & 1]
-                if not pl:
+                n = counts[t] + counts[g - t]
+                if n == 0:
                     return []
-                if len(pl) < best_n:
-                    best_n, chosen = len(pl), pl
-                    if best_n == 1:
+                if n < best_n:
+                    best_n, chosen = n, t
+                    if n == 1:
                         break
-            if chosen is not None:
-                return sorted(chosen)
+            if chosen:
+                return [(x, y) for x, m in above
+                        for y in sorted(((chosen - x) % g, (-chosen - x) % g))
+                        if m >> y & 1]
         sum_bits = self.sum_bits
         out = []
         while opts:
@@ -385,17 +426,18 @@ class Engine:
             progress: Callable[[int, int, float], None] | None = None, *,
             native: bool = False):
         """Explore the subtrees under the given root pairs and return
-        (raw_pairings, nodes, cut), where cut says the node budget stopped
-        the walk.  This loop alone enters the roots: as it enters root x it
-        calls `root_masks(x)`, starts a stepper, native (from
-        `native.walker`, which copies the search's own arrays once) or
-        Python, on them and adds the nodes of the roots before.  Each
-        step returns the leaves reached since the last; the walk stops at
-        the first leaf unless it counts, and the native stepper then
-        returns one leaf per step, not a batch.  The stepper pauses before
-        the node that would pass the budget, before each progress node and
-        at least every _CHUNK nodes, so budgets, progress and Ctrl-C behave
-        alike.
+        (leaves, nodes, cut): leaves maps each root that has a leaf to its
+        leaves in tree order, and cut says the node budget stopped the walk.
+        A leaf is a tuple of the search's Pairs (`pairs`), ascending.  This
+        loop alone enters the roots: as it enters root x it calls
+        `root_masks(x)`, starts a stepper, native (from `native.walker`,
+        which copies the search's own arrays once) or Python, on them and
+        adds the nodes of the roots before.  Each step returns the leaves
+        reached since the last; the walk stops at the first leaf unless it
+        counts, and the native stepper then returns one leaf per step, not
+        a batch.  The stepper pauses before the node that would pass the
+        budget, before each progress node and at least every _CHUNK nodes,
+        so budgets, progress and Ctrl-C behave alike.
         """
         stop_early = cfg.mode != "exhaustive_count"
         if native:
@@ -407,7 +449,7 @@ class Engine:
         interval = cfg.progress_interval if progress is not None else 0
         next_event = interval
         nodes = 0
-        solutions: list[tuple[tuple[int, int], ...]] = []
+        found: dict[tuple[int, int], list[tuple[Pair, ...]]] = {}
         started = time.perf_counter()
         for root in roots:
             step = stepper(root, self.root_masks(root[0]))
@@ -420,19 +462,20 @@ class Engine:
                     pause = min(pause, next_event - 1)
                 status, nodes, depth, leaves = step(pause - walked)
                 nodes += walked
-                solutions += leaves
-                if leaves and stop_early:
-                    return solutions, nodes, False
+                if leaves:
+                    found.setdefault(root, []).extend(leaves)
+                    if stop_early:
+                        return found, nodes, False
                 if status == _PAUSE:
                     if nodes == budget:  # the next node would pass the budget
-                        return solutions, nodes, True
+                        return found, nodes, True
                     if nodes + 1 == next_event:
                         progress(next_event, depth,
                                  time.perf_counter() - started)
                         next_event += interval
                 elif status == _DONE:
                     break
-        return solutions, nodes, False
+        return found, nodes, False
 
     def _python_step(self, root: tuple[int, int],
                      masks: tuple[list[int], list[int], list[int]]):
@@ -440,9 +483,10 @@ class Engine:
         of frames [used, used_diff, used_sum, placements, next index] and
         the root's `root_masks`; its leaves come as a list, of one leaf at
         a leaf and empty otherwise, so a walk that stops early needs no
-        other stepper."""
+        other stepper.  A leaf is sorted and mapped through `pairs`, as
+        `native.walker` hands it over."""
         g, full, branch = self.g, self.full, self.branch
-        sum_bits = self.sum_bits
+        sum_bits, pair = self.sum_bits, self.pairs.__getitem__
         frames = [[0, 0, 0, [root], 0]]
         nodes = 0
 
@@ -465,8 +509,9 @@ class Engine:
                 ud |= 1 << y - x | 1 << g - y + x
                 us |= sum_bits[(x + y) % g]
                 if used == full:
+                    leaf = sorted(f[3][f[4] - 1] for f in frames)
                     return (_LEAF, nodes, len(frames) - 1,
-                            [tuple(f[3][f[4] - 1] for f in frames)])
+                            [tuple(pair(x | y << 8) for x, y in leaf)])
                 if placements := branch(used, ud, us, masks):
                     frames.append([used, ud, us, placements, 0])
 
@@ -489,34 +534,18 @@ _CHUNK = 1 << 18
 _SUM_SCAN_ABOVE = 3
 
 
-def _verified_starters(t: StarterType, level: str,
-                       raw_pairings: Sequence[tuple[tuple[int, int], ...]],
+def _verified_starters(level: str, starters: Iterable[FrameStarter],
                        ) -> tuple[FrameStarter, ...]:
-    """Build each raw pairing into a starter and verify it once.
-
-    The engine's integers are Z_g's element codes, in Pair order, so each
-    pairing is sorted as integers first.  Its starters share one group and
-    one Pair per placement, which the group checks and encodes once, in one
-    batch (`GroupSpec.pair_codes`); every starter still runs its checks.
-    """
-    if not raw_pairings:
-        return ()
-    group = t.group()
-    sub = t.subgroup(group)
-    element = list(map(group.decode, range(t.g)))
-    pairs = {(x, y): Pair(element[x], element[y])
-             for x, y in set().union(*raw_pairings)}
-    group.pair_codes(list(pairs.values()))
-    starters = []
-    for raw in raw_pairings:
-        starter = make_starter(group, sub, map(pairs.__getitem__, sorted(raw)))
+    """The starters, each checked once by the independent verifier, whose
+    constructor has checked its pair count, members and order."""
+    starters = tuple(starters)
+    for starter in starters:
         if not (report := verify_skew(starter)).holds(level):
             raise RuntimeError(
                 f"search emitted a candidate failing {level} verification: "
                 f"{report.witness}"
             )
-        starters.append(starter)
-    return tuple(starters)
+    return starters
 
 
 def search(cfg: SearchConfig,
@@ -534,9 +563,10 @@ def search(cfg: SearchConfig,
     larger tree is walked again by one process per stride of root pairs, which
     report no progress; nodes_visited counts their walk alone.  The stride
     gains as far as the roots share the tree: on 2^16 (58% under its first
-    root) and unreduced trees, not on 4^8 (91%) or 4^9 (99.4%).  Results merge
-    back into tree order, so every worker count reports the serial starters.
-    Each reported starter is built and verified once, here.
+    root) and unreduced trees, not on 4^8 (91%) or 4^9 (99.4%).  The slices'
+    leaves merge back by root, in tree order, so every worker count reports
+    the serial starters.  Each reported starter is built and verified once,
+    here.
     """
     t = cfg.target_type
     # Chosen once, for every worker slice, and not timed as the search.
@@ -555,13 +585,19 @@ def search(cfg: SearchConfig,
             results = list(pool.map(run, [cfg] * k,
                                     [roots[i::k] for i in range(k)]))
     cut = any(c for _, _, c in results)
-    # Each slice is in tree order and its roots ascend, so a stable sort on
-    # the root pair interleaves the strided slices back into the serial order.
-    solutions = sorted((sol for sols, _, _ in results for sol in sols),
-                       key=itemgetter(0))
+    found = {}
+    for by_root, _, _ in results:
+        found.update(by_root)
+    leaves = [leaf for root in roots for leaf in found.get(root, ())]
     if cfg.mode != "exhaustive_count":
-        solutions = solutions[:1]
-    starters = _verified_starters(t, cfg.property, solutions)
+        leaves = leaves[:1]
+    starters = ()
+    if leaves:
+        group = engine.pairs.group
+        group.pair_codes(list(engine.pairs.values()))  # one batch, every Pair
+        sub = t.subgroup(group)
+        starters = _verified_starters(
+            cfg.property, [FrameStarter(group, sub, leaf) for leaf in leaves])
     if starters and (cfg.mode != "exhaustive_count" or not cut):
         result = "found"
     elif cut:
@@ -600,7 +636,10 @@ def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
     if not t.admissible:
         raise InvalidTypeError(f"type {t} admits no pairing")
     hits = _naive_pairings(t.g, t.u)[LEVELS.index(level)]
-    return list(_verified_starters(t, level, hits))
+    group = t.group()
+    sub = t.subgroup(group)
+    return list(_verified_starters(
+        level, [make_starter(group, sub, hit) for hit in hits]))
 
 
 @lru_cache(maxsize=1)

@@ -274,10 +274,12 @@ def test_symmetry_reduction_meets_every_unit_orbit(oracle_sweep):
         shifts = [c for c in range(0, g, t.u)
                   if level != "skew" or 4 * c % g == 0]
         engine = search_mod.Engine(t, level, True)
-        raw, _, _ = engine.run(
+        leaves, _, _ = engine.run(
             SearchConfig(t, property=level, mode="exhaustive_count"),
             engine.roots())
-        reached = {frozenset(map(frozenset, pairs)) for pairs in raw}
+        reached = {frozenset(frozenset((p.first.coords[0], p.second.coords[0]))
+                             for p in leaf)
+                   for by_root in leaves.values() for leaf in by_root}
         orbits = {frozenset(frozenset(frozenset(((a * p.first.coords[0] + c) % g,
                                                  (a * p.second.coords[0] + c) % g))
                                       for p in s.pairs)

@@ -18,7 +18,6 @@ from framestarters import (
     SearchConfig,
     StarterType,
     VerificationReport,
-    make_starter,
     naive_enumerate,
     search,
     verify_skew,
@@ -133,37 +132,78 @@ def test_search_formats_no_witness(monkeypatch):
         assert verify_skew(s).witness == verify_skew(s).witnesses[0]
 
 
+def _leaves(by_root):
+    """The leaves of `Engine.run`'s map from root to leaves, in tree order."""
+    return [leaf for leaves in by_root.values() for leaf in leaves]
+
+
 def test_starters_are_the_raw_pairings_in_tree_order():
-    # every exhaust18 cell with g <= 14 at every level: the starters equal,
-    # in order, those built from the engine's raw pairings as they come
-    # (tree order, pairs unsorted), with sorted pairs and their group's rows
-    unsorted = 0
+    # every exhaust18 cell with g <= 14 at every level: the starters hold,
+    # in order, the engine's leaves as they come (tree order, root by root,
+    # each leaf ascending), with their group's rows
     for t in (StarterType(h, u) for h in range(1, 15) for u in range(2, 15)
               if h * u <= 14 and (h * u - h) % 2 == 0):
-        group = t.group()
-        sub = t.subgroup(group)
         for level in LEVELS:
             c = SearchConfig(t, property=level, mode="exhaustive_count")
             engine = search_mod.Engine(t, level, False)
-            raw, _, _ = engine.run(c, engine.roots())
-            unsorted += sum(list(r) != sorted(r) for r in raw)
+            by_root, _, _ = engine.run(c, engine.roots())
+            assert list(by_root) == sorted(by_root), (t, level)
             out = search(c)
-            assert out.starters == tuple(make_starter(group, sub, r)
-                                         for r in raw), (t, level)
+            assert [s.pairs for s in out.starters] == _leaves(by_root), \
+                (t, level)
             for s in out.starters:
                 assert list(s.pairs) == sorted(s.pairs)
                 assert s.codes == s.group.pair_codes(s.pairs)
-    assert unsorted
 
 
-def test_starters_of_one_search_share_pairs():
+def test_starters_of_one_search_share_pairs(monkeypatch):
     t = StarterType(1, 11)
     out = search(SearchConfig(t, property="frame", mode="exhaustive_count"))
     a, b = out.starters[:2]
     shared = [(p, q) for p in a.pairs for q in b.pairs if p == q]
     assert shared and all(p is q for p, q in shared)
-    assert {s.pairs for s in out.starters} == \
-        {s.pairs for s in naive_enumerate(t, "frame")}
+    # the oracle builds its own Pairs, without the search's table
+    def no_table(table, code):
+        raise AssertionError("naive_enumerate read the search's pair table")
+
+    monkeypatch.setattr(search_mod._Pairs, "__missing__", no_table)
+    naive = naive_enumerate(t, "frame")
+    assert {s.pairs for s in out.starters} == {s.pairs for s in naive}
+    searched = {id(p) for s in out.starters for p in s.pairs}
+    assert not any(id(p) in searched for s in naive for p in s.pairs)
+
+
+@pytest.mark.parametrize("kernel", ["native", "python"])
+def test_one_search_builds_each_pair_once(kernel, monkeypatch, request):
+    # A search builds the Pair of a placement when a leaf first holds it,
+    # decoding its two members alone, and every starter shares that Pair.
+    if kernel == "native":
+        request.getfixturevalue("native")
+    else:
+        monkeypatch.setattr(native_mod, "load_kernel", lambda: None)
+    built, decoded = [], []
+    pair, decode = search_mod.Pair, GroupSpec.decode
+
+    def build(a, b):
+        built.append((a, b))
+        return pair(a, b)
+
+    def spy(self, code):
+        decoded.append(code)
+        return decode(self, code)
+
+    monkeypatch.setattr(search_mod, "Pair", build)
+    monkeypatch.setattr(GroupSpec, "decode", spy)
+    for c, leaves in ((cfg(2, 9, "frame", "exhaustive_count"), 4800),
+                      (cfg(3, 19), 1)):  # 30,590 nodes, one leaf
+        built.clear()
+        decoded.clear()
+        out = search(c)
+        assert (out.kernel, len(out.starters)) == (kernel, leaves)
+        held = [p for s in out.starters for p in s.pairs]
+        assert len(built) == len(set(held)) == len(set(map(id, held)))
+        assert sorted(decoded) == sorted(x.coords[0] for p in set(held)
+                                         for x in p)
 
 
 def test_frame_count_reads_the_table_once_per_starter(monkeypatch):
@@ -479,7 +519,14 @@ def test_naive_enumerate_guards():
 # and cuts.
 
 def _both_kernels(engine, c, roots):
-    return engine.run(c, roots), engine.run(c, roots, native=True)
+    """Both kernels' walks, whose leaves are the same objects, the search's
+    own Pairs, each leaf ascending by (lo, hi)."""
+    py, nat = engine.run(c, roots), engine.run(c, roots, native=True)
+    for a, b in zip(_leaves(py[0]), _leaves(nat[0])):
+        assert all(p is q for p, q in zip(a, b)) and len(a) == len(b)
+        assert all(p.second > p.first for p in a)
+        assert all(p.first < q.first for p, q in zip(a, a[1:])), a
+    return py, nat
 
 
 def test_native_parity_oracle_sweep(native):
@@ -640,7 +687,7 @@ def test_native_parity_budget_cuts(native):
     # the budget applies at node budget + 1, exactly as in the Python kernel
     c = cfg(3, 7, mode="prove_nonexistence", node_budget=562)
     engine = search_mod.Engine(c.target_type, "skew", True)
-    assert engine.run(c, engine.roots(), native=True) == ([], 562, True)
+    assert engine.run(c, engine.roots(), native=True) == ({}, 562, True)
 
 
 @pytest.mark.parametrize("h, u, mode", [
@@ -772,7 +819,7 @@ def test_rejected_host_flag_still_builds_a_native_kernel(native, tmp_path,
         c = cfg(h, u, mode="prove_nonexistence")
         engine = search_mod.Engine(c.target_type, "skew", True)
         py, nat = _both_kernels(engine, c, engine.roots())
-        assert py == nat and py[0] == [], (h, u)
+        assert py == nat and py[0] == {}, (h, u)
         assert search(c).kernel == "native"
 
 
@@ -862,8 +909,9 @@ def test_native_parity_across_leaf_batches(native, monkeypatch):
     c = cfg(2, 32, "frame", mode="exhaustive_count", node_budget=5_000)
     engine = search_mod.Engine(c.target_type, "frame", False)
     py, nat = _both_kernels(engine, c, engine.roots())
-    assert py == nat and py[2] and len(py[0]) > 30  # over ten batches
-    assert all(max(hi for _, hi in leaf) == 63 for leaf in py[0])
+    assert py == nat and py[2] and len(_leaves(py[0])) > 30  # over ten batches
+    assert all(any(p.second.coords == (63,) for p in leaf)
+               for leaf in _leaves(py[0]))
 
 
 def test_orders_above_64_run_the_python_kernel():
