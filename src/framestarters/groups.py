@@ -139,6 +139,8 @@ class GroupSpec:
 
     def decode(self, code: int) -> Element:
         """The element of a code in [0, order); `encode`'s inverse."""
+        if len(self.factors) == 1:
+            return Element((code % self.order,))
         coords = []
         for m in reversed(self.factors):
             code, c = divmod(code, m)

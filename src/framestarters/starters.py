@@ -6,15 +6,16 @@ members partition G \\ H and whose +- differences partition G \\ H again.
 to partition G \\ H.  Construction reads each pair's integer codes from
 its group, which checks and encodes a pair once, and the starter keeps
 them; verification reads the starter alone.  It never throws on a bad
-starter; it reports which properties hold and every violation, formatted
-when read from the same codes, which the group decodes (`GroupSpec.decode`).
+starter; its one report object decides each property level and formats
+every violation when first read, from the same codes, which the group
+decodes (`GroupSpec.decode`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Callable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import NotComparableError, StructureError, UnsupportedOperationError
 from .groups import Element, GroupSpec, SubgroupSpec, reduce_mod
@@ -70,10 +71,10 @@ class FrameStarter:
                 and subgroup.codes.isdisjoint(next(columns, ()))):
             x = next(x for p in pairs for x in p if x in subgroup)
             raise StructureError(f"pair member {x!r} lies in the subgroup")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "codes", codes)
+        _set_group(self, group)
+        _set_subgroup(self, subgroup)
+        _set_pairs(self, pairs)
+        _set_codes(self, codes)
 
     @property
     def h(self) -> int:
@@ -82,6 +83,13 @@ class FrameStarter:
     @property
     def u(self) -> int:
         return self.group.order // self.subgroup.order
+
+
+# The fields' slot descriptors: a frozen instance is written through them,
+# which is cheaper than object.__setattr__ by name.
+_set_group, _set_subgroup, _set_pairs, _set_codes = (
+    FrameStarter.__dict__[name].__set__
+    for name in ("group", "subgroup", "pairs", "codes"))
 
 
 def make_starter(group: GroupSpec, subgroup: SubgroupSpec, raw_pairs) -> FrameStarter:
@@ -111,67 +119,90 @@ LEVELS = ("frame", "strong", "skew")
 
 
 class VerificationReport:
-    """Outcome of verification; skew implies strong implies frame by design.
+    """Which of frame, strong and skew one starter satisfies, and why not.
 
-    `witnesses` lists every violation in report order and `witness` is the
-    first, or None for a skew starter.  The list may be a function of no
-    arguments, called on first read, so a caller that asks only
-    `holds(level)` formats no text.
+    The report holds the starter and decides a level when it is first
+    read, weakest first, since skew implies strong implies frame: reading
+    `is_frame` or `holds("frame")` never builds the sum sets.  `witnesses`
+    lists every violation in report order and `witness` is the first, or
+    None for a skew starter; both are formatted from the same starter when
+    first read, so a caller that asks only `holds(level)` formats no text.
     """
 
-    __slots__ = ("is_frame", "is_strong", "is_skew", "_witnesses")
+    __slots__ = ("starter", "_decided", "_held", "_witnesses")
 
-    def __init__(self, is_frame: bool, is_strong: bool, is_skew: bool,
-                 witnesses: tuple[str, ...] | Callable[[], tuple[str, ...]] = ()):
-        self.is_frame, self.is_strong, self.is_skew = is_frame, is_strong, is_skew
-        self._witnesses = witnesses
+    def __init__(self, starter: FrameStarter):
+        self.starter = starter
+        self._decided = self._held = 0  # levels decided so far; of them held
+        self._witnesses = None
+
+    def holds(self, level: str) -> bool:
+        i = LEVELS.index(level)
+        if i >= self._decided:
+            self._decide(i)
+        return i < self._held
+
+    def _decide(self, top: int) -> None:
+        """Decide the open levels up to LEVELS[top], weakest first, by set
+        sizes over the starter's code columns: the members, d = second -
+        first, -d, t = first + second and -t of every pair
+        (`FrameStarter.codes`), so one code path serves every group and the
+        group's table is never read.  A failing level fails every level
+        above it."""
+        s = self.starter
+        n, in_h = len(s.codes), s.subgroup.codes
+        firsts, seconds, diffs, neg_diffs, sums, neg_sums = (
+            zip(*s.codes) if n else ((),) * 6)
+        level = self._held
+        while level <= top:
+            if level == 0:
+                # Construction pins the pair count and membership in G \ H,
+                # so the members partition G \ H exactly when no element
+                # repeats.
+                ok = (len({*firsts, *seconds}) == 2 * n
+                      and in_h.isdisjoint(diffs)
+                      and len({*diffs, *neg_diffs}) == 2 * n)
+            elif level == 1:
+                # H is closed under negation, so with no sum in H no -sum
+                # is either.
+                ok = len(set(sums)) == n and in_h.isdisjoint(sums)
+            else:
+                ok = len({*sums, *neg_sums}) == 2 * n
+            if not ok:
+                top = len(LEVELS) - 1  # every level above fails too
+                break
+            level += 1
+        self._held, self._decided = level, top + 1
+
+    is_frame = property(lambda self: self.holds("frame"))
+    is_strong = property(lambda self: self.holds("strong"))
+    is_skew = property(lambda self: self.holds("skew"))
 
     @property
     def witnesses(self) -> tuple[str, ...]:
-        if callable(self._witnesses):
-            self._witnesses = self._witnesses()
+        if self._witnesses is None:
+            self._witnesses = tuple(_violations(self.starter))
         return self._witnesses
 
     @property
     def witness(self) -> str | None:
         return self.witnesses[0] if self.witnesses else None
 
-    def holds(self, level: str) -> bool:
-        return (self.is_frame, self.is_strong, self.is_skew)[LEVELS.index(level)]
-
 
 def verify_skew(s: FrameStarter) -> VerificationReport:
     """The one verifier: which of frame, strong and skew the starter satisfies.
 
-    `report.holds(level)` answers for one level; `report.witnesses` lists
-    every violation, formatted from the same codes when it is first read.
-
-    The levels are decided by set sizes over integer element codes: the
-    members, d = second - first, -d, t = first + second and -t of every
-    pair, which the starter keeps (`FrameStarter.codes`), so one code path
-    serves every group and the group's table is never read.
+    `report.holds(level)` answers for one level, deciding only the levels up
+    to it; `report.witnesses` lists every violation, formatted from the same
+    starter when it is first read.
     """
-    n, in_h = len(s.pairs), s.subgroup.codes
-    firsts, seconds, diffs, neg_diffs, sums, neg_sums = (
-        zip(*s.codes) if n else ((),) * 6)
-
-    # Construction pins the pair count and membership in G \ H, so the
-    # members partition G \ H exactly when no element repeats.  H is closed
-    # under negation, so with no sum in H no -sum is either.
-    is_frame = (len({*firsts, *seconds}) == 2 * n and in_h.isdisjoint(diffs)
-                and len({*diffs, *neg_diffs}) == 2 * n)
-    is_strong = is_frame and len(set(sums)) == n and in_h.isdisjoint(sums)
-    is_skew = is_strong and len({*sums, *neg_sums}) == 2 * n
-    if is_skew:
-        return VerificationReport(True, True, True)
-    return VerificationReport(is_frame, is_strong, False,
-                              lambda: tuple(_violations(s)))
+    return VerificationReport(s)
 
 
 def _violations(s: FrameStarter) -> Iterator[str]:
     """Every violation, formatted in report order: members, differences,
     sums, then +-sums, each in pair order, from the starter's codes, which
-    `verify_skew` reads too; the group only decodes them."""
+    `VerificationReport` decides from too; the group only decodes them."""
     in_h, element = s.subgroup.codes, s.group.decode
     rows = list(zip(s.pairs, s.codes))
 

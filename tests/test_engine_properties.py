@@ -30,8 +30,8 @@ TYPES = [t for h in range(1, 33) for u in range(2, 65)
          if (t := StarterType(h, u)).g <= 64 and t.admissible]
 
 
-def _reference(g, h_set, level):
-    """(feasible, partners, classes, class_mask, sum_bits) by the rules."""
+def _feasible(g, h_set, level):
+    """Whether the pair {x, y} is feasible, by the rules."""
     strongish = level in ("strong", "skew")
 
     def feasible(x, y):
@@ -39,6 +39,13 @@ def _reference(g, h_set, level):
                 and (y - x) % g not in h_set
                 and not (strongish and (x + y) % g in h_set))
 
+    return feasible
+
+
+def _reference(g, h_set, level):
+    """(feasible, partners, classes, class_mask, sum_bits) by the rules."""
+    strongish = level in ("strong", "skew")
+    feasible = _feasible(g, h_set, level)
     partners = [sum(1 << y for y in range(g) if feasible(x, y))
                 for x in range(g)]
     class_ds = [d for d in range(1, g) if 2 * d < g and d not in h_set]
@@ -109,3 +116,20 @@ def test_candidate_table_reads_the_pair_rules(t, level):
                     else (partners, classes))
             got = engine.root_masks(x)
             assert got == (*want, _sums(g, want[0])), (symmetry, x)
+
+
+def test_tables_repeat_by_residue_class():
+    # partners[x] and sums[v] read x and v mod u alone, so the engine builds
+    # u rows and repeats them h times; the rules give the same rows.
+    for t in TYPES:
+        g, h_set = t.g, {e.coords[0] for e in t.subgroup().elements}
+        for level in LEVELS:
+            engine = search_mod.Engine(t, level, False)
+            feasible = _feasible(g, h_set, level)
+            rows = [sum(1 << y for y in range(g) if feasible(x, y))
+                    for x in range(t.u)]
+            assert engine.partners == rows * t.h, (t, level)
+            assert engine.sums == engine.sums[:t.u] * t.h, (t, level)
+            assert engine.sums[:t.u] == [
+                sum(1 << x for x in range(g) if feasible(x, (v - x) % g))
+                for v in range(t.u)], (t, level)

@@ -27,6 +27,14 @@ def test_modular_arithmetic():
     assert Z7.neg(Z7.element(3)) == Z7.element(4)
 
 
+def test_decode_inverts_encode():
+    # Z_g decodes by its own fast path, a product group by mixed radix
+    for group in [GroupSpec((g,)) for g in range(2, 65)] + [GroupSpec((2, 3, 4))]:
+        elements = list(group.elements())
+        assert [group.encode(a) for a in elements] == list(range(group.order))
+        assert [group.decode(group.encode(a)) for a in elements] == elements
+
+
 def test_element_canonicalization():
     assert Z10.element(-3) == Z10.element(7)
     assert Z4Z4.element((5, -1)) == Z4Z4.element((1, 3))

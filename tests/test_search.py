@@ -17,7 +17,6 @@ from framestarters import (
     InvalidTypeError,
     SearchConfig,
     StarterType,
-    VerificationReport,
     naive_enumerate,
     search,
     verify_skew,
@@ -107,9 +106,13 @@ def test_found_starters_are_verified():
 
 def test_unverified_candidate_raises(monkeypatch):
     # the verifier is the last word: a candidate it rejects is an engine bug
-    failing = VerificationReport(False, False, False,
-                                 witnesses=("frame: planted",))
-    monkeypatch.setattr(search_mod, "verify_skew", lambda s: failing)
+    class Failing:
+        witness = "frame: planted"
+
+        def holds(self, level):
+            return False
+
+    monkeypatch.setattr(search_mod, "verify_skew", lambda s: Failing())
     with pytest.raises(RuntimeError, match="planted"):
         search(cfg(2, 5))
 

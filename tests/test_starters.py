@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 import random
 
@@ -19,6 +20,7 @@ from framestarters import (
     generated_subgroup,
     half_set,
     make_starter,
+    naive_enumerate,
     negate_starter,
     quadratic_sum_check,
     serialize,
@@ -27,6 +29,7 @@ from framestarters import (
     verify_orthogonal,
     verify_skew,
 )
+from framestarters.starters import LEVELS
 from framestarters.theory import patterned_starter, strong_to_adder
 
 Z7 = GroupSpec((7,))
@@ -269,6 +272,47 @@ def test_witness_text_is_pinned(strong_3_7):
         assert (report.is_frame, report.is_strong, report.is_skew) == flags
         assert report.witness == witnesses[0]
         assert report.witnesses == witnesses
+
+
+#: Every read of a report, by name; each level both as an attribute and
+#: through holds.
+_READS = {
+    "is_frame": lambda r: r.is_frame,
+    "is_strong": lambda r: r.is_strong,
+    "is_skew": lambda r: r.is_skew,
+    **{f"holds({level})": lambda r, level=level: r.holds(level)
+       for level in LEVELS},
+    "witnesses": lambda r: r.witnesses,
+    "witness": lambda r: r.witness,
+}
+
+
+def test_report_reads_agree_in_any_order(strong_3_7):
+    # A report decides its levels and formats its witnesses on first read,
+    # so no order of reads may change what any read returns.
+    starters = [s for s, _, _ in _witness_cases(strong_3_7)] + [
+        s for g in range(3, 13) for h in range(1, g // 2 + 1)
+        if g % h == 0 and (t := StarterType(h, g // h)).admissible
+        for level in LEVELS for s in naive_enumerate(t, level)]
+    assert len(starters) > 80
+    firsts = [("is_frame", "holds(strong)", "is_skew", "witnesses"),
+              ("holds(frame)", "is_strong", "holds(skew)", "witness")]
+    for s in starters:
+        report = verify_skew(s)
+        want = {name: read(report) for name, read in _READS.items()}
+        for i, order in enumerate(itertools.permutations(range(4))):
+            report = verify_skew(s)
+            for name in [firsts[i % 2][k] for k in order] + [*_READS][::-1]:
+                assert _READS[name](report) == want[name], (s, order, name)
+
+
+def test_report_on_a_non_frame_starter_fails_above_frame():
+    bad = make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)])
+    report = verify_skew(bad)
+    assert report.holds("strong") is False and report.is_skew is False
+    assert report.is_frame is False
+    report = verify_skew(bad)
+    assert report.is_skew is False and report.holds("strong") is False
 
 
 def test_orthogonal_with_negation(corpus_by_id):
