@@ -79,7 +79,7 @@ from typing import Callable, Iterable
 
 from . import __version__
 from .errors import InvalidTypeError
-from .groups import GroupSpec, SubgroupSpec
+from .groups import GroupSpec
 from .starters import LEVELS, FrameStarter, Pair, make_starter, verify_skew
 from .theory import NonexistenceCertificate, StarterType, starter_kind
 
@@ -537,22 +537,20 @@ _CHUNK = 1 << 18
 _SUM_SCAN_ABOVE = 3
 
 
-def _verified_starters(level: str, group: GroupSpec, sub: SubgroupSpec,
-                       pairings: Iterable, build=FrameStarter,
+def _verified_starters(level: str, starters: Iterable[FrameStarter],
                        ) -> tuple[FrameStarter, ...]:
-    """One starter per pairing, built (`build` checks its pair count,
-    members and order) and checked at the level by the independent
-    verifier in the same loop."""
-    starters = []
-    for pairs in pairings:
-        starter = build(group, sub, pairs)
+    """The starters, each checked at the level by the independent verifier
+    as it is built (construction checks its pair count, members and
+    order)."""
+    verified = []
+    for starter in starters:
         if not (report := verify_skew(starter)).holds(level):
             raise RuntimeError(
                 f"search emitted a candidate failing {level} verification: "
                 f"{report.witness}"
             )
-        starters.append(starter)
-    return tuple(starters)
+        verified.append(starter)
+    return tuple(verified)
 
 
 def search(cfg: SearchConfig,
@@ -602,8 +600,9 @@ def search(cfg: SearchConfig,
     if leaves:
         group = engine.pairs.group
         group.pair_codes(list(engine.pairs.values()))  # one batch, every Pair
-        starters = _verified_starters(cfg.property, group, t.subgroup(group),
-                                      leaves)
+        sub = t.subgroup(group)
+        starters = _verified_starters(
+            cfg.property, (FrameStarter(group, sub, leaf) for leaf in leaves))
     if starters and (cfg.mode != "exhaustive_count" or not cut):
         result = "found"
     elif cut:
@@ -643,8 +642,9 @@ def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
         raise InvalidTypeError(f"type {t} admits no pairing")
     hits = _naive_pairings(t.g, t.u)[LEVELS.index(level)]
     group = t.group()
-    return list(_verified_starters(level, group, t.subgroup(group), hits,
-                                   make_starter))
+    sub = t.subgroup(group)
+    return list(_verified_starters(
+        level, (make_starter(group, sub, p) for p in hits)))
 
 
 @lru_cache(maxsize=1)

@@ -19,7 +19,7 @@ from typing import Any
 
 from .errors import FrameStarterError, SchemaError, StructureError
 from .groups import Element, GroupSpec, SubgroupSpec, cyclic_subgroup, generated_subgroup
-from .starters import FrameStarter, Pair, VerificationReport, make_starter
+from .starters import FrameStarter, Pair, VerificationReport
 from .theory import NonexistenceCertificate
 from .search import SearchConfig, SearchOutcome
 
@@ -139,7 +139,7 @@ def starter_from_obj(obj: Any, location: str = "$") -> FrameStarter:
         except StructureError as exc:  # a degenerate pair
             raise SchemaError(str(exc), loc) from exc
     try:
-        return make_starter(group, sub, pairs)
+        return FrameStarter(group, sub, pairs)
     except FrameStarterError as exc:
         raise SchemaError(str(exc), f"{location}.pairs") from exc
 

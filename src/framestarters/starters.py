@@ -6,15 +6,14 @@ members partition G \\ H and whose +- differences partition G \\ H again.
 to partition G \\ H.  Construction reads each pair's integer codes from
 its group, which checks and encodes a pair once, and the starter keeps
 them; verification reads the starter alone.  It never throws on a bad
-starter; its one report object decides each property level and formats
-every violation when first read, from the same codes, which the group
-decodes (`GroupSpec.decode`).
+starter; its one report object decides the level asked on each read and
+formats every violation when first read, from the same codes, which the
+group decodes (`GroupSpec.decode`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import NotComparableError, StructureError, UnsupportedOperationError
@@ -93,16 +92,12 @@ _set_group, _set_subgroup, _set_pairs, _set_codes = (
 
 
 def make_starter(group: GroupSpec, subgroup: SubgroupSpec, raw_pairs) -> FrameStarter:
-    """Build a starter from pairs, read once.  A `Pair` is taken as it is,
-    so pairs that are all `Pair`s go to the constructor as one tuple; a raw
-    pair of values goes through `GroupSpec.element`, which reduces ints
-    (cyclic) and coordinate tuples and rejects an element that is not
-    canonical."""
-    pairs = tuple(raw_pairs)
-    if not all(map(isinstance, pairs, repeat(Pair))):
-        pairs = tuple(p if isinstance(p, Pair) else Pair(*map(group.element, p))
-                      for p in pairs)
-    return FrameStarter(group, subgroup, pairs)
+    """Build a starter from pairs.  A `Pair` is taken as it is; a raw pair
+    of values goes through `GroupSpec.element`, which reduces ints (cyclic)
+    and coordinate tuples and rejects an element that is not canonical."""
+    return FrameStarter(group, subgroup, (
+        p if isinstance(p, Pair) else Pair(*map(group.element, p))
+        for p in raw_pairs))
 
 
 def negate_starter(s: FrameStarter) -> FrameStarter:
@@ -121,58 +116,41 @@ LEVELS = ("frame", "strong", "skew")
 class VerificationReport:
     """Which of frame, strong and skew one starter satisfies, and why not.
 
-    The report holds the starter and decides a level when it is first
-    read, weakest first, since skew implies strong implies frame: reading
-    `is_frame` or `holds("frame")` never builds the sum sets.  `witnesses`
-    lists every violation in report order and `witness` is the first, or
-    None for a skew starter; both are formatted from the same starter when
-    first read, so a caller that asks only `holds(level)` formats no text.
+    The report holds the starter.  `holds(level)` decides the level on
+    each read, weakest first, since skew implies strong implies frame:
+    reading `is_frame` or `holds("frame")` never builds the sum sets.
+    `witnesses` lists every violation in report order and `witness` is the
+    first, or None for a skew starter; both are formatted from the same
+    starter when first read, so a caller that asks only `holds(level)`
+    formats no text.
     """
 
-    __slots__ = ("starter", "_decided", "_held", "_witnesses")
+    __slots__ = ("starter", "_witnesses")
 
     def __init__(self, starter: FrameStarter):
         self.starter = starter
-        self._decided = self._held = 0  # levels decided so far; of them held
         self._witnesses = None
 
     def holds(self, level: str) -> bool:
-        i = LEVELS.index(level)
-        if i >= self._decided:
-            self._decide(i)
-        return i < self._held
-
-    def _decide(self, top: int) -> None:
-        """Decide the open levels up to LEVELS[top], weakest first, by set
-        sizes over the starter's code columns: the members, d = second -
-        first, -d, t = first + second and -t of every pair
-        (`FrameStarter.codes`), so one code path serves every group and the
-        group's table is never read.  A failing level fails every level
-        above it."""
+        """Check frame, then strong, then skew up to `level`, by set sizes
+        over the starter's code columns: the members, d = second - first,
+        -d, t = first + second and -t of every pair (`FrameStarter.codes`),
+        so one code path serves every group and the group's table is never
+        read.  A failing level fails every level above it."""
+        top = LEVELS.index(level)
         s = self.starter
         n, in_h = len(s.codes), s.subgroup.codes
         firsts, seconds, diffs, neg_diffs, sums, neg_sums = (
             zip(*s.codes) if n else ((),) * 6)
-        level = self._held
-        while level <= top:
-            if level == 0:
-                # Construction pins the pair count and membership in G \ H,
-                # so the members partition G \ H exactly when no element
-                # repeats.
-                ok = (len({*firsts, *seconds}) == 2 * n
-                      and in_h.isdisjoint(diffs)
-                      and len({*diffs, *neg_diffs}) == 2 * n)
-            elif level == 1:
-                # H is closed under negation, so with no sum in H no -sum
-                # is either.
-                ok = len(set(sums)) == n and in_h.isdisjoint(sums)
-            else:
-                ok = len({*sums, *neg_sums}) == 2 * n
-            if not ok:
-                top = len(LEVELS) - 1  # every level above fails too
-                break
-            level += 1
-        self._held, self._decided = level, top + 1
+        # Construction pins the pair count and membership in G \ H, so the
+        # members partition G \ H exactly when no element repeats.
+        if not (len({*firsts, *seconds}) == 2 * n
+                and in_h.isdisjoint(diffs)
+                and len({*diffs, *neg_diffs}) == 2 * n):
+            return False
+        # H is closed under negation, so with no sum in H no -sum is either.
+        return top == 0 or (len(set(sums)) == n and in_h.isdisjoint(sums)
+                            and (top == 1 or len({*sums, *neg_sums}) == 2 * n))
 
     is_frame = property(lambda self: self.holds("frame"))
     is_strong = property(lambda self: self.holds("strong"))
@@ -192,7 +170,7 @@ class VerificationReport:
 def verify_skew(s: FrameStarter) -> VerificationReport:
     """The one verifier: which of frame, strong and skew the starter satisfies.
 
-    `report.holds(level)` answers for one level, deciding only the levels up
+    `report.holds(level)` answers for one level, checking only the levels up
     to it; `report.witnesses` lists every violation, formatted from the same
     starter when it is first read.
     """

@@ -32,15 +32,6 @@ def cfg(h, u, level="skew", mode="find_first", **kw):
     return SearchConfig(StarterType(h, u), property=level, mode=mode, **kw)
 
 
-@pytest.fixture(scope="module")
-def native():
-    """The native kernel must build on CI; elsewhere its tests may skip."""
-    if native_mod.load_kernel() is None:
-        if os.environ.get("CI"):
-            pytest.fail("the native search kernel did not build")
-        pytest.skip("the native search kernel did not build (no C compiler?)")
-
-
 def test_config_validation(monkeypatch):
     with pytest.raises(InvalidTypeError):
         SearchConfig(StarterType(1, 7), property="weird")

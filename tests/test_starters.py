@@ -306,6 +306,15 @@ def test_report_reads_agree_in_any_order(strong_3_7):
                 assert _READS[name](report) == want[name], (s, order, name)
 
 
+def test_report_rejects_an_unknown_level(strong_3_7):
+    report = verify_skew(strong_3_7)
+    with pytest.raises(ValueError):
+        report.holds("bogus")
+    assert report.is_strong and not report.is_skew
+    with pytest.raises(ValueError):
+        report.holds("bogus")
+
+
 def test_report_on_a_non_frame_starter_fails_above_frame():
     bad = make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)])
     report = verify_skew(bad)
