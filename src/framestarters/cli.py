@@ -84,8 +84,6 @@ def cmd_search(args) -> int:
                   file=sys.stderr, flush=True)
 
     outcome = search(cfg, progress)
-    if args.out and outcome.starters:
-        serialize.dump_starter(outcome.starters[0], args.out)
     obj = serialize.outcome_to_obj(outcome)
     text = [f"type {t} property={cfg.property} mode={cfg.mode}: "
             f"{outcome.result}",
@@ -96,6 +94,8 @@ def cmd_search(args) -> int:
     if (cert := outcome.certificate) is not None:
         text.append(f"  certificate: {cert.statement}")
     _emit(obj, args.json, "\n".join(text))
+    if args.out and outcome.starters:
+        serialize.dump_starter(outcome.starters[0], args.out)
     return EXIT_OPEN if outcome.result == "budget_exceeded" else EXIT_OK
 
 

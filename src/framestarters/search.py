@@ -567,11 +567,11 @@ def search(cfg: SearchConfig,
     in-process, as one does, and a walk that ends there is the answer.  A
     larger tree is walked again by one process per stride of root pairs, which
     report no progress; nodes_visited counts their walk alone.  The stride
-    gains as far as the roots share the tree: on 2^16 (58% under its first
-    root) and unreduced trees, not on 4^8 (91%) or 4^9 (99.4%).  The slices'
-    leaves merge back by root, in tree order, so every worker count reports
-    the serial starters.  Each reported starter is built and verified once,
-    here.
+    gains as far as the roots share the tree: on 2^16 (61.4% of its nodes
+    under its first root) and unreduced trees, not on 4^8 (92.9%) or 4^9
+    (all but 2 nodes).  The slices' leaves merge back by root, in tree
+    order, so every worker count reports the serial starters.  Each
+    reported starter is built and verified once, here.
     """
     t = cfg.target_type
     # Chosen once, for every worker slice, and not timed as the search.

@@ -19,7 +19,7 @@ from typing import Any
 
 from .errors import FrameStarterError, SchemaError, StructureError
 from .groups import Element, GroupSpec, SubgroupSpec, cyclic_subgroup, generated_subgroup
-from .starters import FrameStarter, Pair, VerificationReport
+from .starters import LEVELS, FrameStarter, Pair, VerificationReport
 from .theory import NonexistenceCertificate
 from .search import SearchConfig, SearchOutcome
 
@@ -166,12 +166,8 @@ def dump_starter(s: FrameStarter, path: str | Path):
 
 
 def report_to_obj(report: VerificationReport) -> dict:
-    return {
-        "is_frame": report.is_frame,
-        "is_strong": report.is_strong,
-        "is_skew": report.is_skew,
-        "witness": report.witness,
-    }
+    return {**{f"is_{level}": report.holds(level) for level in LEVELS},
+            "witness": report.witness}
 
 
 def certificate_to_obj(cert: NonexistenceCertificate) -> dict:

@@ -5,10 +5,10 @@ members partition G \\ H and whose +- differences partition G \\ H again.
 "Strong" adds distinct pair sums outside H, "skew" requires the +- sums
 to partition G \\ H.  Construction reads each pair's integer codes from
 its group, which checks and encodes a pair once, and the starter keeps
-them; verification reads the starter alone.  It never throws on a bad
-starter; its one report object decides the level asked on each read and
-formats every violation when first read, from the same codes, which the
-group decodes (`GroupSpec.decode`).
+them.  The verifier, `verify_skew(s)`, is the report's constructor: the
+report reads the starter alone and never throws on a bad starter;
+`holds(level)` decides the level asked and `witnesses` formats every
+violation when first read, from the same codes (`GroupSpec.decode`).
 """
 
 from __future__ import annotations
@@ -114,15 +114,15 @@ LEVELS = ("frame", "strong", "skew")
 
 
 class VerificationReport:
-    """Which of frame, strong and skew one starter satisfies, and why not.
+    """The one verifier, `verify_skew(s)`: which of frame, strong and skew
+    the starter satisfies, and why not.
 
     The report holds the starter.  `holds(level)` decides the level on
     each read, weakest first, since skew implies strong implies frame:
-    reading `is_frame` or `holds("frame")` never builds the sum sets.
-    `witnesses` lists every violation in report order and `witness` is the
-    first, or None for a skew starter; both are formatted from the same
-    starter when first read, so a caller that asks only `holds(level)`
-    formats no text.
+    `holds("frame")` never builds the sum sets.  `witnesses` lists every
+    violation in report order and `witness` is the first, or None for a
+    skew starter; both are formatted from the same starter when first
+    read, so a caller that asks only `holds(level)` formats no text.
     """
 
     __slots__ = ("starter", "_witnesses")
@@ -152,10 +152,6 @@ class VerificationReport:
         return top == 0 or (len(set(sums)) == n and in_h.isdisjoint(sums)
                             and (top == 1 or len({*sums, *neg_sums}) == 2 * n))
 
-    is_frame = property(lambda self: self.holds("frame"))
-    is_strong = property(lambda self: self.holds("strong"))
-    is_skew = property(lambda self: self.holds("skew"))
-
     @property
     def witnesses(self) -> tuple[str, ...]:
         if self._witnesses is None:
@@ -167,14 +163,7 @@ class VerificationReport:
         return self.witnesses[0] if self.witnesses else None
 
 
-def verify_skew(s: FrameStarter) -> VerificationReport:
-    """The one verifier: which of frame, strong and skew the starter satisfies.
-
-    `report.holds(level)` answers for one level, checking only the levels up
-    to it; `report.witnesses` lists every violation, formatted from the same
-    starter when it is first read.
-    """
-    return VerificationReport(s)
+verify_skew = VerificationReport
 
 
 def _violations(s: FrameStarter) -> Iterator[str]:
@@ -239,8 +228,7 @@ def verify_orthogonal(s1: FrameStarter, s2: FrameStarter,
     if s1.group != s2.group or s1.subgroup != s2.subgroup:
         raise NotComparableError("starters live over different (G, H)")
     for s in (s1, s2):
-        report = verify_skew(s)
-        if not report.is_frame:
+        if not (report := verify_skew(s)).holds("frame"):
             raise NotComparableError(f"not a frame starter: {report.witness}")
     group = s1.group
     # base[e] is the member of the s2 pair that p.first must move onto

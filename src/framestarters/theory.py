@@ -225,8 +225,7 @@ def strong_to_adder(s: FrameStarter) -> Adder:
     group = s.group
     if group.order % 2 == 0:
         raise UnsupportedOperationError("adder correspondence needs odd order")
-    report = verify_skew(s)
-    if not report.is_strong:
+    if not (report := verify_skew(s)).holds("strong"):
         raise StructureError(f"not a strong frame starter: {report.witness}")
     entries = []
     for p in s.pairs:
@@ -305,7 +304,7 @@ def census_identities(s: FrameStarter, m: int) -> dict[str, tuple[int, int]]:
     the right-hand sides collapse to the textbook constants behind
     `census_certificate`.
     """
-    skew = verify_skew(s).is_skew
+    skew = verify_skew(s).holds("skew")
     census = type_census(s, m)
     n = residue_class_sizes(StarterType(s.h, s.u), m)
     out: dict[str, tuple[int, int]] = {}

@@ -122,7 +122,7 @@ def test_acceptance_1_corpus_verification(corpus_entries):
     assert len(corpus_entries) == 11
     for entry in corpus_entries:
         report = verify_skew(entry.starter)
-        assert report.is_skew, (entry.entry_id, report.witness)
+        assert report.holds("skew"), (entry.entry_id, report.witness)
     noncyclic = [e for e in corpus_entries if not e.starter.group.is_cyclic]
     assert [e.entry_id for e in noncyclic] == ["example-3"]
     repaired = [e for e in corpus_entries if e.repaired]
@@ -143,7 +143,8 @@ def test_acceptance_2_adder_roundtrip(corpus_entries):
             continue
         adder = strong_to_adder(s)
         assert adder_to_strong(adder).pairs == s.pairs, entry.entry_id
-        assert adder_is_skew(adder) == verify_skew(s).is_skew, entry.entry_id
+        assert adder_is_skew(adder) == verify_skew(s).holds("skew"), \
+            entry.entry_id
         checked += 1
     assert checked == 5  # the odd-order corpus starters
     elapsed = time.perf_counter() - started
@@ -159,10 +160,10 @@ def test_acceptance_3_quadratic_sums(corpus_entries, found_starters):
         if not s.group.is_cyclic or s.group.order % 2 == 0:
             continue
         report = verify_skew(s)
-        if report.is_strong:
+        if report.holds("strong"):
             assert quadratic_sum_check(s) == 0
             strong_odd += 1
-        if report.is_skew:
+        if report.holds("skew"):
             g = s.group.order
             total = sum(j * j for j in half_set(StarterType(s.h, s.u)))
             assert total % g == 0
@@ -207,7 +208,7 @@ def test_acceptance_6_table_reproduction(nonexistence_outcomes,
         assert outcome.result == "exhausted_none", (cell, outcome.result)
     for cell, outcome in witness_outcomes.items():
         assert outcome.result == "found", (cell, outcome.result)
-        assert verify_skew(outcome.starters[0]).is_skew
+        assert verify_skew(outcome.starters[0]).holds("skew")
 
     rows = {str(r.starter_type): r
             for r in build_table(57, deep=False, budget=TABLE_BUDGET)}
@@ -261,7 +262,7 @@ def test_affine_maps_send_starters_to_starters(oracle_sweep):
                          [(p.first.coords[0] + 13, p.second.coords[0] + 13)
                           for p in s.pairs])
     report = verify_skew(moved)
-    assert report.is_strong and not report.is_skew
+    assert report.holds("strong") and not report.holds("skew")
 
 
 def test_symmetry_reduction_meets_every_unit_orbit(oracle_sweep):
@@ -296,7 +297,7 @@ def test_acceptance_8_census_equations(corpus_entries, found_starters):
     for s in pool:
         if not s.group.is_cyclic:
             continue
-        if not verify_skew(s).is_skew:
+        if not verify_skew(s).holds("skew"):
             continue
         g, h, u = s.group.order, s.subgroup.order, s.u
         for m in (3, 4):
@@ -327,9 +328,9 @@ def test_acceptance_9_no_contradiction(corpus_entries, found_starters):
     pool = [e.starter for e in corpus_entries] + list(found_starters)
     for s in pool:
         report = verify_skew(s)
-        level = ("skew" if report.is_skew else
-                 "strong" if report.is_strong else
-                 "frame" if report.is_frame else None)
+        level = ("skew" if report.holds("skew") else
+                 "strong" if report.holds("strong") else
+                 "frame" if report.holds("frame") else None)
         assert level is not None  # everything in the pool verified somewhere
         if s.group.is_cyclic:
             cert = certify(StarterType(s.h, s.u))

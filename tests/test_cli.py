@@ -160,7 +160,12 @@ def test_search_command(tmp_path, capsys):
     capsys.readouterr()
     missing = tmp_path / "no-such-dir" / "witness.json"
     assert main(["search", "--type", "2^5", "--out", str(missing)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {missing}: ")
+    # the find is shown before the write fails, so it is not lost
+    found = framestarters.search(
+        framestarters.SearchConfig(StarterType(2, 5))).starters[0]
+    assert f"  starter: {serialize.format_pairs(found)}\n" in captured.out
     assert main(["search", "--type", "2^61"]) == 2  # budget required, g > 60
     assert main(["search", "--type", "nope"]) == 2
     digits = "1" * (sys.get_int_max_str_digits() + 1)  # past int()'s limit

@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import importlib
 import os
+import re
 import subprocess
 import sys
 import time
@@ -73,7 +74,7 @@ def test_spec_search_examples():
     assert search(cfg(3, 7, mode="prove_nonexistence")).result == "exhausted_none"
     out = search(cfg(4, 5))
     assert out.result == "found"
-    assert verify_skew(out.starters[0]).is_skew
+    assert verify_skew(out.starters[0]).holds("skew")
     assert search(cfg(6, 5, mode="prove_nonexistence")).result == "exhausted_none"
 
 
@@ -91,7 +92,7 @@ def test_found_starters_are_verified():
         out = search(cfg(h, u))
         assert out.result == "found"
         report = verify_skew(out.starters[0])
-        assert report.is_skew
+        assert report.holds("skew")
         assert (out.starters[0].h, out.starters[0].u) == (h, u)
 
 
@@ -120,7 +121,7 @@ def test_search_formats_no_witness(monkeypatch):
     out = search(cfg(2, 9, "frame", "exhaustive_count"))
     assert len(out.starters) == 4800
     monkeypatch.undo()
-    sample = [s for s in out.starters[::50] if not verify_skew(s).is_skew]
+    sample = [s for s in out.starters[::50] if not verify_skew(s).holds("skew")]
     assert len(sample) > 50
     for s in sample:
         assert verify_skew(s).witness == verify_skew(s).witnesses[0]
@@ -417,7 +418,7 @@ def test_cached_kernel_search_imports_no_build_modules(native):
 def test_parallel_find_first():
     out = search(cfg(5, 7, worker_count=2))
     assert out.result == "found"
-    assert verify_skew(out.starters[0]).is_skew
+    assert verify_skew(out.starters[0]).holds("skew")
     assert out.starters == search(cfg(5, 7, worker_count=1)).starters
 
 
@@ -777,6 +778,17 @@ def test_failed_kernel_build_falls_back_to_python(monkeypatch, tmp_path):
         (before.result, before.nodes_visited, before.starters)
     assert not any((tmp_path / "__pycache__").iterdir())  # no temp file left
     assert native_mod.load_kernel() is None  # the failure is remembered
+
+
+def test_kernel_constants_match_python():
+    # _kernel.c's masks are uint64_t, one bit per element, and its branch
+    # scans the sum classes above the same count as Engine.branch, so the
+    # kernel's two shared #defines must equal their Python twins
+    defines = {name: int(value) for name, value in re.findall(
+        r"^#define (\w+) +(\d+)\b", native_mod._KERNEL_SOURCE.read_text(),
+        re.MULTILINE)}
+    assert defines["MAXG"] == native_mod.MAX_ORDER == 64
+    assert defines["SUM_SCAN_ABOVE"] == search_mod._SUM_SCAN_ABOVE
 
 
 def _library_name(source):

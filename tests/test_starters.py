@@ -126,31 +126,31 @@ def test_make_starter_mixes_pairs_and_raw_values():
 
 
 def test_verify_frame_examples(corpus_by_id):
-    assert verify_skew(corpus_by_id["example-1"].starter).is_frame
+    assert verify_skew(corpus_by_id["example-1"].starter).holds("frame")
 
     bad = make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)])
     report = verify_skew(bad)
-    assert not report.is_frame
+    assert not report.holds("frame")
     assert "difference" in report.witness
 
-    assert verify_skew(patterned_starter(Z7, Z7_TRIV)).is_frame
+    assert verify_skew(patterned_starter(Z7, Z7_TRIV)).holds("frame")
 
 
 def test_verify_strong_examples(corpus_by_id):
-    assert verify_skew(corpus_by_id["example-3"].starter).is_strong
+    assert verify_skew(corpus_by_id["example-3"].starter).holds("strong")
 
     patterned = patterned_starter(Z7, Z7_TRIV)
     report = verify_skew(patterned)
-    assert report.is_frame and not report.is_strong
+    assert report.holds("frame") and not report.holds("strong")
     assert "sum" in report.witness and "subgroup" in report.witness
 
-    assert verify_skew(corpus_by_id["example-2"].starter).is_strong
+    assert verify_skew(corpus_by_id["example-2"].starter).holds("strong")
 
 
 def test_verify_skew_examples(corpus_by_id):
     for entry_id in ("example-2", "example-1", "example-28"):
         report = verify_skew(corpus_by_id[entry_id].starter)
-        assert report.is_skew, report.witness
+        assert report.holds("skew"), report.witness
 
 
 def test_example_2_sums_by_hand(corpus_by_id):
@@ -165,8 +165,8 @@ def test_implication_chain(corpus_by_id):
     starters.append(make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)]))
     for s in starters:
         report = verify_skew(s)
-        assert (not report.is_skew) or report.is_strong
-        assert (not report.is_strong) or report.is_frame
+        assert (not report.holds("skew")) or report.holds("strong")
+        assert (not report.holds("strong")) or report.holds("frame")
 
 
 def test_partition_property(corpus_entries):
@@ -269,17 +269,13 @@ def _witness_cases(strong_3_7):
 def test_witness_text_is_pinned(strong_3_7):
     for s, flags, witnesses in _witness_cases(strong_3_7):
         report = verify_skew(s)
-        assert (report.is_frame, report.is_strong, report.is_skew) == flags
+        assert tuple(map(report.holds, LEVELS)) == flags
         assert report.witness == witnesses[0]
         assert report.witnesses == witnesses
 
 
-#: Every read of a report, by name; each level both as an attribute and
-#: through holds.
+#: Every read of a report, by name.
 _READS = {
-    "is_frame": lambda r: r.is_frame,
-    "is_strong": lambda r: r.is_strong,
-    "is_skew": lambda r: r.is_skew,
     **{f"holds({level})": lambda r, level=level: r.holds(level)
        for level in LEVELS},
     "witnesses": lambda r: r.witnesses,
@@ -295,8 +291,8 @@ def test_report_reads_agree_in_any_order(strong_3_7):
         if g % h == 0 and (t := StarterType(h, g // h)).admissible
         for level in LEVELS for s in naive_enumerate(t, level)]
     assert len(starters) > 80
-    firsts = [("is_frame", "holds(strong)", "is_skew", "witnesses"),
-              ("holds(frame)", "is_strong", "holds(skew)", "witness")]
+    firsts = [("holds(frame)", "holds(strong)", "holds(skew)", "witnesses"),
+              ("holds(frame)", "holds(strong)", "holds(skew)", "witness")]
     for s in starters:
         report = verify_skew(s)
         want = {name: read(report) for name, read in _READS.items()}
@@ -310,7 +306,7 @@ def test_report_rejects_an_unknown_level(strong_3_7):
     report = verify_skew(strong_3_7)
     with pytest.raises(ValueError):
         report.holds("bogus")
-    assert report.is_strong and not report.is_skew
+    assert report.holds("strong") and not report.holds("skew")
     with pytest.raises(ValueError):
         report.holds("bogus")
 
@@ -318,10 +314,10 @@ def test_report_rejects_an_unknown_level(strong_3_7):
 def test_report_on_a_non_frame_starter_fails_above_frame():
     bad = make_starter(Z7, Z7_TRIV, [(1, 2), (3, 5), (4, 6)])
     report = verify_skew(bad)
-    assert report.holds("strong") is False and report.is_skew is False
-    assert report.is_frame is False
+    assert report.holds("strong") is False and report.holds("skew") is False
+    assert report.holds("frame") is False
     report = verify_skew(bad)
-    assert report.is_skew is False and report.holds("strong") is False
+    assert report.holds("skew") is False and report.holds("strong") is False
 
 
 def test_orthogonal_with_negation(corpus_by_id):
@@ -488,8 +484,7 @@ def test_empty_starter_is_skew():
         assert s == FrameStarter(group, sub, ())
         assert s.pairs == () and s.codes == ()
         report = verify_skew(s)
-        assert (report.is_frame, report.is_strong, report.is_skew) == \
-            (True, True, True)
+        assert tuple(map(report.holds, LEVELS)) == (True, True, True)
         assert report.witnesses == () and report.witness is None
 
 
@@ -565,8 +560,7 @@ def test_verify_reads_no_stale_codes(strong_3_7, corpus_entries, monkeypatch):
     for s in cases:
         fresh = tuple(GroupSpec(s.group.factors).pair_codes(s.pairs))
         report = verify_skew(s)
-        want = (report.is_frame, report.is_strong, report.is_skew,
-                report.witnesses)
+        want = (*map(report.holds, LEVELS), report.witnesses)
         copies = (pickle.loads(pickle.dumps(s)), copy.deepcopy(s),
                   dataclasses.replace(s))
         # a pickled or deep-copied group starts with an empty table
@@ -584,8 +578,7 @@ def test_verify_reads_no_stale_codes(strong_3_7, corpus_entries, monkeypatch):
     for want, copies in checked:
         for c in copies:
             report = verify_skew(c)
-            assert (report.is_frame, report.is_strong, report.is_skew,
-                    report.witnesses) == want
+            assert (*map(report.holds, LEVELS), report.witnesses) == want
 
 
 def test_equal_starters_print_alike(strong_3_7):

@@ -176,7 +176,7 @@ def test_patterned_starter():
     assert {(p.first.coords[0], p.second.coords[0]) for p in s.pairs} == \
         {(1, 6), (2, 5), (3, 4)}
     report = verify_skew(s)
-    assert report.is_frame and not report.is_strong
+    assert report.holds("frame") and not report.holds("strong")
 
     z9 = GroupSpec((9,))
     s9 = patterned_starter(z9, cyclic_subgroup(z9, 3))
@@ -210,7 +210,7 @@ def test_adder_roundtrip_odd_corpus(corpus_entries, strong_3_7):
         adder = strong_to_adder(s)
         back = adder_to_strong(adder)
         assert back.pairs == s.pairs
-        assert adder_is_skew(adder) == verify_skew(s).is_skew
+        assert adder_is_skew(adder) == verify_skew(s).holds("skew")
     assert not adder_is_skew(strong_to_adder(strong_3_7))
 
 

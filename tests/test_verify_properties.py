@@ -107,9 +107,9 @@ def test_verify_skew_matches_definitions(drawn):
     group, sub, pairs = drawn
     report = verify_skew(make_starter(group, sub, pairs))
     h_set = {x.coords for x in sub.elements}
-    assert (report.is_frame, report.is_strong, report.is_skew) == \
+    assert tuple(map(report.holds, LEVELS)) == \
         _definitions(group.factors, h_set, pairs)
-    assert (report.witness is None) == report.is_skew
+    assert (report.witness is None) == report.holds("skew")
     # every witness names a failing level, the first the weakest one; the
     # witness text is decoded from the verifier's element codes
     failing = [level for level in LEVELS if not report.holds(level)]
