@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     StructureError,
     UnsupportedOperationError,
 )
+from .record import Record
 
 #: A sanity cap on group orders; everything this package targets is orders
 #: of magnitude smaller.
@@ -45,17 +45,18 @@ class Element(NamedTuple):
         return f"Element{self.coords}"
 
 
-@dataclass(frozen=True, slots=True)
-class GroupSpec:
-    """The group Z_{m_1} x ... x Z_{m_k}, each factor m_i >= 2."""
+class GroupSpec(Record):
+    """The group Z_{m_1} x ... x Z_{m_k}, each factor m_i >= 2.
 
-    factors: tuple[int, ...]
-    order: int = field(init=False, compare=False)
-    _pair_codes: dict = field(default_factory=dict, init=False,
-                              compare=False, repr=False)
+    Its value is `factors`; `order` and the table of pair codes
+    (`pair_codes`) are derived.
+    """
 
-    def __post_init__(self):
-        factors = tuple(int(m) for m in self.factors)
+    __slots__ = ("factors", "order", "_pair_codes")
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple[int, ...]):
+        factors = tuple(int(m) for m in factors)
         if not factors:
             raise StructureError("a group needs at least one cyclic factor")
         if any(m < 2 for m in factors):
@@ -63,11 +64,13 @@ class GroupSpec:
         order = math.prod(factors)
         if order > MAX_ORDER:
             raise StructureError(f"group order {order} exceeds cap {MAX_ORDER}")
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "order", order)
+        self._assign(factors, order, {})
 
     def __reduce__(self):  # a copy starts with no pair codes
         return GroupSpec, (self.factors,)
+
+    def __repr__(self) -> str:
+        return f"GroupSpec(factors={self.factors!r}, order={self.order!r})"
 
     @property
     def is_cyclic(self) -> bool:
@@ -179,25 +182,21 @@ class GroupSpec:
         return map(Element, itertools.product(*map(range, self.factors)))
 
 
-@dataclass(frozen=True, slots=True)
-class SubgroupSpec:
-    """A subgroup, given by its element set."""
+class SubgroupSpec(Record):
+    """A subgroup, given by its element set; `order` and the elements'
+    `codes` (`GroupSpec.encode`) are derived."""
 
-    group: GroupSpec
-    elements: frozenset[Element]
-    order: int = field(init=False, compare=False)
-    #: The elements' codes (`GroupSpec.encode`).
-    codes: frozenset[int] = field(init=False, compare=False, repr=False)
+    __slots__ = ("group", "elements", "order", "codes")
+    _fields = ("group", "elements")
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", len(self.elements))
-        object.__setattr__(self, "codes",
-                           frozenset(map(self.group.encode, self.elements)))
-        if self.group.identity not in self.elements:
+    def __init__(self, group: GroupSpec, elements: frozenset[Element]):
+        self._assign(group, elements, len(elements),
+                     frozenset(map(group.encode, elements)))
+        if group.identity not in elements:
             raise StructureError("subgroup is missing the identity")
-        if self.group.order % self.order != 0:
+        if group.order % self.order != 0:
             raise StructureError(
-                f"subgroup size {self.order} does not divide {self.group.order}"
+                f"subgroup size {self.order} does not divide {group.order}"
             )
 
     def __contains__(self, a: Element) -> bool:

@@ -72,7 +72,6 @@ off.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import gcd
 from typing import Callable, Iterable
@@ -80,6 +79,7 @@ from typing import Callable, Iterable
 from . import __version__
 from .errors import InvalidTypeError
 from .groups import GroupSpec
+from .record import Record
 from .starters import LEVELS, FrameStarter, Pair, make_starter, verify_skew
 from .theory import NonexistenceCertificate, StarterType, starter_kind
 
@@ -101,31 +101,29 @@ def check_budget(node_budget: int | None) -> None:
         raise InvalidTypeError("node budget must be >= 1 when given")
 
 
-@dataclass(frozen=True, slots=True)
-class SearchConfig:
-    target_type: StarterType
-    property: str = "skew"
-    mode: str = "find_first"
-    node_budget: int | None = None
-    worker_count: int = 1
-    symmetry_reduction: bool = True
-    progress_interval: int = 0
+class SearchConfig(Record):
+    __slots__ = _fields = ("target_type", "property", "mode", "node_budget",
+                           "worker_count", "symmetry_reduction",
+                           "progress_interval")
 
-    def __post_init__(self):
-        if self.property not in LEVELS:
-            raise InvalidTypeError(f"unknown property {self.property!r}")
-        if self.mode not in MODES:
-            raise InvalidTypeError(f"unknown search mode {self.mode!r}")
-        check_budget(self.node_budget)
-        if self.worker_count < 1:
+    def __init__(self, target_type: StarterType, property: str = "skew",
+                 mode: str = "find_first", node_budget: int | None = None,
+                 worker_count: int = 1, symmetry_reduction: bool = True,
+                 progress_interval: int = 0):
+        if property not in LEVELS:
+            raise InvalidTypeError(f"unknown property {property!r}")
+        if mode not in MODES:
+            raise InvalidTypeError(f"unknown search mode {mode!r}")
+        check_budget(node_budget)
+        if worker_count < 1:
             raise InvalidTypeError("worker count must be >= 1")
-        if self.node_budget is not None:
+        if node_budget is not None:
             # A budget is spent in tree order, as one worker spends it.
-            object.__setattr__(self, "worker_count", 1)
-        if self.progress_interval < 0:
+            worker_count = 1
+        if progress_interval < 0:
             raise InvalidTypeError("progress interval must be >= 0")
-        t = self.target_type
-        if self.node_budget is None and t.g > BUDGET_FREE_MAX_ORDER:
+        t = target_type
+        if node_budget is None and t.g > BUDGET_FREE_MAX_ORDER:
             raise InvalidTypeError(f"searches with g = {t.g} > "
                                    f"{BUDGET_FREE_MAX_ORDER} require an "
                                    "explicit node budget")
@@ -135,19 +133,23 @@ class SearchConfig:
         if t.g > MAX_SEARCH_ORDER:
             raise InvalidTypeError(f"type {t} has g = {t.g}; searches are "
                                    f"capped at g <= {MAX_SEARCH_ORDER}")
-        if self.mode == "exhaustive_count":
+        if mode == "exhaustive_count":
             # A count needs the whole tree.
-            object.__setattr__(self, "symmetry_reduction", False)
+            symmetry_reduction = False
+        self._assign(target_type, property, mode, node_budget, worker_count,
+                     symmetry_reduction, progress_interval)
 
 
-@dataclass(frozen=True, slots=True)
-class SearchOutcome:
-    result: str  # "found" | "exhausted_none" | "budget_exceeded"
-    starters: tuple[FrameStarter, ...]
-    nodes_visited: int
-    wall_time: float
-    config: SearchConfig
-    kernel: str  # "native" | "python": which expansion loop ran
+class SearchOutcome(Record):
+    __slots__ = _fields = ("result", "starters", "nodes_visited", "wall_time",
+                           "config", "kernel")
+
+    def __init__(self, result: str, starters: tuple[FrameStarter, ...],
+                 nodes_visited: int, wall_time: float, config: SearchConfig,
+                 kernel: str):
+        """result: "found" | "exhausted_none" | "budget_exceeded"; kernel:
+        "native" | "python", which expansion loop ran."""
+        self._assign(result, starters, nodes_visited, wall_time, config, kernel)
 
     @property
     def certificate(self) -> NonexistenceCertificate | None:
@@ -582,8 +584,11 @@ def search(cfg: SearchConfig,
     roots = engine.roots()
     run = partial(engine.run, native=native)
     k = min(cfg.worker_count, len(roots))  # 1 whenever there is a budget
-    results = [run(replace(cfg, node_budget=_CHUNK) if k > 1 else cfg,
-                   roots, progress)]
+    head = cfg if k == 1 else SearchConfig(
+        t, cfg.property, cfg.mode, _CHUNK,
+        symmetry_reduction=cfg.symmetry_reduction,
+        progress_interval=cfg.progress_interval)
+    results = [run(head, roots, progress)]
     if k > 1 and results[0][2]:  # the tree outgrew the head start
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=k) as pool:

@@ -74,8 +74,11 @@ def subgroup_from_obj(group: GroupSpec, obj: Any,
             raise SchemaError(str(exc), f"{location}.order") from exc
     if "generators" in obj:
         gens_obj = _expect(obj["generators"], list, f"{location}.generators")
-        gens = [_element_from_obj(group, g, f"{location}.generators[{i}]")
-                for i, g in enumerate(gens_obj)]
+        gens = [_element_from_obj(group, g) for g in gens_obj]
+        if None in gens:
+            i = gens.index(None)
+            raise _element_error(group, gens_obj[i],
+                                 f"{location}.generators[{i}]")
         try:
             return generated_subgroup(group, gens)
         except FrameStarterError as exc:
@@ -87,17 +90,23 @@ def _element_to_obj(group: GroupSpec, x: Element):
     return x.coords[0] if group.is_cyclic else list(x.coords)
 
 
-def _element_from_obj(group: GroupSpec, obj: Any, location: str) -> Element:
-    """The element written as obj; residues are checked, never reduced."""
-    coords = [obj] if _is_int(obj) and group.is_cyclic else obj
-    if not (isinstance(coords, list) and len(coords) == len(group.factors)
-            and all(_is_int(c) and 0 <= c < m
-                    for c, m in zip(coords, group.factors))):
-        want = (f"an integer in [0, {group.order})" if group.is_cyclic else
-                f"a list of {len(group.factors)} integers, each in [0, m) "
-                f"for its factor m of {list(group.factors)}")
-        raise SchemaError(f"element must be {want}, got {obj!r}", location)
-    return group.element(coords)
+def _element_from_obj(group: GroupSpec, obj: Any) -> Element | None:
+    """The element written as obj, or None when obj is not one: residues
+    are checked, never reduced."""
+    factors = group.factors
+    if len(factors) == 1 and _is_int(obj):
+        return Element((obj,)) if 0 <= obj < factors[0] else None
+    if (isinstance(obj, list) and len(obj) == len(factors)
+            and all(_is_int(c) and 0 <= c < m for c, m in zip(obj, factors))):
+        return Element(tuple(obj))
+    return None
+
+
+def _element_error(group: GroupSpec, obj: Any, location: str) -> SchemaError:
+    want = (f"an integer in [0, {group.order})" if group.is_cyclic else
+            f"a list of {len(group.factors)} integers, each in [0, m) "
+            f"for its factor m of {list(group.factors)}")
+    return SchemaError(f"element must be {want}, got {obj!r}", location)
 
 
 def format_pairs(s: FrameStarter) -> str:
@@ -127,17 +136,23 @@ def starter_from_obj(obj: Any, location: str = "$") -> FrameStarter:
             f"{-(-group.order // 4)} pairs, got {len(pairs_obj)}",
             f"{location}.pairs")
     sub = subgroup_from_obj(group, obj.get("subgroup"), f"{location}.subgroup")
+    # Each element is checked once, here; a location is formatted only for
+    # the error that names it.
     pairs = []
     for i, entry in enumerate(pairs_obj):
-        loc = f"{location}.pairs[{i}]"
-        entry = _expect(entry, list, loc)
-        if len(entry) != 2:
+        if not (isinstance(entry, list) and len(entry) == 2):
+            loc = f"{location}.pairs[{i}]"
+            _expect(entry, list, loc)
             raise SchemaError("a pair needs exactly two elements", loc)
+        a = _element_from_obj(group, entry[0])
+        b = _element_from_obj(group, entry[1])
+        if a is None or b is None:
+            j = 0 if a is None else 1
+            raise _element_error(group, entry[j], f"{location}.pairs[{i}][{j}]")
         try:
-            pairs.append(Pair(_element_from_obj(group, entry[0], f"{loc}[0]"),
-                              _element_from_obj(group, entry[1], f"{loc}[1]")))
+            pairs.append(Pair(a, b))
         except StructureError as exc:  # a degenerate pair
-            raise SchemaError(str(exc), loc) from exc
+            raise SchemaError(str(exc), f"{location}.pairs[{i}]") from exc
     try:
         return FrameStarter(group, sub, pairs)
     except FrameStarterError as exc:

@@ -13,11 +13,11 @@ violation when first read, from the same codes (`GroupSpec.decode`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
 
 from .errors import NotComparableError, StructureError, UnsupportedOperationError
 from .groups import Element, GroupSpec, SubgroupSpec, reduce_mod
+from .record import Record
 
 
 class Pair(NamedTuple("Pair", [("first", Element), ("second", Element)])):
@@ -36,8 +36,7 @@ class Pair(NamedTuple("Pair", [("first", Element), ("second", Element)])):
         return f"Pair({self.first!r}, {self.second!r})"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class FrameStarter:
+class FrameStarter(Record):
     """Candidate frame starter; cheap structural checks run at construction.
 
     Construction guarantees the pair count is (g-h)/2 and every member is
@@ -47,12 +46,11 @@ class FrameStarter:
     verifier's job.
     """
 
-    group: GroupSpec
-    subgroup: SubgroupSpec
-    pairs: tuple[Pair, ...]
-    codes: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("group", "subgroup", "pairs", "codes")
+    _fields = ("group", "subgroup", "pairs")
 
-    def __init__(self, group: GroupSpec, subgroup: SubgroupSpec, pairs: tuple):
+    def __init__(self, group: GroupSpec, subgroup: SubgroupSpec,
+                 pairs: tuple[Pair, ...]):
         if subgroup.group is not group and subgroup.group != group:
             raise StructureError("subgroup belongs to a different group")
         g, h = group.order, subgroup.order
@@ -200,17 +198,18 @@ def _violations(s: FrameStarter) -> Iterator[str]:
             seen.add(v)
 
 
-@dataclass(frozen=True, slots=True)
-class Adder:
+class Adder(Record):
     """Translation elements matching one starter onto an orthogonal mate.
 
     entries maps each pair {x, y} of the base starter to the element a with
     {x + a, y + a} a pair of the mate.
     """
 
-    group: GroupSpec
-    subgroup: SubgroupSpec
-    entries: tuple[tuple[Pair, Element], ...]
+    __slots__ = _fields = ("group", "subgroup", "entries")
+
+    def __init__(self, group: GroupSpec, subgroup: SubgroupSpec,
+                 entries: tuple[tuple[Pair, Element], ...]):
+        self._assign(group, subgroup, entries)
 
     def elements(self) -> list[Element]:
         return [a for _, a in self.entries]
@@ -248,12 +247,13 @@ def verify_orthogonal(s1: FrameStarter, s2: FrameStarter,
     return True, Adder(group, s1.subgroup, entries)
 
 
-@dataclass(frozen=True)
-class TypeCensus:
+class TypeCensus(Record):
     """Pair counts classified by the residue multiset of their members."""
 
-    modulus: int
-    counts: Mapping[tuple[int, int], int]
+    __slots__ = _fields = ("modulus", "counts")
+
+    def __init__(self, modulus: int, counts: Mapping[tuple[int, int], int]):
+        self._assign(modulus, counts)
 
     def count(self, i: int, j: int) -> int:
         return self.counts.get((min(i, j), max(i, j)), 0)

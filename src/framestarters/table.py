@@ -9,11 +9,8 @@ cell by cell.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
-
 from .errors import InvalidTypeError
+from .record import Record
 from .search import (MAX_SEARCH_ORDER, SearchConfig, SearchOutcome,
                      check_budget, search)
 from .serialize import format_pairs, starter_to_obj
@@ -30,14 +27,18 @@ DEFAULT_CELL_BUDGET = 400_000
 DEEP_CELLS = frozenset({(2, 16), (4, 8), (4, 9), (4, 10)})
 
 
-@dataclass(frozen=True, slots=True)
-class TableRow:
-    starter_type: StarterType
-    existence: str        # "yes" | "no" | "?"
-    authority: str        # "theorem" | "search" | "none"
-    detail: str
-    certificate: NonexistenceCertificate | None = None
-    outcome: SearchOutcome | None = None
+class TableRow(Record):
+    __slots__ = _fields = ("starter_type", "existence", "authority", "detail",
+                           "certificate", "outcome")
+
+    def __init__(self, starter_type: StarterType,
+                 existence: str,     # "yes" | "no" | "?"
+                 authority: str,     # "theorem" | "search" | "none"
+                 detail: str,
+                 certificate: NonexistenceCertificate | None = None,
+                 outcome: SearchOutcome | None = None):
+        self._assign(starter_type, existence, authority, detail, certificate,
+                     outcome)
 
 
 def admissible_types(max_g: int) -> list[StarterType]:
@@ -86,6 +87,9 @@ def render_markdown(rows: list[TableRow]) -> str:
 
 
 def render_csv(rows: list[TableRow]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["type", "existence", "authority", "detail"])

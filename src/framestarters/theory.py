@@ -9,7 +9,6 @@ work is exact integer arithmetic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     InvalidHomomorphismError,
@@ -18,23 +17,23 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .groups import Element, GroupSpec, SubgroupSpec, complement, cyclic_subgroup
+from .record import Record
 from .starters import LEVELS, Adder, FrameStarter, Pair, type_census, verify_skew
 
 _TYPE_RE = re.compile(r"^(\d+)\^(\d+)$")
 
 
-@dataclass(frozen=True, slots=True)
-class StarterType:
+class StarterType(Record):
     """Type h^u: the order-h subgroup H of Z_g, index u = g/h, g = h*u."""
 
-    h: int
-    u: int
+    __slots__ = _fields = ("h", "u")
 
-    def __post_init__(self):
-        if self.h < 1:
-            raise InvalidTypeError(f"subgroup order must be >= 1, got {self.h}")
-        if self.u < 2:
-            raise InvalidTypeError(f"type index must be >= 2, got {self.u}")
+    def __init__(self, h: int, u: int):
+        if h < 1:
+            raise InvalidTypeError(f"subgroup order must be >= 1, got {h}")
+        if u < 2:
+            raise InvalidTypeError(f"type index must be >= 2, got {u}")
+        self._assign(h, u)
 
     @property
     def g(self) -> int:
@@ -67,14 +66,14 @@ class StarterType:
         return cyclic_subgroup(spec or self.group(), self.h)
 
 
-@dataclass(frozen=True, slots=True)
-class NonexistenceCertificate:
+class NonexistenceCertificate(Record):
     """An instantiated theorem hypothesis ruling out a starter kind."""
 
-    starter_type: StarterType
-    level: str
-    theorem: str
-    statement: str
+    __slots__ = _fields = ("starter_type", "level", "theorem", "statement")
+
+    def __init__(self, starter_type: StarterType, level: str, theorem: str,
+                 statement: str):
+        self._assign(starter_type, level, theorem, statement)
 
     def rules_out(self, level: str) -> bool:
         """Whether this certificate forbids starters verified at `level`.

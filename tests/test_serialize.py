@@ -3,9 +3,10 @@ import sys
 
 import pytest
 
-from framestarters import (GroupSpec, SchemaError, SearchConfig, StarterType,
-                           generated_subgroup, make_starter, search)
-from framestarters import serialize
+from framestarters import (FrameStarterError, GroupSpec, SchemaError,
+                           SearchConfig, StarterType, generated_subgroup,
+                           make_starter, search)
+from framestarters import corpus, serialize
 
 
 def test_starter_roundtrip_cyclic(corpus_by_id):
@@ -50,6 +51,21 @@ def test_file_roundtrip(tmp_path, corpus_by_id):
     path = tmp_path / "starter.json"
     serialize.dump_starter(s, path)
     assert serialize.load_starter(path) == s
+
+
+def test_load_entry_decodes_its_own_starter_alone(corpus_by_id, monkeypatch):
+    decoded = []
+
+    def starter_from_obj(obj):
+        decoded.append(obj["id"])
+        return serialize.starter_from_obj(obj)
+
+    monkeypatch.setattr(corpus, "starter_from_obj", starter_from_obj)
+    assert corpus.load_entry("example-30") == corpus_by_id["example-30"]
+    assert decoded == ["example-30"]
+    with pytest.raises(FrameStarterError, match="no corpus entry named"):
+        corpus.load_entry("example-99")
+    assert decoded == ["example-30"]
 
 
 @pytest.mark.parametrize("mutate, fragment", [
