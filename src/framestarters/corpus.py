@@ -1,19 +1,22 @@
 """The bundled corpus of published skew frame starters.
 
-Eleven reference starters ship with the package as JSON files named
-example-<id>.json.  Each is expected to verify at its claimed property
-level; a failure means a transcription slip or an erratum in the source,
-both worth reporting.
+Eleven reference starters ship beside this module as starter files,
+data/example-<n>.json, read in the order of n; a file's stem is its
+entry's id.  Each is expected to verify at its claimed property level; a
+failure means a transcription slip or an erratum in the source, both
+worth reporting.
 """
 
 from __future__ import annotations
 
-import json
+from pathlib import Path
 
 from .errors import FrameStarterError
 from .record import Record
-from .serialize import starter_from_obj
+from .serialize import _read_json, starter_from_obj
 from .starters import FrameStarter
+
+_DATA = Path(__file__).with_name("data")
 
 
 class CorpusEntry(Record):
@@ -25,30 +28,17 @@ class CorpusEntry(Record):
         self._assign(entry_id, starter, claimed_property, repaired, note)
 
 
-def _data_files():
-    # Imported on first use: from Python 3.12 on it imports inspect.
-    from importlib import resources
-
-    root = resources.files("framestarters").joinpath("data")
-    return sorted(root.iterdir(), key=lambda p: _sort_key(p.name))
-
-
-def _sort_key(name: str):
-    stem = name.removesuffix(".json")
-    num = stem.rsplit("-", 1)[-1]
-    return (int(num) if num.isdigit() else 0, stem)
+def _paths() -> list[Path]:
+    """The files example-<n>.json in `_DATA`, in the order of n."""
+    found = {p.stem.removeprefix("example-"): p
+             for p in _DATA.glob("example-*.json")}
+    return [found[n] for n in sorted(filter(str.isdecimal, found), key=int)]
 
 
-def _objects():
-    """Each corpus file's JSON object, in file order."""
-    for path in _data_files():
-        if path.name.endswith(".json"):
-            yield json.loads(path.read_text(encoding="utf-8"))
-
-
-def _entry(obj: dict) -> CorpusEntry:
+def _entry(path: Path) -> CorpusEntry:
+    obj = _read_json(path)
     return CorpusEntry(
-        entry_id=obj["id"],
+        entry_id=path.stem,
         starter=starter_from_obj(obj),
         claimed_property=obj.get("property", "skew"),
         repaired=bool(obj.get("repaired", False)),
@@ -57,12 +47,12 @@ def _entry(obj: dict) -> CorpusEntry:
 
 
 def load_entries() -> tuple[CorpusEntry, ...]:
-    return tuple(map(_entry, _objects()))
+    return tuple(map(_entry, _paths()))
 
 
 def load_entry(entry_id: str) -> CorpusEntry:
-    """The entry named `entry_id`; only its starter is decoded."""
-    for obj in _objects():
-        if obj["id"] == entry_id:
-            return _entry(obj)
+    """The entry named `entry_id`; only its file is read."""
+    for path in _paths():
+        if path.stem == entry_id:
+            return _entry(path)
     raise FrameStarterError(f"no corpus entry named {entry_id!r}")

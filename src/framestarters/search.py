@@ -1,72 +1,37 @@
 """Pruned exhaustive backtracking for cyclic frame starters.
 
-`search(SearchConfig)` is the one way into the engine.  A config checks
-every search rule when it is built (admissible type, g <= MAX_SEARCH_ORDER,
-a budget when g > BUDGET_FREE_MAX_ORDER), so every config can run.
+- `SearchConfig` checks every search rule when it is built (admissible
+  type, g <= MAX_SEARCH_ORDER, a budget when g > BUDGET_FREE_MAX_ORDER),
+  so every config can run; `search(cfg)` is the one way into the engine
+  and returns a `SearchOutcome`.
+- `Engine` holds what a search over Z_g \\ H at one level needs, built
+  once: the feasible pairs as bitmasks over 0..g-1.  A state is three
+  occupancy masks (members, +-differences, +-sums), and `branch` lists
+  the placements of the most constrained open requirement, fail-first.
+  The root places the pair of difference class {1, -1}, and the branch
+  is a function of the state, so the tree is canonical: every starter is
+  generated once and exhaustive counts are exact.
+- Symmetry reduction under the affine maps x -> ax + c keeps only the
+  least root of each orbit (`roots`) and drops from each root's subtree
+  the pairs that an earlier root covers (`root_masks`); an exhaustive
+  count runs without it.
+- `Engine.run` alone enters the roots and reads the budget, the progress
+  interval and the stop-early rule.  Below each root it drives a stepper
+  with the contract of `fs_leaves` in `_kernel.c`: the C kernel
+  (`native.walker`, for g <= native.MAX_ORDER, when it builds) or the
+  Python stepper (`Engine._python_step`), which mirrors `fs_step` and is
+  its test oracle.  Both walk only the Engine's masks, visit the same
+  nodes in the same order and hand each leaf over as an ascending tuple
+  of the search's Pairs (`Engine.pairs`); `SearchOutcome.kernel` says
+  which ran.
+- `search` builds each reported starter from its leaf and checks it with
+  the independent verifier, in the calling process; the acceleration
+  structures are never trusted.
+- `naive_enumerate` is the brute-force oracle, independent of the engine.
 
-One `Engine` holds what a search over Z_g \\ H at one property level needs,
-built once from the starter type and the level: the feasible pairs as
-masks of length g (`partners` by element, `classes` by difference
-class, `sums` by sum), the sum masks `sum_bits`, `full` (the elements of
-G \\ H) and `mask_g` (the elements of Z_g), all as bitmasks over the
-dense integers 0..g-1.  A search state is three occupancy masks: members,
-+-differences and +-sums.  One engine step expands a state: `branch`
-returns the feasible placements of the most constrained open
-requirement (an uncovered element that must be paired, an unused
-difference class that must be realized or, at the skew level, an unhit
-sum class {t, -t}, since a skew starter's +-sums partition G \\ H) in
-ascending order.  A requirement with no placement left empties the list
-and prunes the node; this fail-first order is what makes witnesses in
-groups of order ~50 reachable in seconds.
-
-The search tree is canonical.  The root places the pair realizing the
-difference class {1, -1} (every frame starter contains exactly one), and
-below the root `branch` is called once per node.  The branch is a
-deterministic function of the state, so every starter is generated
-exactly once and exhaustive counts are exact.
-
-`Engine.run` is the one driver of the walk: it alone enters the roots,
-calling `root_masks(x)` as the walk enters root x, and reads the budget,
-the progress interval and the stop-early rule.  Below each root it drives
-a stepper with the contract of `fs_leaves` in `_kernel.c`: walk that
-root's subtree until a given node count or its end, or until enough
-leaves are in, and return (status, nodes, depth, the leaves since the last
-call).  For g <= native.MAX_ORDER (64) `search` picks the C kernel, which
-`native.py` compiles on first use, loads through ctypes and drives
-(`native.walker`): it returns up to native._BATCH leaves per call, or one
-when the walk stops at its first.  Otherwise, or when it cannot be built,
-the Python stepper runs: a loop over explicit frames that mirrors
-`fs_step` line for line, calls `Engine.branch` and returns at each leaf.
-Both walk only the masks the Engine hands them, `sum_bits`, `sum_mask` and
-the root's `root_masks`, so every rule of the search, the pair rules and
-the symmetry reduction alike, is written once, here.  Both visit the same
-nodes in the same order; the Python stepper is the kernel's test oracle.
-`SearchOutcome.kernel` says which one ran.
-
-Both steppers hand each leaf over as a tuple of the search's own Pairs,
-ascending by (lo, hi): `fs_leaves` sorts a leaf's codes and the Python
-stepper its placements, and each maps them through the Engine's table
-(`pairs`), which builds the Pair of a placement the first time a leaf
-holds it.  `Engine.run` returns the leaves by root, in tree order.
-`search` builds each starter it reports from its leaf as it is (the
-constructor still checks the pair count, the members and the order) and
-checks it at the searched level with the independent verifier in the
-same loop, in the calling process; the acceleration structures are never
-trusted.  A starter is built and verified over its integer codes
-(untraced, g <= 18: about 2.9 us to build, 2.4 to verify at its level).
-`search` says when several workers split the tree, and why every worker
-count reports what the serial run reports.
-
-Symmetry reduction exploits the affine maps x -> ax + c, a a unit of Z_g
-and c one of the `translations` (all of H at the frame and strong levels,
-the c in H with 4c = 0 at skew): each maps a starter to a starter of the
-same kind and fixes H.  Negation and the translations act on the root
-pair {x, x+1}, so only the roots whose base is the least of its orbit are
-explored.  The other units prune below the root: each root's subtree
-drops the pairs that put some affine image of the starter under an
-earlier root (`Engine.root_masks`).  This prunes for existence
-questions; an exhaustive count always runs with the reduction switched
-off.
+ROADMAP holds the measurements: the sum-class threshold under item 3,
+the share of each tree under its first root under item 5 and the cost of
+building and verifying a starter under item 7.
 """
 
 from __future__ import annotations
@@ -530,12 +495,9 @@ class Engine:
 _DONE, _LEAF, _PAUSE = range(3)
 _CHUNK = 1 << 18
 #: `branch` scans the skew sum classes only when the element and class scans
-#: leave more than this many placements (so does `_kernel.c`).  On table57's
-#: five budget-cut cells the native kernel's nodes/s, against a kernel with
-#: no scan, was 0.5x when scanning at every node, 0.87x from more than 1,
-#: 0.95-1.01x from more than 2 and 1.08x from more than 3 (two sweeps),
-#: while 4^7's proof took 8,749, 11,235, 12,566 and 13,940 nodes (21,703
-#: with no scan).
+#: leave more than this many placements (so does `_kernel.c`).  A lower
+#: threshold prunes harder but slows every node; this is the lowest at which
+#: the kernel walks faster than with no scan (ROADMAP item 3 has the sweep).
 _SUM_SCAN_ABOVE = 3
 
 
@@ -569,10 +531,10 @@ def search(cfg: SearchConfig,
     in-process, as one does, and a walk that ends there is the answer.  A
     larger tree is walked again by one process per stride of root pairs, which
     report no progress; nodes_visited counts their walk alone.  The stride
-    gains as far as the roots share the tree: on 2^16 (61.4% of its nodes
-    under its first root) and unreduced trees, not on 4^8 (92.9%) or 4^9
-    (all but 2 nodes).  The slices' leaves merge back by root, in tree
-    order, so every worker count reports the serial starters.  Each
+    gains as far as the roots share the tree, so not on a reduced tree
+    whose first root holds nearly all of it (ROADMAP item 5 gives the
+    shares).  The slices' leaves merge back by root, in tree order, so
+    every worker count reports the serial starters.  Each
     reported starter is built and verified once, here.
     """
     t = cfg.target_type

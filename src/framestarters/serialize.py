@@ -159,16 +159,20 @@ def starter_from_obj(obj: Any, location: str = "$") -> FrameStarter:
         raise SchemaError(str(exc), f"{location}.pairs") from exc
 
 
-def load_starter(path: str | Path) -> FrameStarter:
-    """Read a starter file; a file or JSON error names the path."""
+def _read_json(path: str | Path) -> Any:
+    """A JSON file's value; a file or JSON error names the path."""
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FrameStarterError(f"{path}: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"invalid JSON: {exc}", str(path)) from exc
-    return starter_from_obj(obj)
+
+
+def load_starter(path: str | Path) -> FrameStarter:
+    """Read a starter file; a file or JSON error names the path."""
+    return starter_from_obj(_read_json(path))
 
 
 def dump_starter(s: FrameStarter, path: str | Path):

@@ -7,8 +7,9 @@ to partition G \\ H.  Construction reads each pair's integer codes from
 its group, which checks and encodes a pair once, and the starter keeps
 them.  The verifier, `verify_skew(s)`, is the report's constructor: the
 report reads the starter alone and never throws on a bad starter;
-`holds(level)` decides the level asked and `witnesses` formats every
-violation when first read, from the same codes (`GroupSpec.decode`).
+`holds(level)` decides the level asked, `witness` formats the first
+violation and `witnesses` every one, on each read, from the same codes
+(`GroupSpec.decode`).
 """
 
 from __future__ import annotations
@@ -115,19 +116,18 @@ class VerificationReport:
     """The one verifier, `verify_skew(s)`: which of frame, strong and skew
     the starter satisfies, and why not.
 
-    The report holds the starter.  `holds(level)` decides the level on
-    each read, weakest first, since skew implies strong implies frame:
-    `holds("frame")` never builds the sum sets.  `witnesses` lists every
-    violation in report order and `witness` is the first, or None for a
-    skew starter; both are formatted from the same starter when first
-    read, so a caller that asks only `holds(level)` formats no text.
+    The report holds the starter alone, and every read recomputes from
+    it.  `holds(level)` decides the level, weakest first, since skew
+    implies strong implies frame: `holds("frame")` never builds the sum
+    sets.  `witnesses` formats every violation in report order and
+    `witness` formats only the first, or is None for a skew starter, so a
+    caller that asks only `holds(level)` formats no text.
     """
 
-    __slots__ = ("starter", "_witnesses")
+    __slots__ = ("starter",)
 
     def __init__(self, starter: FrameStarter):
         self.starter = starter
-        self._witnesses = None
 
     def holds(self, level: str) -> bool:
         """Check frame, then strong, then skew up to `level`, by set sizes
@@ -152,13 +152,11 @@ class VerificationReport:
 
     @property
     def witnesses(self) -> tuple[str, ...]:
-        if self._witnesses is None:
-            self._witnesses = tuple(_violations(self.starter))
-        return self._witnesses
+        return tuple(_violations(self.starter))
 
     @property
     def witness(self) -> str | None:
-        return self.witnesses[0] if self.witnesses else None
+        return next(_violations(self.starter), None)
 
 
 verify_skew = VerificationReport

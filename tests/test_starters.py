@@ -28,6 +28,7 @@ from framestarters import (
     verify_orthogonal,
     verify_skew,
 )
+from framestarters import starters as starters_mod
 from framestarters.starters import LEVELS
 from framestarters.theory import patterned_starter, strong_to_adder
 
@@ -271,6 +272,23 @@ def test_witness_text_is_pinned(strong_3_7):
         assert tuple(map(report.holds, LEVELS)) == flags
         assert report.witness == witnesses[0]
         assert report.witnesses == witnesses
+
+
+def test_witness_formats_the_first_violation_alone(strong_3_7, monkeypatch):
+    # `witness` takes one violation from the generator and formats no
+    # other; `witnesses` formats every one, on each read
+    bad, _, witnesses = _witness_cases(strong_3_7)[0]
+
+    def violations(s):
+        yield "the first witness"
+        raise AssertionError("a second violation was formatted")
+
+    monkeypatch.setattr(starters_mod, "_violations", violations)
+    assert verify_skew(bad).witness == "the first witness"
+    monkeypatch.undo()
+    report = verify_skew(bad)
+    assert report.witnesses == report.witnesses == witnesses
+    assert report.witness == witnesses[0]
 
 
 #: Every read of a report, by name.

@@ -12,9 +12,9 @@ drift.  Regenerate the record only when the output is meant to change:
 import contextlib
 import io
 import json
-from importlib import resources
 from pathlib import Path
 
+from framestarters import corpus
 from framestarters.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -22,9 +22,8 @@ FLAGS = ((), ("--json",), ("--verbose",), ("--json", "--verbose"))
 
 
 def _files() -> dict[str, Path]:
-    corpus = resources.files("framestarters").joinpath("data")
-    paths = [*corpus.iterdir(), *(DATA / "verify").iterdir()]
-    return {p.name: Path(str(p)) for p in sorted(paths, key=lambda p: p.name)}
+    paths = [*corpus._DATA.iterdir(), *(DATA / "verify").iterdir()]
+    return {p.name: p for p in sorted(paths, key=lambda p: p.name)}
 
 
 def _runs():
