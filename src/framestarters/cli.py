@@ -15,7 +15,7 @@ import sys
 from . import corpus as corpus_mod
 from . import serialize, table as table_mod
 from .errors import FrameStarterError
-from .search import MODES, SearchConfig, search
+from .search import BUDGET_FREE_MAX_ORDER, MODES, SearchConfig, search
 from .starters import LEVELS, verify_skew
 from .theory import StarterType, certify, starter_kind
 
@@ -32,17 +32,17 @@ def _emit(obj, as_json: bool, text: str):
 def cmd_verify(args) -> int:
     starter = serialize.load_starter(args.file)
     report = verify_skew(starter)
-    holds = report.holds(args.property)
+    obj = serialize.report_to_obj(report)
+    if args.verbose and (witnesses := report.witnesses):
+        obj["witnesses"] = list(witnesses)
+    holds = obj[f"is_{args.property}"]
     text = [f"type {starter.h}^{starter.u} in a group of order "
             f"{starter.group.order}"]
-    for level in LEVELS:
-        text.append(f"  {level}: {'yes' if report.holds(level) else 'no'}")
-    if report.witness and not holds:
-        text.append(f"  witness: {report.witness}")
-    obj = serialize.report_to_obj(report)
-    if args.verbose and report.witnesses:
-        text.extend(f"  - {w}" for w in report.witnesses)
-        obj["witnesses"] = list(report.witnesses)
+    text.extend(f"  {level}: {'yes' if obj[f'is_{level}'] else 'no'}"
+                for level in LEVELS)
+    if obj["witness"] and not holds:
+        text.append(f"  witness: {obj['witness']}")
+    text.extend(f"  - {w}" for w in obj.get("witnesses", ()))
     _emit(obj, args.json, "\n".join(text))
     return EXIT_OK if holds else EXIT_FALSE
 
@@ -91,8 +91,8 @@ def cmd_search(args) -> int:
             f"  wall time: {outcome.wall_time:.3f}s"]
     text.extend(f"  starter: {serialize.format_pairs(s)}"
                 for s in outcome.starters)
-    if (cert := outcome.certificate) is not None:
-        text.append(f"  certificate: {cert.statement}")
+    if "certificate" in obj:
+        text.append(f"  certificate: {obj['certificate']['statement']}")
     _emit(obj, args.json, "\n".join(text))
     if args.out and outcome.starters:
         serialize.dump_starter(outcome.starters[0], args.out)
@@ -133,6 +133,7 @@ def cmd_corpus(args) -> int:
         kind = f"{e.starter.h}^{e.starter.u}"
         report = verify_skew(e.starter)
         ok = report.holds(e.claimed_property)
+        witness = None if ok else report.witness
         failures += not ok
         note = ""
         if e.repaired:
@@ -140,12 +141,12 @@ def cmd_corpus(args) -> int:
         lines.append(
             f"{e.entry_id}: type {kind} {e.claimed_property} "
             f"{'pass' if ok else 'FAIL'}{note}"
-            + ("" if ok else f" ({report.witness})")
+            + ("" if ok else f" ({witness})")
         )
         rows.append({"id": e.entry_id, "type": kind,
                      "property": e.claimed_property, "pass": ok,
                      "repaired": e.repaired,
-                     "witness": None if ok else report.witness})
+                     "witness": witness})
     lines.append(f"{len(entries) - failures}/{len(entries)} verified")
     _emit(rows, args.json, "\n".join(lines))
     return EXIT_OK if failures == 0 else EXIT_FALSE
@@ -177,7 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--property", choices=LEVELS, default="skew")
     p.add_argument("--mode", choices=MODES, default="find_first")
     p.add_argument("--budget", type=int, default=None,
-                   help="node budget (required for g > 60)")
+                   help="node budget (required for g > "
+                        f"{BUDGET_FREE_MAX_ORDER})")
     p.add_argument("--workers", type=int, default=1,
                    help="processes for a search without --budget")
     p.add_argument("--no-symmetry", action="store_true",

@@ -546,10 +546,8 @@ def search(cfg: SearchConfig,
     roots = engine.roots()
     run = partial(engine.run, native=native)
     k = min(cfg.worker_count, len(roots))  # 1 whenever there is a budget
-    head = cfg if k == 1 else SearchConfig(
-        t, cfg.property, cfg.mode, _CHUNK,
-        symmetry_reduction=cfg.symmetry_reduction,
-        progress_interval=cfg.progress_interval)
+    head = cfg if k == 1 else SearchConfig(**{
+        **dict(zip(cfg._fields, cfg._values())), "node_budget": _CHUNK})
     results = [run(head, roots, progress)]
     if k > 1 and results[0][2]:  # the tree outgrew the head start
         from concurrent.futures import ProcessPoolExecutor

@@ -40,16 +40,16 @@ def group_to_obj(group: GroupSpec) -> dict:
     return {"factors": list(group.factors)}
 
 
-def group_from_obj(obj: Any, location: str = "$.group") -> GroupSpec:
-    _expect(obj, dict, location)
-    factors = _expect(obj.get("factors"), list, f"{location}.factors")
+def group_from_obj(obj: Any) -> GroupSpec:
+    _expect(obj, dict, "$.group")
+    factors = _expect(obj.get("factors"), list, "$.group.factors")
     if not factors or not all(_is_int(m) for m in factors):
         raise SchemaError("factors must be a non-empty list of integers",
-                          f"{location}.factors")
+                          "$.group.factors")
     try:
         return GroupSpec(tuple(factors))
     except FrameStarterError as exc:
-        raise SchemaError(str(exc), f"{location}.factors") from exc
+        raise SchemaError(str(exc), "$.group.factors") from exc
 
 
 def subgroup_to_obj(sub: SubgroupSpec) -> dict:
@@ -63,27 +63,26 @@ def subgroup_to_obj(sub: SubgroupSpec) -> dict:
     return {"generators": [list(x.coords) for x in gens or [sub.group.identity]]}
 
 
-def subgroup_from_obj(group: GroupSpec, obj: Any,
-                      location: str = "$.subgroup") -> SubgroupSpec:
-    _expect(obj, dict, location)
+def subgroup_from_obj(group: GroupSpec, obj: Any) -> SubgroupSpec:
+    _expect(obj, dict, "$.subgroup")
     if "order" in obj:
-        order = _expect(obj["order"], int, f"{location}.order")
+        order = _expect(obj["order"], int, "$.subgroup.order")
         try:
             return cyclic_subgroup(group, order)
         except FrameStarterError as exc:
-            raise SchemaError(str(exc), f"{location}.order") from exc
+            raise SchemaError(str(exc), "$.subgroup.order") from exc
     if "generators" in obj:
-        gens_obj = _expect(obj["generators"], list, f"{location}.generators")
+        gens_obj = _expect(obj["generators"], list, "$.subgroup.generators")
         gens = [_element_from_obj(group, g) for g in gens_obj]
         if None in gens:
             i = gens.index(None)
             raise _element_error(group, gens_obj[i],
-                                 f"{location}.generators[{i}]")
+                                 f"$.subgroup.generators[{i}]")
         try:
             return generated_subgroup(group, gens)
         except FrameStarterError as exc:
-            raise SchemaError(str(exc), f"{location}.generators") from exc
-    raise SchemaError("need either 'order' or 'generators'", location)
+            raise SchemaError(str(exc), "$.subgroup.generators") from exc
+    raise SchemaError("need either 'order' or 'generators'", "$.subgroup")
 
 
 def _element_to_obj(group: GroupSpec, x: Element):
@@ -124,39 +123,39 @@ def starter_to_obj(s: FrameStarter) -> dict:
     }
 
 
-def starter_from_obj(obj: Any, location: str = "$") -> FrameStarter:
-    _expect(obj, dict, location)
-    group = group_from_obj(obj.get("group"), f"{location}.group")
-    pairs_obj = _expect(obj.get("pairs"), list, f"{location}.pairs")
+def starter_from_obj(obj: Any) -> FrameStarter:
+    _expect(obj, dict, "$")
+    group = group_from_obj(obj.get("group"))
+    pairs_obj = _expect(obj.get("pairs"), list, "$.pairs")
     # u >= 2 means h <= g/2, so (g-h)/2 >= g/4 pairs.  Checked before the
     # subgroup is materialized, which costs memory in h.
     if 4 * len(pairs_obj) < group.order:
         raise SchemaError(
             f"a starter in a group of order {group.order} has at least "
             f"{-(-group.order // 4)} pairs, got {len(pairs_obj)}",
-            f"{location}.pairs")
-    sub = subgroup_from_obj(group, obj.get("subgroup"), f"{location}.subgroup")
+            "$.pairs")
+    sub = subgroup_from_obj(group, obj.get("subgroup"))
     # Each element is checked once, here; a location is formatted only for
     # the error that names it.
     pairs = []
     for i, entry in enumerate(pairs_obj):
         if not (isinstance(entry, list) and len(entry) == 2):
-            loc = f"{location}.pairs[{i}]"
+            loc = f"$.pairs[{i}]"
             _expect(entry, list, loc)
             raise SchemaError("a pair needs exactly two elements", loc)
         a = _element_from_obj(group, entry[0])
         b = _element_from_obj(group, entry[1])
         if a is None or b is None:
             j = 0 if a is None else 1
-            raise _element_error(group, entry[j], f"{location}.pairs[{i}][{j}]")
+            raise _element_error(group, entry[j], f"$.pairs[{i}][{j}]")
         try:
             pairs.append(Pair(a, b))
         except StructureError as exc:  # a degenerate pair
-            raise SchemaError(str(exc), f"{location}.pairs[{i}]") from exc
+            raise SchemaError(str(exc), f"$.pairs[{i}]") from exc
     try:
         return FrameStarter(group, sub, pairs)
     except FrameStarterError as exc:
-        raise SchemaError(str(exc), f"{location}.pairs") from exc
+        raise SchemaError(str(exc), "$.pairs") from exc
 
 
 def _read_json(path: str | Path) -> Any:

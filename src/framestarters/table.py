@@ -16,14 +16,14 @@ from .search import (MAX_SEARCH_ORDER, SearchConfig, SearchOutcome,
 from .serialize import format_pairs, starter_to_obj
 from .theory import NonexistenceCertificate, StarterType, certify
 
-#: Default per-cell search budget in nodes.  The g <= 57 table decides 89
-#: cells at this budget; the native kernel spends it in ~20 ms per open cell.
+#: Default per-cell search budget in nodes, at which the g <= 57 table
+#: decides 89 cells (ROADMAP's baseline gives the time per budget-cut cell).
 DEFAULT_CELL_BUDGET = 400_000
 
-#: Cells that only an exhaustive search of 322,400 nodes (4^8, 0.02 s on the
-#: native kernel) or more decides; skipped unless deep mode is requested,
-#: which searches them within the per-cell budget (at the default, enough for
-#: 4^8 alone); a skipped row names its search.
+#: Cells that only an exhaustive search of 322,400 nodes (4^8) or more
+#: decides (README's `table` section has their times); skipped unless deep
+#: mode is requested, which searches them within the per-cell budget (at
+#: the default, enough for 4^8 alone); a skipped row names its search.
 DEEP_CELLS = frozenset({(2, 16), (4, 8), (4, 9), (4, 10)})
 
 

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import framestarters
-from framestarters import GroupSpec, serialize, trivial_subgroup, verify_skew
+from framestarters import (GroupSpec, corpus, serialize, starters, theory,
+                           trivial_subgroup, verify_skew)
 from framestarters.cli import main
 from framestarters.corpus import load_entry
 from framestarters.theory import patterned_starter
@@ -329,6 +331,41 @@ def test_corpus_commands(capsys):
     assert "repaired" in out and "pass" in out
 
     assert main(["corpus", "check", "--only", "example-99"]) == 2
+
+
+def test_each_verdict_is_read_once(monkeypatch, strong_3_7, capsys):
+    # A command decides each level and formats each witness list once, and
+    # builds a search's certificate once, whatever it prints.
+    calls = collections.Counter()
+
+    def count(owner, name, key):
+        f = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(starters.VerificationReport, "holds", "holds")
+    count(starters, "_violations", "violations")
+    count(theory.NonexistenceCertificate, "__init__", "certificate")
+
+    def reads(argv, code):
+        calls.clear()
+        assert main(argv) == code
+        capsys.readouterr()
+        return calls["holds"], calls["violations"], calls["certificate"]
+
+    non_frame = str(Path(__file__).parent / "data" / "verify" / "non-frame-z7.json")
+    for flags in ((), ("--json",)):
+        assert reads(["verify", non_frame, "--verbose", *flags], 1) == (3, 2, 0)
+    assert reads(["verify", non_frame], 1)[1] == 1
+    assert reads(["search", "--type", "4^7", "--mode", "prove_nonexistence"],
+                 0)[2] == 1
+
+    planted = corpus.CorpusEntry("planted", strong_3_7, "skew", False, "")
+    monkeypatch.setattr(corpus, "load_entries", lambda: (planted,))
+    assert reads(["corpus", "check"], 1)[1] == 1
 
 
 def test_table_rejects_bad_budget_and_workers(capsys):

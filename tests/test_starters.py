@@ -301,8 +301,8 @@ _READS = {
 
 
 def test_report_reads_agree_in_any_order(strong_3_7):
-    # A report decides its levels and formats its witnesses on first read,
-    # so no order of reads may change what any read returns.
+    # A report decides its levels and formats its witnesses anew on each
+    # read, so no order of reads may change what any read returns.
     starters = [s for s, _, _ in _witness_cases(strong_3_7)] + [
         s for g in range(3, 13) for h in range(1, g // 2 + 1)
         if g % h == 0 and (t := StarterType(h, g // h)).admissible
