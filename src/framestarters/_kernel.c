@@ -1,5 +1,5 @@
 /* Native kernel of search.Engine: the per-node loop of Engine.run and
- * Engine.branch over uint64_t masks, for g <= 64; native.walker drives it
+ * pykernel.branch over uint64_t masks, for g <= 64; native.walker drives it
  * below one root, and Engine.run enters the roots one after another.
  *
  * The Python Engine owns every rule of the search and hands this file
@@ -126,7 +126,7 @@ static inline uint64_t open_pairs(const struct fs *s, int v, uint64_t free,
            & rot(half[v & 1], by, g, s->mask_g);
 }
 
-/* Engine.branch's scan of the open skew sum classes {t, -t}, ascending by t,
+/* pykernel.branch's scan of the open skew sum classes {t, -t}, ascending by t,
  * once the element and class scans leave best_n > SUM_SCAN_ABOVE
  * placements.  notdiff halved is d -> d(g+1)/2 for odd g, and for even g
  * two g/2-bit masks repeated twice, d/2 for even d and (d+1)/2 for odd d.
@@ -172,7 +172,7 @@ sum_scan(const struct fs *s, struct frame *fr, uint64_t free,
     return fr->n;
 }
 
-/* Engine.branch: fill fr with the placements of the most constrained open
+/* pykernel.branch: fill fr with the placements of the most constrained open
  * requirement, ascending; returns their number. */
 static int branch(const struct fs *s, struct frame *fr)
 {

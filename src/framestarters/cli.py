@@ -84,29 +84,76 @@ def cmd_search(args) -> int:
                   file=sys.stderr, flush=True)
 
     outcome = search(cfg, progress)
-    obj = serialize.outcome_to_obj(outcome)
-    text = [f"type {t} property={cfg.property} mode={cfg.mode}: "
-            f"{outcome.result}",
-            f"  nodes visited: {outcome.nodes_visited}",
-            f"  wall time: {outcome.wall_time:.3f}s"]
-    text.extend(f"  starter: {serialize.format_pairs(s)}"
-                for s in outcome.starters)
-    if "certificate" in obj:
-        text.append(f"  certificate: {obj['certificate']['statement']}")
-    _emit(obj, args.json, "\n".join(text))
+    # Only the rendering printed is built: both cost more than the search
+    # on a count with many starters.
+    if args.json:
+        print(json.dumps(serialize.outcome_to_obj(outcome), indent=1))
+    else:
+        text = [f"type {t} property={cfg.property} mode={cfg.mode}: "
+                f"{outcome.result}",
+                f"  nodes visited: {outcome.nodes_visited}",
+                f"  wall time: {outcome.wall_time:.3f}s"]
+        text.extend(f"  starter: {serialize.format_pairs(s)}"
+                    for s in outcome.starters)
+        if (cert := outcome.certificate) is not None:
+            text.append(f"  certificate: {cert.statement}")
+        print("\n".join(text))
     if args.out and outcome.starters:
         serialize.dump_starter(outcome.starters[0], args.out)
     return EXIT_OPEN if outcome.result == "budget_exceeded" else EXIT_OK
 
 
+def render_markdown(rows: list[table_mod.TableRow]) -> str:
+    lines = ["| type | existence | authority | detail |",
+             "|------|-----------|-----------|--------|"]
+    lines += (f"| {r.starter_type} | {r.existence} | {r.authority} | {r.detail} |"
+              for r in rows)
+    return "\n".join(lines)
+
+
+def render_csv(rows: list[table_mod.TableRow]) -> str:
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["type", "existence", "authority", "detail"])
+    writer.writerows([str(r.starter_type), r.existence, r.authority, r.detail]
+                     for r in rows)
+    return buf.getvalue()
+
+
+def rows_to_obj(rows: list[table_mod.TableRow]) -> list[dict]:
+    out = []
+    for row in rows:
+        obj = {
+            "type": str(row.starter_type),
+            "existence": row.existence,
+            "authority": row.authority,
+            "detail": row.detail,
+        }
+        if row.certificate is not None:
+            obj["theorem"] = row.certificate.theorem
+        if row.outcome is not None:
+            obj["nodes"] = row.outcome.nodes_visited
+            obj["seconds"] = row.outcome.wall_time
+            obj["nodes_per_s"] = round(row.outcome.nodes_visited
+                                       / row.outcome.wall_time)
+            if row.outcome.starters:
+                obj["witness"] = serialize.starter_to_obj(
+                    row.outcome.starters[0])
+        out.append(obj)
+    return out
+
+
 def cmd_table(args) -> int:
     rows = table_mod.build_table(args.max_g, deep=args.deep, budget=args.budget)
     if args.json:
-        print(json.dumps(table_mod.rows_to_obj(rows), indent=1))
+        print(json.dumps(rows_to_obj(rows), indent=1))
     elif args.format == "csv":
-        print(table_mod.render_csv(rows), end="")
+        print(render_csv(rows), end="")
     else:
-        print(table_mod.render_markdown(rows))
+        print(render_markdown(rows))
     return EXIT_OK
 
 

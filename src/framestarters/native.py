@@ -50,7 +50,7 @@ def load_kernel() -> ctypes.CDLL | None:
 def walker(engine, stop_early: bool):
     """The kernel's walk of one search: returns `stepper(root, masks)`, which
     starts `fs_leaves` below one root over that root's (partners, classes,
-    sums), `masks`, with the contract of `Engine._python_step`: each step
+    sums), `masks`, with the contract of `pykernel.walker`: each step
     returns the leaves since the last, one at most when the walk stops early
     and up to _BATCH otherwise, each leaf's codes lo | hi << 8, which
     `fs_leaves` writes in ascending order, mapped through the search's table

@@ -6,28 +6,29 @@
   and returns a `SearchOutcome`.
 - `Engine` holds what a search over Z_g \\ H at one level needs, built
   once: the feasible pairs as bitmasks over 0..g-1.  A state is three
-  occupancy masks (members, +-differences, +-sums), and `branch` lists
-  the placements of the most constrained open requirement, fail-first.
-  The root places the pair of difference class {1, -1}, and the branch
-  is a function of the state, so the tree is canonical: every starter is
-  generated once and exhaustive counts are exact.
+  occupancy masks (members, +-differences, +-sums), and a kernel's
+  `branch` lists the placements of the most constrained open
+  requirement, fail-first.  The root places the pair of difference class
+  {1, -1}, and the branch is a function of the state, so the tree is
+  canonical: every starter is generated once and exhaustive counts are
+  exact.
 - Symmetry reduction under the affine maps x -> ax + c keeps only the
   least root of each orbit (`roots`) and drops from each root's subtree
   the pairs that an earlier root covers (`root_masks`); an exhaustive
   count runs without it.
 - `Engine.run` alone enters the roots and reads the budget, the progress
   interval and the stop-early rule.  Below each root it drives a stepper
-  with the contract of `fs_leaves` in `_kernel.c`: the C kernel
-  (`native.walker`, for g <= native.MAX_ORDER, when it builds) or the
-  Python stepper (`Engine._python_step`), which mirrors `fs_step` and is
-  its test oracle.  Both walk only the Engine's masks, visit the same
-  nodes in the same order and hand each leaf over as an ascending tuple
-  of the search's Pairs (`Engine.pairs`); `SearchOutcome.kernel` says
-  which ran.
+  with the contract of `fs_leaves` in `_kernel.c`, from one kernel
+  module's `walker`, imported on first use: the C kernel (`native`, for
+  g <= native.MAX_ORDER, when it builds) or the Python kernel
+  (`pykernel`), which mirrors `fs_step` and is its test oracle.  Both
+  walk only the Engine's masks, visit the same nodes in the same order
+  and hand each leaf over as an ascending tuple of the search's Pairs
+  (`Engine.pairs`); `SearchOutcome.kernel` says which ran.
 - `search` builds each reported starter from its leaf and checks it with
   the independent verifier, in the calling process; the acceleration
-  structures are never trusted.
-- `naive_enumerate` is the brute-force oracle, independent of the engine.
+  structures are never trusted.  The brute-force oracle,
+  `naive_enumerate`, lives apart from the engine, in `oracle`.
 
 ROADMAP holds the measurements: the sum-class threshold under item 3,
 the share of each tree under its first root under item 5 and the cost of
@@ -37,7 +38,7 @@ building and verifying a starter under item 7.
 from __future__ import annotations
 
 import time
-from functools import lru_cache, partial
+from functools import partial
 from math import gcd
 from typing import Callable, Iterable
 
@@ -45,6 +46,8 @@ from . import __version__
 from .errors import InvalidTypeError
 from .groups import GroupSpec
 from .record import Record
+# make_starter is unused here, but bench/run.py traces search.make_starter
+# and search.verify_skew by these names, and its set-up fails without them.
 from .starters import LEVELS, FrameStarter, Pair, make_starter, verify_skew
 from .theory import NonexistenceCertificate, StarterType, starter_kind
 
@@ -282,116 +285,6 @@ class Engine:
                         sums[(p + q) % g] ^= 1 << p | 1 << q
         return partners, classes, sums
 
-    def branch(self, used: int, used_diff: int, used_sum: int,
-               masks: tuple[list[int], list[int], list[int]],
-               ) -> list[tuple[int, int]]:
-        """Feasible placements of the most constrained open requirement,
-        ascending; empty when the state is complete or provably dead.
-
-        Element requirements carry an exact mask of feasible partners.  A
-        class requirement's mask is exact in members and difference but
-        not in the sum, so each of its placements is checked against the
-        used sums before it is returned.  At the skew level, when the
-        tightest of these has more than _SUM_SCAN_ABOVE placements, the open
-        sum classes {t, -t} are scanned too, ascending by t: a class's
-        placements are the pairs {x, y} of the element masks with
-        x + y = +-t, an exact count, taken for every class in one pass over
-        those pairs.  A sum class replaces the choice only with strictly
-        fewer placements, and only its pairs are listed, sorted by (lo, hi).
-        Each scan stops early at a single-option requirement; any
-        zero-option requirement it skipped then surfaces one level deeper,
-        which costs little in practice.  `masks` are the current root's
-        (partners, classes, sums), `root_masks`; the kernel counts a sum
-        class from `sums`, and this loop, its test oracle, does not.
-        """
-        g = self.g
-        free = self.full & ~used
-        notdiff = ~used_diff & self.mask_g
-        notsum = ~used_sum & self.mask_g
-        # doubled, so that one shift rotates: within g bits (here, within
-        # free) m2 >> g - k is m rotated left by k and m2 >> k right
-        notdiff2 = notdiff | notdiff << g
-        notsum2 = notsum | notsum << g
-        free2 = free | free << g
-        partners, classes, _ = masks
-        best_n = g + 1
-        key = opts = 0
-        by_class = False
-        scan = free
-        while scan:
-            xb = scan & -scan
-            scan ^= xb
-            x = xb.bit_length() - 1
-            m = free & partners[x] & notdiff2 >> g - x & notsum2 >> x
-            n = m.bit_count()
-            if n == 0:
-                return []
-            if n < best_n:
-                best_n, key, opts = n, x, m
-                if n == 1:
-                    break
-        if best_n > 1:
-            scan = notdiff & self.class_mask
-            while scan:
-                db = scan & -scan
-                scan ^= db
-                d = db.bit_length() - 1
-                pl = free & free2 >> d & classes[d]
-                n = pl.bit_count()
-                if n == 0:
-                    return []
-                if n < best_n:
-                    best_n, key, opts, by_class = n, d, pl, True
-                    if n == 1:
-                        break
-        scan = notsum & self.sum_mask if best_n > _SUM_SCAN_ABOVE else 0
-        if scan:
-            # (x, the feasible partners y > x of x) for each free x, by the
-            # element scan's masks, and the number of those pairs by sum
-            above = []
-            counts = [0] * g
-            xs = free
-            while xs:
-                xb = xs & -xs
-                xs ^= xb
-                x = xb.bit_length() - 1
-                m = free & partners[x] & notdiff2 >> g - x & notsum2 >> x \
-                    & -(xb << 1)
-                above.append((x, m))
-                while m:
-                    yb = m & -m
-                    m ^= yb
-                    counts[(x - 1 + yb.bit_length()) % g] += 1
-            chosen = 0
-            while scan:
-                tb = scan & -scan
-                scan ^= tb
-                t = tb.bit_length() - 1
-                n = counts[t] + counts[g - t]
-                if n == 0:
-                    return []
-                if n < best_n:
-                    best_n, chosen = n, t
-                    if n == 1:
-                        break
-            if chosen:
-                return [(x, y) for x, m in above
-                        for y in sorted(((chosen - x) % g, (-chosen - x) % g))
-                        if m >> y & 1]
-        sum_bits = self.sum_bits
-        out = []
-        while opts:
-            ob = opts & -opts
-            opts ^= ob
-            v = ob.bit_length() - 1
-            if not by_class:
-                out.append((key, v) if key < v else (v, key))
-                continue
-            y = (v + key) % g
-            if not used_sum & sum_bits[(v + y) % g]:
-                out.append((v, y) if v < y else (y, v))
-        return out
-
     def run(self, cfg: SearchConfig, roots: list[tuple[int, int]],
             progress: Callable[[int, int, float], None] | None = None, *,
             native: bool = False):
@@ -400,9 +293,9 @@ class Engine:
         leaves in tree order, and cut says the node budget stopped the walk.
         A leaf is a tuple of the search's Pairs (`pairs`), ascending.  This
         loop alone enters the roots: as it enters root x it calls
-        `root_masks(x)`, starts a stepper, native (from `native.walker`,
-        which copies the search's own arrays once) or Python, on them and
-        adds the nodes of the roots before.  Each step returns the leaves
+        `root_masks(x)`, starts a stepper from `native.walker` (which
+        copies the search's own arrays once) or `pykernel.walker` on them
+        and adds the nodes of the roots before.  Each step returns the leaves
         reached since the last; the walk stops at the first leaf unless it
         counts, and the native stepper then returns one leaf per step, not
         a batch.  The stepper pauses before the node that would pass the
@@ -412,9 +305,9 @@ class Engine:
         stop_early = cfg.mode != "exhaustive_count"
         if native:
             from .native import walker
-            stepper = walker(self, stop_early)
         else:
-            stepper = self._python_step
+            from .pykernel import walker
+        stepper = walker(self, stop_early)
         budget = cfg.node_budget
         interval = cfg.progress_interval if progress is not None else 0
         next_event = interval
@@ -447,46 +340,6 @@ class Engine:
                     break
         return found, nodes, False
 
-    def _python_step(self, root: tuple[int, int],
-                     masks: tuple[list[int], list[int], list[int]]):
-        """`fs_step` (see _kernel.c) in Python below one root, over a stack
-        of frames [used, used_diff, used_sum, placements, next index] and
-        the root's `root_masks`; its leaves come as a list, of one leaf at
-        a leaf and empty otherwise, so a walk that stops early needs no
-        other stepper.  A leaf is sorted and mapped through `pairs`, as
-        `native.walker` hands it over."""
-        g, full, branch = self.g, self.full, self.branch
-        sum_bits, pair = self.sum_bits, self.pairs.__getitem__
-        frames = [[0, 0, 0, [root], 0]]
-        nodes = 0
-
-        def step(pause_at: int):
-            nonlocal nodes
-            while True:
-                fr = frames[-1]
-                used, ud, us, placements, i = fr
-                if i == len(placements):
-                    if len(frames) == 1:
-                        return _DONE, nodes, 0, []
-                    frames.pop()
-                    continue
-                if nodes == pause_at:
-                    return _PAUSE, nodes, len(frames) - 1, []
-                nodes += 1
-                x, y = placements[i]
-                fr[4] = i + 1
-                used |= 1 << x | 1 << y
-                ud |= 1 << y - x | 1 << g - y + x
-                us |= sum_bits[(x + y) % g]
-                if used == full:
-                    leaf = sorted(f[3][f[4] - 1] for f in frames)
-                    return (_LEAF, nodes, len(frames) - 1,
-                            [tuple(pair(x | y << 8) for x, y in leaf)])
-                if placements := branch(used, ud, us, masks):
-                    frames.append([used, ud, us, placements, 0])
-
-        return step
-
 
 #: fs_step's return codes (see _kernel.c) and the most nodes a stepper
 #: visits before handing control back to `Engine.run`; a search with several
@@ -494,10 +347,11 @@ class Engine:
 #: kernel, one pool start-up.
 _DONE, _LEAF, _PAUSE = range(3)
 _CHUNK = 1 << 18
-#: `branch` scans the skew sum classes only when the element and class scans
-#: leave more than this many placements (so does `_kernel.c`).  A lower
-#: threshold prunes harder but slows every node; this is the lowest at which
-#: the kernel walks faster than with no scan (ROADMAP item 3 has the sweep).
+#: `pykernel.branch` scans the skew sum classes only when the element and
+#: class scans leave more than this many placements (so does `_kernel.c`).
+#: A lower threshold prunes harder but slows every node; this is the lowest
+#: at which the kernel walks faster than with no scan (ROADMAP item 3 has
+#: the sweep).
 _SUM_SCAN_ABOVE = 3
 
 
@@ -578,60 +432,3 @@ def search(cfg: SearchConfig,
                          nodes_visited=sum(nodes for _, nodes, _ in results),
                          wall_time=time.perf_counter() - started, config=cfg,
                          kernel="native" if native else "python")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle: enumerate every perfect pairing of G \ H with no
-# pruning and no symmetry, then test the finished pairing.  Deliberately
-# independent of the engine above; only sane for g <= ~16.
-
-def _pairing_properties(g: int, r: int,
-                        pairs: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
-    n = 2 * len(pairs)
-    diffs = []
-    for x, y in pairs:
-        d = (y - x) % g
-        diffs.append(d)
-        diffs.append(g - d)
-    frame = all(d % r for d in diffs) and len(set(diffs)) == n
-    sums = [(x + y) % g for x, y in pairs]
-    strong = frame and all(s % r for s in sums) and len(set(sums)) == len(sums)
-    pm = sums + [(g - s) % g for s in sums]
-    skew = strong and all(v % r for v in pm) and len(set(pm)) == n
-    return frame, strong, skew
-
-
-def naive_enumerate(t: StarterType, level: str) -> list[FrameStarter]:
-    """All starters of the type at the given level, by unpruned enumeration."""
-    if not t.admissible:
-        raise InvalidTypeError(f"type {t} admits no pairing")
-    hits = _naive_pairings(t.g, t.u)[LEVELS.index(level)]
-    group = t.group()
-    sub = t.subgroup(group)
-    return list(_verified_starters(
-        level, (make_starter(group, sub, p) for p in hits)))
-
-
-@lru_cache(maxsize=1)
-def _naive_pairings(g: int, r: int) -> tuple[tuple, tuple, tuple]:
-    """The frame, strong and skew pairings of Z_g \\ H, H the multiples of r,
-    from one walk over every perfect pairing, each in walk order."""
-    elements = [v for v in range(1, g) if v % r]
-    hits: tuple[list, list, list] = ([], [], [])
-    pairs: list[tuple[int, int]] = []
-
-    def rec(remaining: list[int]):
-        if not remaining:
-            for found, holds in zip(hits, _pairing_properties(g, r, pairs)):
-                if holds:
-                    found.append(tuple(pairs))
-            return
-        x = remaining[0]
-        for i in range(1, len(remaining)):
-            y = remaining[i]
-            pairs.append((x, y))
-            rec(remaining[1:i] + remaining[i + 1:])
-            pairs.pop()
-
-    rec(elements)
-    return tuple(map(tuple, hits))

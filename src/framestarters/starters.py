@@ -14,10 +14,10 @@ violation and `witnesses` every one, on each read, from the same codes
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .errors import NotComparableError, StructureError, UnsupportedOperationError
-from .groups import Element, GroupSpec, SubgroupSpec, reduce_mod
+from .errors import StructureError
+from .groups import Element, GroupSpec, SubgroupSpec
 from .record import Record
 
 
@@ -97,14 +97,6 @@ def make_starter(group: GroupSpec, subgroup: SubgroupSpec, raw_pairs) -> FrameSt
     return FrameStarter(group, subgroup, (
         p if isinstance(p, Pair) else Pair(*map(group.element, p))
         for p in raw_pairs))
-
-
-def negate_starter(s: FrameStarter) -> FrameStarter:
-    """The starter -S = {{-x, -y}}; shares every frame/strong/skew property."""
-    g = s.group
-    return FrameStarter(
-        g, s.subgroup, tuple(Pair(g.neg(p.first), g.neg(p.second)) for p in s.pairs)
-    )
 
 
 #: Property levels ordered weakest to strongest: skew implies strong
@@ -194,88 +186,3 @@ def _violations(s: FrameStarter) -> Iterator[str]:
             if v in seen and v not in in_h:
                 yield f"skew: sum value {element(v)!r} duplicated (pair {p!r})"
             seen.add(v)
-
-
-class Adder(Record):
-    """Translation elements matching one starter onto an orthogonal mate.
-
-    entries maps each pair {x, y} of the base starter to the element a with
-    {x + a, y + a} a pair of the mate.
-    """
-
-    __slots__ = _fields = ("group", "subgroup", "entries")
-
-    def __init__(self, group: GroupSpec, subgroup: SubgroupSpec,
-                 entries: tuple[tuple[Pair, Element], ...]):
-        self._assign(group, subgroup, entries)
-
-    def elements(self) -> list[Element]:
-        return [a for _, a in self.entries]
-
-
-def verify_orthogonal(s1: FrameStarter, s2: FrameStarter,
-                      ) -> tuple[bool, Adder | None]:
-    """Check orthogonality of two frame starters over the same (G, H).
-
-    Each difference class {d, -d} occurs once in a frame starter and
-    d != -d, so every pair of s1 has one translate onto the s2 pair of its
-    class.  Returns (True, adder) when these are distinct and stay outside
-    H; (False, None) otherwise.  Other inputs are not comparable.
-    """
-    if s1.group != s2.group or s1.subgroup != s2.subgroup:
-        raise NotComparableError("starters live over different (G, H)")
-    for s in (s1, s2):
-        if not (report := verify_skew(s)).holds("frame"):
-            raise NotComparableError(f"not a frame starter: {report.witness}")
-    group = s1.group
-    # base[e] is the member of the s2 pair that p.first must move onto
-    # when p has difference e.
-    base: dict[Element, Element] = {}
-    for q in s2.pairs:
-        d = group.sub(q.second, q.first)
-        base[d] = q.first
-        base[group.neg(d)] = q.second
-    entries = tuple(
-        (p, group.sub(base[group.sub(p.second, p.first)], p.first))
-        for p in s1.pairs
-    )
-    adders = {a for _, a in entries}
-    if len(adders) < len(entries) or any(a in s1.subgroup for a in adders):
-        return False, None
-    return True, Adder(group, s1.subgroup, entries)
-
-
-class TypeCensus(Record):
-    """Pair counts classified by the residue multiset of their members."""
-
-    __slots__ = _fields = ("modulus", "counts")
-
-    def __init__(self, modulus: int, counts: Mapping[tuple[int, int], int]):
-        self._assign(modulus, counts)
-
-    def count(self, i: int, j: int) -> int:
-        return self.counts.get((min(i, j), max(i, j)), 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def type_census(s: FrameStarter, m: int) -> TypeCensus:
-    """Count pairs by the residues of their members under x -> x mod m."""
-    counts: dict[tuple[int, int], int] = {}
-    for p in s.pairs:
-        i = reduce_mod(s.group, p.first, m)
-        j = reduce_mod(s.group, p.second, m)
-        key = (min(i, j), max(i, j))
-        counts[key] = counts.get(key, 0) + 1
-    return TypeCensus(m, counts)
-
-
-def quadratic_sum_check(s: FrameStarter) -> int:
-    """Sum of squared pair sums mod g; zero for every strong starter when g is odd."""
-    if not s.group.is_cyclic:
-        raise UnsupportedOperationError("quadratic sum check needs a cyclic group")
-    g = s.group.order
-    if g % 2 == 0:
-        raise UnsupportedOperationError("quadratic sum check needs odd group order")
-    return sum((p.first.coords[0] + p.second.coords[0]) ** 2 for p in s.pairs) % g

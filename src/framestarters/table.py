@@ -13,7 +13,7 @@ from .errors import InvalidTypeError
 from .record import Record
 from .search import (MAX_SEARCH_ORDER, SearchConfig, SearchOutcome,
                      check_budget, search)
-from .serialize import format_pairs, starter_to_obj
+from .serialize import format_pairs
 from .theory import NonexistenceCertificate, StarterType, certify
 
 #: Default per-cell search budget in nodes, at which the g <= 57 table
@@ -21,7 +21,7 @@ from .theory import NonexistenceCertificate, StarterType, certify
 DEFAULT_CELL_BUDGET = 400_000
 
 #: Cells that only an exhaustive search of 322,400 nodes (4^8) or more
-#: decides (README's `table` section has their times); skipped unless deep
+#: decides (ROADMAP's Baseline has their times); skipped unless deep
 #: mode is requested, which searches them within the per-cell budget (at
 #: the default, enough for 4^8 alone); a skipped row names its search.
 DEEP_CELLS = frozenset({(2, 16), (4, 8), (4, 9), (4, 10)})
@@ -76,45 +76,3 @@ def build_table(max_g: int, *, deep: bool = False,
     check_budget(budget)  # before the first row, searched or not
     return [build_row(t, deep=deep, budget=budget)
             for t in admissible_types(max_g)]
-
-
-def render_markdown(rows: list[TableRow]) -> str:
-    lines = ["| type | existence | authority | detail |",
-             "|------|-----------|-----------|--------|"]
-    lines += (f"| {r.starter_type} | {r.existence} | {r.authority} | {r.detail} |"
-              for r in rows)
-    return "\n".join(lines)
-
-
-def render_csv(rows: list[TableRow]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["type", "existence", "authority", "detail"])
-    writer.writerows([str(r.starter_type), r.existence, r.authority, r.detail]
-                     for r in rows)
-    return buf.getvalue()
-
-
-def rows_to_obj(rows: list[TableRow]) -> list[dict]:
-    out = []
-    for row in rows:
-        obj = {
-            "type": str(row.starter_type),
-            "existence": row.existence,
-            "authority": row.authority,
-            "detail": row.detail,
-        }
-        if row.certificate is not None:
-            obj["theorem"] = row.certificate.theorem
-        if row.outcome is not None:
-            obj["nodes"] = row.outcome.nodes_visited
-            obj["seconds"] = row.outcome.wall_time
-            obj["nodes_per_s"] = round(row.outcome.nodes_visited
-                                       / row.outcome.wall_time)
-            if row.outcome.starters:
-                obj["witness"] = starter_to_obj(row.outcome.starters[0])
-        out.append(obj)
-    return out

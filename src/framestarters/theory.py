@@ -1,24 +1,20 @@
-"""Nonexistence predicates, certificates, and algebraic identities.
+"""Starter types, nonexistence predicates and their certificates.
 
 Every predicate here decides, from a starter type alone, that no starter
 with some property level can exist.  Certificates carry the instantiated
 congruence so a reader can recheck the arithmetic by hand.  All congruence
-work is exact integer arithmetic.
+work is exact integer arithmetic.  The identities behind the predicates
+live in `algebra`.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import (
-    InvalidHomomorphismError,
-    InvalidTypeError,
-    StructureError,
-    UnsupportedOperationError,
-)
-from .groups import Element, GroupSpec, SubgroupSpec, complement, cyclic_subgroup
+from .errors import InvalidTypeError, UnsupportedOperationError
+from .groups import GroupSpec, SubgroupSpec, cyclic_subgroup
 from .record import Record
-from .starters import LEVELS, Adder, FrameStarter, Pair, type_census, verify_skew
+from .starters import LEVELS
 
 _TYPE_RE = re.compile(r"^(\d+)\^(\d+)$")
 
@@ -200,144 +196,3 @@ def certify(t: StarterType) -> NonexistenceCertificate | None:
 def starter_kind(level: str) -> str:
     """The starters of a level in prose: "frame starter", "skew frame starter"."""
     return "frame starter" if level == "frame" else f"{level} frame starter"
-
-
-# ---------------------------------------------------------------------------
-# Patterned starter and the strong-starter <-> adder correspondence.
-
-def patterned_starter(group: GroupSpec, sub: SubgroupSpec) -> FrameStarter:
-    """The frame starter {{x, -x}} over G \\ H; exists whenever |G| is odd."""
-    if group.order % 2 == 0:
-        raise UnsupportedOperationError(
-            "patterned starter needs odd group order (x = -x must not occur)"
-        )
-    return FrameStarter(group, sub, tuple(
-        {Pair(x, group.neg(x)) for x in complement(group, sub)}))
-
-
-def strong_to_adder(s: FrameStarter) -> Adder:
-    """Adder for the patterned starter matching a strong starter S.
-
-    The pair {x, y} with sum 2a translates the patterned pair
-    {(x-y)/2, (y-x)/2} by a onto {x, y}.
-    """
-    group = s.group
-    if group.order % 2 == 0:
-        raise UnsupportedOperationError("adder correspondence needs odd order")
-    if not (report := verify_skew(s)).holds("strong"):
-        raise StructureError(f"not a strong frame starter: {report.witness}")
-    entries = []
-    for p in s.pairs:
-        a = group.halve(group.add(p.first, p.second))
-        half_diff = group.halve(group.sub(p.first, p.second))
-        entries.append((Pair(half_diff, group.neg(half_diff)), a))
-    entries.sort(key=lambda e: e[0])
-    return Adder(group, s.subgroup, tuple(entries))
-
-
-def adder_to_strong(adder: Adder) -> FrameStarter:
-    """Rebuild the strong starter {{s+a, -s+a}} from a patterned-starter adder."""
-    group = adder.group
-    if group.order % 2 == 0:
-        raise UnsupportedOperationError("adder correspondence needs odd order")
-    pairs = []
-    for p, a in adder.entries:
-        if p.second != group.neg(p.first):
-            raise StructureError(f"pair {p!r} is not of the patterned form {{x, -x}}")
-        pairs.append(Pair(group.add(p.first, a), group.add(p.second, a)))
-    return FrameStarter(group, adder.subgroup, tuple(pairs))
-
-
-def adder_is_skew(adder: Adder) -> bool:
-    """Whether the +- adder elements partition G \\ H."""
-    group = adder.group
-    values: set[Element] = set()
-    for a in adder.elements():
-        na = group.neg(a)
-        if a in adder.subgroup or a == na or a in values or na in values:
-            return False
-        values.add(a)
-        values.add(na)
-    return len(values) == group.order - adder.subgroup.order
-
-
-# ---------------------------------------------------------------------------
-# Sums of squares and the census identities behind the mod-m predicates.
-
-def sum_of_squares_closed_form(g: int, h: int) -> int:
-    """Closed form of sum(j^2) over the canonical representatives of G \\ H."""
-    if g % 2 == 0:
-        raise UnsupportedOperationError("closed form requires odd g")
-    if h < 1 or g % h != 0:
-        raise InvalidTypeError(f"h = {h} does not divide g = {g}")
-    numerator = g * (2 * g * h - 1) * (g - h)
-    assert numerator % (6 * h) == 0  # exact by the derivation over the integers
-    return numerator // (6 * h)
-
-
-def half_set(t: StarterType) -> set[int]:
-    """{j : 1 <= j <= (g-1)/2, j % u != 0}; one value per +- orbit of Z_g \\ H."""
-    if t.g % 2 == 0:
-        raise UnsupportedOperationError("half set needs odd group order")
-    return {j for j in range(1, (t.g - 1) // 2 + 1) if j % t.u}
-
-
-def residue_class_sizes(t: StarterType, m: int) -> list[int]:
-    """n_i = number of elements of Z_g \\ H congruent to i mod m."""
-    if m < 2 or t.g % m != 0:
-        raise InvalidHomomorphismError(
-            f"x -> x mod {m} is not a homomorphism on order {t.g}"
-        )
-    sizes = [t.g // m] * m
-    for k in range(t.h):  # H = {k*u : k < h}
-        sizes[k * t.u % m] -= 1
-    return sizes
-
-
-def census_identities(s: FrameStarter, m: int) -> dict[str, tuple[int, int]]:
-    """Linear identities a cyclic frame starter's mod-m census satisfies.
-
-    Returns name -> (lhs, rhs), written fraction-free.  Member and
-    difference identities hold for any frame starter; sum identities are
-    included when the starter is skew.  When H lies in the kernel (m | u)
-    the right-hand sides collapse to the textbook constants behind
-    `census_certificate`.
-    """
-    skew = verify_skew(s).holds("skew")
-    census = type_census(s, m)
-    n = residue_class_sizes(StarterType(s.h, s.u), m)
-    out: dict[str, tuple[int, int]] = {}
-
-    for i in range(m):
-        lhs = 2 * census.count(i, i)
-        for j in range(m):
-            if j != i:
-                lhs += census.count(i, j)
-        out[f"members_{i}"] = (lhs, n[i])
-
-    # Pairs whose difference (for skew starters also: whose sum) falls in
-    # the +-c residue class cover exactly the classes c and -c of G \ H.
-    ops = [("diff", lambda i, j: j - i)]
-    if skew:
-        ops.append(("sum", lambda i, j: i + j))
-    for name, op in ops:
-        for c in range(m):
-            nc = (-c) % m
-            if nc < c:
-                continue
-            lhs = sum(census.count(i, j) for i in range(m) for j in range(i, m)
-                      if op(i, j) % m in (c, nc))
-            rhs = n[c] if c == nc else n[c] + n[nc]
-            out[f"{name}_class_{c}"] = (2 * lhs, rhs)
-
-    if skew:
-        pair_total = (s.group.order - s.subgroup.order) // 2
-        if m == 3:
-            # Combining members_0, diff_class_0 and sum_class_0 pins the
-            # number of pairs with both members congruent to 0.
-            out["same_zero_pairs"] = (6 * census.count(0, 0),
-                                      4 * n[0] - 2 * pair_total)
-        if m == 4:
-            # The odd-residue analysis pins the {1,3} pair count.
-            out["opposite_odd_pairs"] = (4 * census.count(1, 3), n[1])
-    return out

@@ -10,9 +10,9 @@ import pytest
 import framestarters
 from framestarters import (GroupSpec, corpus, serialize, starters, theory,
                            trivial_subgroup, verify_skew)
+from framestarters.algebra import patterned_starter
 from framestarters.cli import main
 from framestarters.corpus import load_entry
-from framestarters.theory import patterned_starter
 from framestarters.table import DEEP_CELLS, admissible_types, build_row
 from framestarters.theory import StarterType
 

@@ -27,6 +27,8 @@ from framestarters.starters import LEVELS
 
 search_mod = importlib.import_module("framestarters.search")
 native_mod = importlib.import_module("framestarters.native")
+oracle_mod = importlib.import_module("framestarters.oracle")
+pykernel_mod = importlib.import_module("framestarters.pykernel")
 
 
 def cfg(h, u, level="skew", mode="find_first", **kw):
@@ -225,16 +227,16 @@ def test_naive_enumerate_walks_each_type_once(monkeypatch):
     # with a cache of its own, 1^9 walks its 7!! = 105 pairings once, each
     # tested once for all three levels
     tested = []
-    properties = search_mod._pairing_properties
+    properties = oracle_mod._pairing_properties
 
     def spy(g, r, pairs):
         tested.append(tuple(pairs))
         return properties(g, r, pairs)
 
-    monkeypatch.setattr(search_mod, "_pairing_properties", spy)
-    monkeypatch.setattr(search_mod, "_naive_pairings",
+    monkeypatch.setattr(oracle_mod, "_pairing_properties", spy)
+    monkeypatch.setattr(oracle_mod, "_naive_pairings",
                         functools.lru_cache(maxsize=1)(
-                            search_mod._naive_pairings.__wrapped__))
+                            oracle_mod._naive_pairings.__wrapped__))
     t = StarterType(1, 9)
     found = {level: naive_enumerate(t, level) for level in LEVELS}
     assert len(tested) == len(set(tested)) == 105
@@ -469,8 +471,8 @@ def test_canonical_first_branch_walkthrough():
     engine = search_mod.Engine(StarterType(1, 7), "skew", True)
 
     def branch(*placed):
-        return engine.branch(*_skew_state(7, placed),
-                             engine.root_masks(placed[0][0]))
+        return pykernel_mod.branch(engine, *_skew_state(7, placed),
+                                   engine.root_masks(placed[0][0]))
 
     # no requirement of Z_7 has more than 3 placements, so the sum classes
     # are never scanned (test_sum_class_branch_on_both_kernels scans them)
@@ -598,7 +600,7 @@ def test_native_parity_at_the_widest_masks(native, h, u, level, budget):
 def _walk_shape(engine, root, native, limit=None):
     """The depth of each node below one root, in walk order, and the leaves:
     the stepper pauses before every node, up to limit nodes."""
-    start = native_mod.walker(engine, False) if native else engine._python_step
+    start = (native_mod if native else pykernel_mod).walker(engine, False)
     step = start(root, engine.root_masks(root[0]))
     depths, leaves = [], []
     while limit is None or len(depths) < limit:
@@ -630,7 +632,7 @@ def test_sum_class_branch_on_both_kernels(native):
     for sum_mask, want in ((engine.sum_mask, [(3, 6), (8, 11), (10, 13)]),
                            (0, [(4, 6), (4, 8), (4, 9), (4, 12)])):
         engine.sum_mask = sum_mask  # 0: no sum-class scan
-        assert engine.branch(*state, engine.root_masks(1)) == want
+        assert pykernel_mod.branch(engine, *state, engine.root_masks(1)) == want
         py, nat = (_walk_shape(engine, (1, 2), kernel)
                    for kernel in (False, True))
         assert py == nat and py[0].count(1) == len(want), sum_mask
@@ -638,11 +640,11 @@ def test_sum_class_branch_on_both_kernels(native):
     # left, so the root is a dead end; without the scan the walk goes on.
     engine = search_mod.Engine(StarterType(2, 9), "skew", True)
     state = _skew_state(18, [(2, 3)])
-    assert engine.branch(*state, engine.root_masks(2)) == []
+    assert pykernel_mod.branch(engine, *state, engine.root_masks(2)) == []
     for kernel in (False, True):
         assert _walk_shape(engine, (2, 3), kernel) == ([0], []), kernel
     engine.sum_mask = 0
-    assert len(engine.branch(*state, engine.root_masks(2))) == 5
+    assert len(pykernel_mod.branch(engine, *state, engine.root_masks(2))) == 5
     assert len(_walk_shape(engine, (2, 3), True)[0]) > 1
 
 
@@ -782,7 +784,7 @@ def test_failed_kernel_build_falls_back_to_python(monkeypatch, tmp_path):
 
 def test_kernel_constants_match_python():
     # _kernel.c's masks are uint64_t, one bit per element, and its branch
-    # scans the sum classes above the same count as Engine.branch, so the
+    # scans the sum classes above the same count as pykernel.branch, so the
     # kernel's two shared #defines must equal their Python twins
     defines = {name: int(value) for name, value in re.findall(
         r"^#define (\w+) +(\d+)\b", native_mod._KERNEL_SOURCE.read_text(),

@@ -30,7 +30,7 @@ from framestarters import (
 )
 from framestarters import starters as starters_mod
 from framestarters.starters import LEVELS
-from framestarters.theory import patterned_starter, strong_to_adder
+from framestarters.algebra import patterned_starter, strong_to_adder
 
 Z7 = GroupSpec((7,))
 Z7_TRIV = trivial_subgroup(Z7)
